@@ -354,6 +354,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved_cap = groebner.DEFAULT_MAX_BASIS
     if args.max_gb_size is not None:
         if args.max_gb_size < 1:
             parser.error("--max-gb-size must be positive")
@@ -372,6 +373,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        # the cap covers this one command, not the rest of the process
+        groebner.DEFAULT_MAX_BASIS = saved_cap
 
 
 if __name__ == "__main__":

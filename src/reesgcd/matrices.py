@@ -1,4 +1,4 @@
-"""Matrices over a polynomial ring: determinants, Pfaffians, Jacobian duals.
+"""Matrices over a polynomial ring: minors, Pfaffians, Jacobian duals.
 
 Row and column deletion take 1-based indices so that signs and labels line
 up with the T-variable bookkeeping used throughout the pipeline: deleting
@@ -115,6 +115,9 @@ def det(m):
     certifies a singular matrix, so the answer is 0 with no further
     elimination.  Every interior division is exact.  The empty 0x0 matrix
     has determinant 1.
+
+    The pipeline takes its minors from the Laplace kernel in minors();
+    this is the independent second route that rechecks them.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a nonsquare matrix")
@@ -148,27 +151,6 @@ def det(m):
         prev = pivot
     result = a[n - 1][n - 1]
     return result if sign == 1 else -result
-
-
-def det_cofactor(m):
-    """Determinant by cofactor expansion along the first row."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a nonsquare matrix")
-    n = m.rows
-    ring = m.ring
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return m.at(0, 0)
-    total = ring.zero
-    rest = delete_row(m, 1)
-    for j in range(n):
-        c = m.at(0, j)
-        if c.is_zero:
-            continue
-        minor = det_cofactor(delete_column(rest, j + 1))
-        total = total + (c * minor if j % 2 == 0 else -(c * minor))
-    return total
 
 
 def is_alternating(m):
@@ -241,16 +223,48 @@ def submaximal_pfaffians(m):
 
 
 def minors(m, k):
-    """All k x k minors, rows and columns in lexicographic order."""
+    """All k x k minors, rows and columns in lexicographic order.
+
+    Each minor is a Laplace expansion along the first row of its row
+    subset, over the minors one size smaller on the remaining rows.  These
+    are built bottom-up, one size at a time, keeping only the previous
+    size: the j x j minors a k x k expansion reaches are those whose rows
+    all lie at or past index k - j.
+    """
     if k < 0 or k > min(m.rows, m.cols):
         raise ValueError("minor size out of range")
-    out = []
-    for rows in combinations(range(m.rows), k):
-        for cols in combinations(range(m.cols), k):
-            sub = PolyMatrix(m.ring, k, k,
-                             [m.at(i, j) for i in rows for j in cols])
-            out.append(det(sub))
-    return out
+    ring = m.ring
+    smaller = {((), ()): ring.one}
+    for j in range(1, k + 1):
+        level = {}
+        for rows in combinations(range(k - j, m.rows), j):
+            top, rest = rows[0], rows[1:]
+            for cols in combinations(range(m.cols), j):
+                value = ring.zero
+                for pos, c in enumerate(cols):
+                    entry = m.at(top, c)
+                    if entry.is_zero:
+                        continue
+                    term = entry * smaller[rest, cols[:pos] + cols[pos + 1:]]
+                    value = value - term if pos % 2 else value + term
+                level[rows, cols] = value
+        smaller = level
+    return list(smaller.values())
+
+
+def deletion_minors(m):
+    """M[k][j], the minor of square m without row k+1 and column j+1.
+
+    These are the (n-1) x (n-1) minors of minors(m, n-1): the row subset
+    that omits row k comes (n-1-k)-th in lexicographic order, and the
+    same holds for columns.
+    """
+    if m.rows != m.cols:
+        raise ValueError("deletion minors of a nonsquare matrix")
+    n = m.rows
+    flat = minors(m, n - 1)
+    return [[flat[(n - 1 - k) * n + n - 1 - j] for j in range(n)]
+            for k in range(n)]
 
 
 def jacobian_dual(alt):

@@ -9,9 +9,13 @@ defining ideal, and certifies it against an independent Groebner oracle:
 the candidate must equal both the saturation of the base ideal by the
 variable ideal and its m-th colon power, with strictness one step below.
 
-Every algebraic identity the algorithm relies on (column factorization of
-the maximal minors, vanishing of the full-dual minor, the bidegree law)
-is re-verified at runtime; a violation raises IterationError since it can
+Every step matrix is the fixed Jacobian dual B plus one column, so the
+iteration takes each step's maximal minors from the d x d minors of B,
+computed once per run, by expansion along the new column.  Every algebraic
+identity the algorithm relies on (column factorization of the maximal
+minors at every step, vanishing of the full-dual minor det(B), checked
+once per run by an independent Bareiss determinant, the bidegree law) is
+re-verified at runtime; a violation raises IterationError since it can
 only mean a bug, not bad input.
 """
 
@@ -23,8 +27,8 @@ from collections import namedtuple
 from .ring import DEFAULT_PRIME, BiDegree, PolyRing
 from .matrices import (
     PolyMatrix,
-    delete_column,
     delete_row,
+    deletion_minors,
     det,
     has_linear_x_entries,
     is_alternating,
@@ -479,12 +483,17 @@ def _column_forms(dual, nrows=None):
 def gcd_iterations(inst, rule="min"):
     """Run the m gcd iterations and return the trace.
 
-    Step i deletes column 1 of the current modified dual, divides the
-    minor by the first T-variable, and monic-normalizes; the remaining
-    column deletions are then re-verified against the signed
-    factorization law, the full-width deletion against zero, and the
-    bidegree against (m-i, i(d-1)).  A zero gcd zeroes out every later
-    step by convention.
+    Every step matrix is [B | C]: the fixed Jacobian dual B plus one
+    column C.  Expanding along C, the minor without column j <= d+1 is
+    sum_k (-1)^(k+d) C_k M[k][j], where the d x d minors M of B are
+    computed once per call; the full-dual minor det(B) does not depend on
+    the step and is checked to vanish once per call, by Bareiss
+    elimination.  Step i divides the minor without column 1 by the first
+    T-variable and monic-normalizes; the remaining column deletions are
+    then re-verified against the signed factorization law and the
+    bidegree against (m-i, i(d-1)).  A vanishing first minor requires
+    every other minor to vanish too; its zero gcd then zeroes out every
+    later step by convention.
     """
     ring = inst.ring
     d = inst.d
@@ -492,6 +501,19 @@ def gcd_iterations(inst, rule="min"):
     dual = jacobian_dual(inst.presentation)
     bilinear = _column_forms(dual)
     tfirst = ring.T(1)
+    if not det(dual).is_zero:
+        raise IterationError("full-dual minor does not vanish")
+    fixed = deletion_minors(dual)
+
+    def step_minor(column, j):
+        """Minor of [B | column] without column j, 1 <= j <= d+1."""
+        total = ring.zero
+        for k, c in enumerate(column):
+            if c.is_zero:
+                continue
+            term = c * fixed[k][j - 1]
+            total = total - term if (k + d) % 2 else total + term
+        return total
 
     steps = []
     carried = inst.equation
@@ -510,10 +532,11 @@ def gcd_iterations(inst, rule="min"):
         if dead:
             steps.append(IterationStep(current, ring.zero, None))
             continue
-        raw = det(delete_column(current, 1))
+        column = current.column(d + 1)
+        raw = step_minor(column, 1)
         if raw.is_zero:
-            for j in range(2, d + 3):
-                if not det(delete_column(current, j)).is_zero:
+            for j in range(2, d + 2):
+                if not step_minor(column, j).is_zero:
                     raise IterationError(
                         "step %d: minor 1 vanishes but minor %d does not"
                         % (i, j))
@@ -529,12 +552,9 @@ def gcd_iterations(inst, rule="min"):
             expected = ring.T(j) * quotient
             if j % 2 == 0:
                 expected = -expected
-            if det(delete_column(current, j)) != expected:
+            if step_minor(column, j) != expected:
                 raise IterationError(
                     "step %d: factorization fails at column %d" % (i, j))
-        if not det(delete_column(current, d + 2)).is_zero:
-            raise IterationError(
-                "step %d: full-dual minor does not vanish" % i)
         gcd_i = quotient.monic()
         bideg = gcd_i.bidegree()
         wanted = BiDegree(m - i, i * (d - 1))
@@ -851,7 +871,8 @@ def optional_structural_checks(inst, attempts=8, seed=0):
     mat, attempt = chosen
     full_dual = jacobian_dual(mat)
     reduced_dual = delete_row(full_dual, d + 1)
-    raw = det(delete_column(reduced_dual, 1))
+    # the minor without column 1 comes last in lexicographic order
+    raw = minors(reduced_dual, d)[-1]
     reduced_gcd = raw.exact_div(ring.T(1)) if not raw.is_zero else None
     if reduced_gcd is None:
         witness = "reduced gcd vanishes or is not divisible by T1"

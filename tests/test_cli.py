@@ -170,6 +170,13 @@ class TestVerify:
         assert main(["verify", golden_file, "--max-gb-size", "3"]) == 4
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_budget_covers_one_command_only(self, golden_file, capsys):
+        cap = groebner.DEFAULT_MAX_BASIS
+        assert main(["check", golden_file, "--max-gb-size", "3"]) == 4
+        assert "basis size cap 3 exceeded" in capsys.readouterr().err
+        assert groebner.DEFAULT_MAX_BASIS == cap
+        assert main(["check", golden_file]) == 0
+
 
 class TestExample:
     def test_text(self, capsys):

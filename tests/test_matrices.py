@@ -1,12 +1,13 @@
 """Matrix layer: determinants, Pfaffians, Jacobian duals, deletions."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from reesgcd.ring import PolyRing
 from reesgcd.matrices import (
-    PolyMatrix, delete_row, delete_column, det, det_cofactor,
+    PolyMatrix, delete_row, delete_column, det, deletion_minors,
     is_alternating, pfaffian, submaximal_pfaffians, minors,
     jacobian_dual, modified_jacobian_dual, iteration_matrix,
 )
@@ -54,6 +55,17 @@ def random_alternating(rng, ring, size, maxdeg=1, nterms=2):
             rows[i][j] = e
             rows[j][i] = -e
     return PolyMatrix.from_rows(ring, rows)
+
+
+def random_entry(rng, ring):
+    """Zero, constant or linear, with at most two terms."""
+    acc = {}
+    for _ in range(2):
+        exp = [0] * ring.nvars
+        for _ in range(rng.randint(0, 1)):
+            exp[rng.randrange(ring.nvars - 1)] += 1
+        acc[tuple(exp)] = rng.randint(0, 6)
+    return ring.from_dict(acc)
 
 
 def random_linear_alternating(rng, ring):
@@ -115,21 +127,14 @@ class TestDet:
             det(m)
 
     def test_bareiss_matches_cofactor(self):
+        # Bareiss elimination against the Laplace expansion of minors()
         rng = random.Random(3)
         for size in (2, 3, 4, 5):
             for _ in range(6):
-                rows = [[None] * size for _ in range(size)]
-                for i in range(size):
-                    for j in range(size):
-                        acc = {}
-                        for _ in range(2):
-                            exp = [0] * R.nvars
-                            for _ in range(rng.randint(0, 1)):
-                                exp[rng.randrange(R.nvars - 1)] += 1
-                            acc[tuple(exp)] = rng.randint(0, 6)
-                        rows[i][j] = R.from_dict(acc)
-                m = PolyMatrix.from_rows(R, rows)
-                assert det(m) == det_cofactor(m)
+                m = PolyMatrix.from_rows(
+                    R, [[random_entry(rng, R) for _ in range(size)]
+                        for _ in range(size)])
+                assert det(m) == minors(m, size)[0]
 
     def test_zero_column_is_singular(self):
         m = PolyMatrix.from_rows(
@@ -303,6 +308,34 @@ class TestMinors:
         out = minors(presentation(), 2)
         assert len(out) == 100
         assert R.x(1) ** 2 in [m.monic() for m in out if not m.is_zero]
+
+        # every size against Bareiss on each submatrix, in lexicographic
+        # order, on nonsquare matrices with zero entries and a zero row
+        rng = random.Random(11)
+        for nrows in (4, 5):
+            rows = [[random_entry(rng, R) for _ in range(6)]
+                    for _ in range(nrows)]
+            rows[rng.randrange(nrows)] = [R.zero] * 6
+            m = PolyMatrix.from_rows(R, rows)
+            for k in range(nrows + 1):
+                expected = [
+                    det(PolyMatrix(R, k, k, [m.at(i, j) for i in rs
+                                             for j in cs]))
+                    for rs in combinations(range(nrows), k)
+                    for cs in combinations(range(6), k)]
+                assert minors(m, k) == expected
+        with pytest.raises(ValueError):
+            minors(m, 6)
+
+        # the d x d minors the iteration expands along its new column
+        duals = [PolyMatrix.from_rows(R, B_ROWS),
+                 jacobian_dual(random_linear_alternating(rng, R))]
+        for b in duals:
+            fixed = deletion_minors(b)
+            for k in range(5):
+                for j in range(5):
+                    assert fixed[k][j] == det(
+                        delete_row(delete_column(b, j + 1), k + 1))
 
     def test_alternating_flag(self):
         assert is_alternating(presentation())

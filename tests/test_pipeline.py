@@ -258,6 +258,23 @@ class TestIterations:
         assert all(s.bidegree is None for s in trace.steps)
         assert trace.defining_ideal.equals(trace.base_ideal)
 
+    @pytest.mark.parametrize("m,seed", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_max_rule_steps_obey_factorization_laws(self, m, seed):
+        # every column deletion of every step matrix, by Bareiss
+        inst = random_instance(4, m, seed=seed)
+        ring = inst.ring
+        trace = gcd_iterations(inst, "max")
+        for i, step in enumerate(trace.steps, 1):
+            assert tuple(step.bidegree) == (m - i, 3 * i)
+            raw = det(delete_column(step.matrix, 1)).exact_div(ring.T(1))
+            assert raw is not None and raw.monic() == step.gcd
+            for j in range(2, 6):
+                expected = ring.T(j) * raw
+                if j % 2 == 0:
+                    expected = -expected
+                assert det(delete_column(step.matrix, j)) == expected
+            assert det(delete_column(step.matrix, 6)).is_zero
+
     def test_broken_alternation_trips_factorization_guard(self):
         rows = [list(r) for r in GOLDEN_MATRIX]
         rows[0][1] = "x1 + x3"

@@ -6,11 +6,21 @@ basis; the returned basis is reduced, monic, and sorted by increasing
 lead monomial, hence unique for the ideal and the order.  A configurable
 budget on basis size and degree turns runaway computations into a hard
 BudgetExceeded error instead of an apparent hang.
+
+All reduction runs on the heap-and-dict accumulator of the ring module
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007): the largest pending term is popped,
+the first basis entry whose lead divides it contributes its shifted tail,
+and the lead itself is never formed.  An S-polynomial is never built as a
+term tuple: the two shifted tails of its pair seed the accumulator and
+are reduced in the same pass.
 """
 
 from __future__ import annotations
 
-from .ring import Polynomial, _merge, _shift
+from operator import sub
+
+from .ring import Polynomial, _accumulator, _add_shifted, _pop_lead
 
 DEFAULT_MAX_BASIS = 20000
 DEFAULT_MAX_DEGREE = 500
@@ -49,17 +59,24 @@ def _to_poly(ring, terms):
         sorted(((key(e), e, c) for _, e, c in terms), reverse=True)))
 
 
-def _reduce_terms(terms, basis, mod):
+def _reduce_terms(terms, basis, mod, shifted=()):
     """Full normal form of a term list against basis entries.
 
-    basis entries are (lead_key, lead_exp, inv_lead_coeff, terms) sorted
-    by increasing lead_key; a divisor's key never exceeds the key of the
-    term it divides, so the scan stops early.
+    basis entries are (lead_key, lead_exp, inv_lead_coeff, tail) sorted
+    by increasing lead_key, tail being the entry's terms after the lead;
+    a divisor's key never exceeds the key of the term it divides, so the
+    scan stops early.  shifted holds (tail, dkey, dexp, coeff) summands
+    added to terms before reduction, as _add_shifted takes them.
     """
+    acc, heap = _accumulator(terms)
+    for part in shifted:
+        _add_shifted(acc, heap, *part)
     out = []
-    work = terms
-    while work:
-        k, e, c = work[0]
+    while True:
+        lead = _pop_lead(acc, heap, mod)
+        if lead is None:
+            return tuple(out)
+        k, e, c = lead
         hit = None
         for ent in basis:
             if ent[0] > k:
@@ -72,14 +89,11 @@ def _reduce_terms(terms, basis, mod):
                 hit = ent
                 break
         if hit is None:
-            out.append(work[0])
-            work = work[1:]
+            out.append(lead)
         else:
-            lk, le, linv, g = hit
-            dexp = tuple(a - b for a, b in zip(e, le))
-            work = _merge(work, _shift(g, k - lk, dexp, -(c * linv), mod),
-                          mod)
-    return tuple(out)
+            lk, le, linv, tail = hit
+            _add_shifted(acc, heap, tail, k - lk, tuple(map(sub, e, le)),
+                         -(c * linv % mod))
 
 
 def _monic_terms(terms, mod):
@@ -90,16 +104,18 @@ def _monic_terms(terms, mod):
     return tuple((k, e, c * inv % mod) for k, e, c in terms)
 
 
-def _spair(f, g, keyf, mod):
-    kf, ef, cf = f[0]
-    kg, eg, cg = g[0]
+def _spair_tails(f, g, keyf):
+    """The S-polynomial of basis entries f and g as two shifted tails.
+
+    Both leads are scaled to the lcm with coefficient 1 and cancel, so
+    only the tails enter the reduction, as summands of _reduce_terms.
+    """
+    kf, ef, invf, tailf = f
+    kg, eg, invg, tailg = g
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     klcm = keyf(lcm)
-    sf = _shift(f, klcm - kf, tuple(a - b for a, b in zip(lcm, ef)),
-                pow(cf, mod - 2, mod), mod)
-    sg = _shift(g, klcm - kg, tuple(a - b for a, b in zip(lcm, eg)),
-                -pow(cg, mod - 2, mod), mod)
-    return _merge(sf, sg, mod)
+    return ((tailf, klcm - kf, tuple(map(sub, lcm, ef)), invf),
+            (tailg, klcm - kg, tuple(map(sub, lcm, eg)), -invg))
 
 
 def _update_pairs(pairs, lead, new, keyf):
@@ -150,7 +166,7 @@ def _max_degree(terms):
 
 def _basis_entry(terms, mod):
     lk, le, lc = terms[0]
-    return (lk, le, pow(lc, mod - 2, mod), terms)
+    return (lk, le, pow(lc, mod - 2, mod), terms[1:])
 
 
 def _insert_sorted(basis, entry):
@@ -185,6 +201,7 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
     cap_deg = max_degree if max_degree is not None else DEFAULT_MAX_DEGREE
 
     G = []
+    entries = []
     lead = []
     red = []
     pairs = []
@@ -198,8 +215,9 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
             raise BudgetExceeded(
                 "degree cap %d exceeded" % cap_deg)
         G.append(terms)
+        entries.append(_basis_entry(terms, mod))
         lead.append(terms[0][1])
-        _insert_sorted(red, _basis_entry(terms, mod))
+        _insert_sorted(red, entries[-1])
         return _update_pairs(pairs, lead, len(G) - 1, keyf)
 
     for f in gens:
@@ -216,10 +234,8 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
                 best = pos
                 bk = cand
         _, _, i, j = pairs.pop(best)
-        s = _spair(G[i], G[j], keyf, mod)
-        if not s:
-            continue
-        h = _reduce_terms(s, red, mod)
+        h = _reduce_terms((), red, mod,
+                          _spair_tails(entries[i], entries[j], keyf))
         if h:
             pairs = admit(h)
 
@@ -240,10 +256,10 @@ def _autoreduce(basis_terms, mod):
                 break
         if not redundant:
             kept.append(g)
+    entries = [_basis_entry(g, mod) for g in kept]
     out = []
     for idx, g in enumerate(kept):
-        others = [_basis_entry(h, mod)
-                  for pos, h in enumerate(kept) if pos != idx]
+        others = entries[:idx] + entries[idx + 1:]
         out.append(_monic_terms(_reduce_terms(g, others, mod), mod))
     return out
 
@@ -278,8 +294,10 @@ def spolynomial(f, g, order=None):
     """Monic-normalized S-polynomial of f and g."""
     ring = f.ring
     order = order or ring.grevlex
-    s = _spair(_to_terms(f, order), _to_terms(g, order), order.key, ring.p)
-    return _to_poly(ring, s)
+    mod = ring.p
+    tails = _spair_tails(_basis_entry(_to_terms(f, order), mod),
+                         _basis_entry(_to_terms(g, order), mod), order.key)
+    return _to_poly(ring, _reduce_terms((), (), mod, tails))
 
 
 def is_groebner(basis, order=None):

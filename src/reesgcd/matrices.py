@@ -51,14 +51,6 @@ class PolyMatrix:
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
 
-    def to_strings(self):
-        return [[str(e) for e in self.row(i)] for i in range(self.rows)]
-
-    def transpose(self):
-        flat = [self.at(i, j)
-                for j in range(self.cols) for i in range(self.rows)]
-        return PolyMatrix(self.ring, self.cols, self.rows, flat)
-
     def append_column(self, col):
         if len(col) != self.rows:
             raise ValueError("column length mismatch")
@@ -80,10 +72,6 @@ class PolyMatrix:
     def __repr__(self):
         return "PolyMatrix(%dx%d over %r)" % (self.rows, self.cols,
                                               self.ring)
-
-    def __neg__(self):
-        return PolyMatrix(self.ring, self.rows, self.cols,
-                          [-e for e in self.entries])
 
 
 def delete_row(m, i):

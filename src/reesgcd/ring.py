@@ -10,12 +10,23 @@ sorted strictly decreasing under graded reverse-lexicographic order on all
 variables.  Coefficients are integers in [1, p); the zero polynomial is
 the empty tuple.  Monomial orders are encoded as integer weight vectors so
 that the sort key of a product is the sum of the factors' keys.
+
+Division (exact_div here, normal forms and S-pairs in groebner) runs on one
+reduction accumulator: a dict from key to pending coefficient plus a
+max-heap of the pending keys.  Each step pops the largest key, reduces its
+coefficient mod p once and builds its exponent vector only then, and adds
+the reducer's shifted tail into the dict.  Every tail key is below the
+popped one, so a popped key never returns, and a division costs
+O(n log n) in the number of terms it touches instead of re-merging the
+whole remainder at every step.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from heapq import heappop, heappush
+from operator import add
 
 DEFAULT_PRIME = 32003
 
@@ -386,6 +397,45 @@ def _shift(terms, dkey, dexp, c, mod):
     return tuple(out)
 
 
+def _accumulator(terms):
+    """Reduction accumulator holding the term tuple terms.
+
+    Returns (acc, heap): acc maps key -> [coeff, exp, shift], where coeff
+    is not yet reduced mod p and the term's exponent vector is exp + shift
+    (shift None: exp itself); heap holds the negated pending keys, so its
+    top is the largest.  The negated keys of a decreasing term tuple are
+    increasing, hence already a heap.
+    """
+    acc = {k: [c, e, None] for k, e, c in terms}
+    return acc, [-k for k, _, _ in terms]
+
+
+def _add_shifted(acc, heap, terms, dkey, dexp, c):
+    """Add c times the monomial (dkey, dexp) times terms into (acc, heap)."""
+    get = acc.get
+    for k, e, co in terms:
+        k += dkey
+        slot = get(k)
+        if slot is None:
+            acc[k] = [co * c, e, dexp]
+            heappush(heap, -k)
+        else:
+            slot[0] += co * c
+
+
+def _pop_lead(acc, heap, mod):
+    """Remove and return the largest nonzero pending term, or None."""
+    while heap:
+        k = -heappop(heap)
+        c, e, shift = acc.pop(k)
+        c %= mod
+        if c:
+            if shift is not None:
+                e = tuple(map(add, e, shift))
+            return k, e, c
+    return None
+
+
 def _scale(terms, c, mod):
     c %= mod
     if c == 0:
@@ -442,11 +492,6 @@ class Polynomial:
                 if x:
                     used.add(slot)
         return used
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for _, e, _ in self.terms)
 
     def bidegree(self):
         """Common (x-degree, T-degree) of all terms.
@@ -580,23 +625,25 @@ class Polynomial:
         if self.is_zero:
             return self
         mod = self.ring.p
-        dterms = divisor.terms
-        dk, de, dc = dterms[0]
+        dk, de, dc = divisor.terms[0]
+        dtail = divisor.terms[1:]
         dinv = pow(dc, mod - 2, mod)
+        acc, heap = _accumulator(self.terms)
         q = []
-        rem = self.terms
-        while rem:
-            k, e, c = rem[0]
+        while True:
+            lead = _pop_lead(acc, heap, mod)
+            if lead is None:
+                return Polynomial(self.ring, tuple(q))
+            k, e, c = lead
             qe = []
             for xe, ye in zip(e, de):
                 if xe < ye:
                     return None
                 qe.append(xe - ye)
+            qe = tuple(qe)
             qc = c * dinv % mod
-            q.append((k - dk, tuple(qe), qc))
-            rem = _merge(rem, _shift(dterms, k - dk, tuple(qe), -qc, mod),
-                         mod)
-        return Polynomial(self.ring, tuple(q))
+            q.append((k - dk, qe, qc))
+            _add_shifted(acc, heap, dtail, k - dk, qe, -qc)
 
     def divides(self, other):
         return other.exact_div(self) is not None

@@ -1,11 +1,15 @@
 """Groebner engine: hand-checked bases, normal forms, budgets."""
 
+import json
+import os
 import random
 
 import pytest
 
 from reesgcd.ring import PolyRing
-from reesgcd.matrices import PolyMatrix
+from reesgcd.ideals import Ideal
+from reesgcd.matrices import PolyMatrix, submaximal_pfaffians
+from reesgcd.pipeline import builtin_example, gcd_iterations
 from reesgcd.groebner import (
     groebner_basis, normal_form, spolynomial, is_groebner, reduce_basis,
     BudgetExceeded,
@@ -131,3 +135,27 @@ class TestReduceBasis:
         gb = list(groebner_basis([R.parse("x1^2 - T1"), R.x(2)]))
         padded = gb + [gb[0].scale(7), (gb[0] * R.x(3))]
         assert reduce_basis(padded) == tuple(gb)
+
+
+def test_golden_bases_match_recorded():
+    """Reduced bases of the golden instance, string for string, as the
+    merge-based reduction kernel computed them (tests/golden_bases.json)."""
+    path = os.path.join(os.path.dirname(__file__), "golden_bases.json")
+    with open(path) as fh:
+        recorded = json.load(fh)
+    inst = builtin_example()
+    ring = inst.ring
+    trace = gcd_iterations(inst)
+    t = ring.aux
+    intersection = [t * g for g in trace.base_ideal.gens]
+    intersection.append((ring.one - t) * ring.x(1))
+    computed = {
+        "pfaffians_grevlex": groebner_basis(
+            submaximal_pfaffians(inst.presentation)),
+        "base_cap_x1_elim_aux": groebner_basis(intersection,
+                                               ring.elim_aux),
+        "defining_ideal_grevlex": Ideal(
+            ring, trace.defining_ideal.gens).groebner(),
+    }
+    assert {name: [str(g) for g in gb] for name, gb in computed.items()} \
+        == recorded

@@ -188,7 +188,7 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
     monomial under the active order; it is empty for the zero ideal and
     (1,) for the unit ideal.  Raises BudgetExceeded when the basis grows
     past max_basis elements or any basis element's total degree passes
-    max_degree.
+    max_degree; its message names the cap and the term order of the run.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -209,11 +209,11 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
     def admit(terms):
         terms = _monic_terms(terms, mod)
         if len(G) + 1 > cap_size:
-            raise BudgetExceeded(
-                "basis size cap %d exceeded" % cap_size)
+            raise BudgetExceeded("basis size cap %d exceeded (%s)"
+                                 % (cap_size, order.name))
         if _max_degree(terms) > cap_deg:
-            raise BudgetExceeded(
-                "degree cap %d exceeded" % cap_deg)
+            raise BudgetExceeded("degree cap %d exceeded (%s)"
+                                 % (cap_deg, order.name))
         G.append(terms)
         entries.append(_basis_entry(terms, mod))
         lead.append(terms[0][1])

@@ -1,10 +1,21 @@
 """Ideal arithmetic built on the Groebner engine.
 
-Intersections eliminate the helper variable t from t*I + (1-t)*J; colon
-ideals divide an intersection with a principal ideal; saturation runs the
-t*f - 1 construction once per generator and intersects the results.  All
-elimination outputs arrive as reduced grevlex bases of the eliminated
+Colons and saturations by a single variable x of a homogeneous ideal take
+Bayer's route (Bayer & Stillman, "A criterion for detecting m-regularity",
+Invent. Math. 87, 1987): in the graded reverse-lexicographic order with x
+moved last, x divides a homogeneous polynomial exactly when it divides
+its lead, so dividing every element of that basis by x (colon) or by its
+full power of x (saturation) yields a Groebner basis of the result.  No
+helper variable is involved, and each Ideal keeps its reduced bases per
+term order, so the colon and the saturation of one ideal by the same
+variable share a single run.
+
+Every other colon or saturation, and every intersection, eliminates the
+helper variable t: intersections from t*I + (1-t)*J, colons by dividing
+an intersection with a principal ideal, saturations from I + (t*f - 1).
+Elimination outputs arrive as reduced grevlex bases of the eliminated
 ideal, so downstream membership tests reuse them without recomputation.
+Colons and saturations by an ideal intersect the per-generator results.
 
 Krull dimension is the maximal number of variables supporting no lead
 monomial of the ideal, found by exhaustive search over variable subsets;
@@ -19,9 +30,14 @@ from .groebner import groebner_basis, normal_form, reduce_basis
 
 
 class Ideal:
-    """Generator list with a lazily cached reduced Groebner basis."""
+    """Generator list with lazily cached reduced Groebner bases.
 
-    __slots__ = ("ring", "gens", "order", "_gb")
+    order is the term order of membership tests; gb, if given, is the
+    reduced basis under it.  Bases under other orders are computed on
+    request and kept, one per order, for the life of the ideal.
+    """
+
+    __slots__ = ("ring", "gens", "order", "_bases")
 
     def __init__(self, ring, gens, order=None, gb=None):
         self.ring = ring
@@ -32,14 +48,17 @@ class Ideal:
                 seen[g] = None
         self.gens = tuple(seen)
         self.order = order or ring.grevlex
-        self._gb = gb
+        self._bases = {} if gb is None else {self.order: gb}
 
-    def groebner(self, max_basis=None, max_degree=None):
-        if self._gb is None:
-            self._gb = groebner_basis(self.gens, self.order,
-                                      max_basis=max_basis,
-                                      max_degree=max_degree)
-        return self._gb
+    def groebner(self, max_basis=None, max_degree=None, order=None):
+        """Reduced basis under order (default: the ideal's own order)."""
+        order = order or self.order
+        gb = self._bases.get(order)
+        if gb is None:
+            gb = groebner_basis(self.gens, order, max_basis=max_basis,
+                                max_degree=max_degree)
+            self._bases[order] = gb
+        return gb
 
     @property
     def is_zero(self):
@@ -113,12 +132,46 @@ def intersect_all(ideals):
     return out
 
 
-def colon(a, f):
-    """a : f = (a ∩ (f)) / f for a single nonzero polynomial f."""
+def _bayer_slot(a, f):
+    """Slot of the variable f when Bayer's route applies, else None.
+
+    It applies when f is a nonzero scalar times a variable other than t
+    and every generator of a is homogeneous in total degree.  Terms are
+    sorted by a graded order, so a polynomial is homogeneous exactly when
+    its first and last terms share a degree.
+    """
+    if len(f.terms) != 1:
+        return None
+    exp = f.terms[0][1]
+    if sum(exp) != 1:
+        return None
+    slot = exp.index(1)
+    if slot == a.ring.aux_slot:
+        return None
+    for g in a.gens:
+        if sum(g.terms[0][1]) != sum(g.terms[-1][1]):
+            return None
+    return slot
+
+
+def _divide_out(a, slot, whole_power):
+    """Basis of a under the order with slot last, each element divided by
+    its full power of that variable (whole_power) or by the variable once
+    where it divides."""
     ring = a.ring
-    f = ring.poly(f)
-    if f.is_zero:
-        raise ZeroDivisionError("colon by the zero polynomial")
+    x = ring.variable(slot)
+    quots = []
+    for g in a.groebner(order=ring.revlex_last(slot)):
+        v = min(e[slot] for _, e, _ in g.terms)
+        if v > 1 and not whole_power:
+            v = 1
+        quots.append(g.exact_div(x ** v) if v else g)
+    return Ideal(ring, quots)
+
+
+def _colon_by_elimination(a, f):
+    """a : f = (a ∩ (f)) / f."""
+    ring = a.ring
     inter = intersect(a, Ideal(ring, [f]))
     quots = []
     for g in inter.gens:
@@ -129,6 +182,26 @@ def colon(a, f):
     # quotients of a Groebner basis of a ∩ (f) form a Groebner basis of a : f
     gb = reduce_basis(quots)
     return Ideal(ring, gb, gb=gb)
+
+
+def _saturate_by_elimination(a, f):
+    """a : f^inf via elimination of t from a + (t*f - 1)."""
+    ring = a.ring
+    gens = list(a.gens) + [ring.aux * f - ring.one]
+    kept = _eliminate_aux(ring, gens, "saturation")
+    return Ideal(ring, kept, gb=kept)
+
+
+def colon(a, f):
+    """a : f for a single nonzero polynomial f."""
+    f = a.ring.poly(f)
+    if f.is_zero:
+        raise ZeroDivisionError("colon by the zero polynomial")
+    _check_aux_free(a)
+    slot = _bayer_slot(a, f)
+    if slot is None:
+        return _colon_by_elimination(a, f)
+    return _divide_out(a, slot, False)
 
 
 def colon_ideal(a, b):
@@ -158,15 +231,15 @@ def colon_power(a, b, k):
 
 
 def saturate_poly(a, f):
-    """a : f^inf via elimination of t from a + (t*f - 1)."""
+    """a : f^inf for a single nonzero polynomial f."""
     _check_aux_free(a)
-    ring = a.ring
-    f = ring.poly(f)
+    f = a.ring.poly(f)
     if f.is_zero:
         raise ZeroDivisionError("saturation by the zero polynomial")
-    gens = list(a.gens) + [ring.aux * f - ring.one]
-    kept = _eliminate_aux(ring, gens, "saturation")
-    return Ideal(ring, kept, gb=kept)
+    slot = _bayer_slot(a, f)
+    if slot is None:
+        return _saturate_by_elimination(a, f)
+    return _divide_out(a, slot, True)
 
 
 def saturate(a, b):

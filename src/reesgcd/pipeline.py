@@ -585,7 +585,11 @@ def verify_main_theorem(inst, trace):
 
     The candidate must equal the saturation of the base ideal by the
     variable ideal, equal its m-th colon power, and exceed the (m-1)-st
-    colon power; all gcds must be nonzero.
+    colon power; all gcds must be nonzero.  The oracle never consults
+    the gcds: each colon and saturation by a single x_i divides a
+    grevlex basis with x_i moved last (Bayer's route, one run per x_i
+    shared by the saturation and the first colon step), and the d+1
+    per-variable results are intersected by eliminating t.
     """
     rep = VerificationReport()
     m = inst.degree
@@ -643,22 +647,6 @@ def verify_well_definedness(inst, trace=None):
                 "" if equal else "rules produce different ideals",
                 {"identical_gcd": same})
     return rep
-
-
-def redundant_generators(ring, gens):
-    """Indices of generators contained in the ideal of the others.
-
-    Direct membership tests, one Groebner run per generator; intended
-    for small inputs and as a cross-check of the graded shortcut used
-    by minimality_and_invariants.
-    """
-    gens = [ring.poly(g) for g in gens]
-    out = []
-    for i in range(len(gens)):
-        others = gens[:i] + gens[i + 1:]
-        if Ideal(ring, others).contains(gens[i]):
-            out.append(i)
-    return out
 
 
 def _trace_redundancies(trace):

@@ -138,7 +138,7 @@ class PolyRing:
     __slots__ = (
         "p", "d", "n", "nvars", "names", "slot_of", "x_slots", "t_slots",
         "aux_slot", "grevlex", "elim_aux", "elim_x", "zero", "one",
-        "_half", "_vars",
+        "_half", "_vars", "_revlex",
     )
 
     _cache = {}
@@ -177,6 +177,7 @@ class PolyRing:
         self.one = Polynomial(self, ((0, e0, 1),))
         self._half = p // 2
         self._vars = None
+        self._revlex = {}
 
     @classmethod
     def get(cls, p=DEFAULT_PRIME, d=4):
@@ -233,6 +234,22 @@ class PolyRing:
         if self._vars is None:
             self._vars = tuple(self.variable(i) for i in range(self.nvars))
         return self._vars
+
+    def revlex_last(self, slot):
+        """Graded reverse-lexicographic order with slot moved last.
+
+        The variable in slot becomes the smallest one; the other slots keep
+        their grevlex sequence.  Built on first use and kept on the ring.
+        """
+        order = self._revlex.get(slot)
+        if order is None:
+            if not 0 <= slot < self.nvars:
+                raise IndexError("slot out of range: %d" % slot)
+            seq = [v for v in range(self.nvars) if v != slot] + [slot]
+            order = MonomialOrder("revlex-last-" + self.names[slot],
+                                  _block_weights([seq], self.nvars))
+            self._revlex[slot] = order
+        return order
 
     def from_dict(self, coeffs):
         """Polynomial from a map exponent tuple -> integer coefficient."""

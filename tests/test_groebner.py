@@ -129,6 +129,18 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             groebner_basis(gens, max_degree=2)
 
+    def test_message_names_the_order(self):
+        ells = presented_forms(R, PRESENTATION_ROWS)
+        order = R.revlex_last(2)
+        with pytest.raises(BudgetExceeded,
+                           match=r"^basis size cap 2 exceeded "
+                                 r"\(revlex-last-x3\)$"):
+            groebner_basis(ells, order, max_basis=2)
+        gens = [R.parse("x1^3 - T1*x2^2"), R.parse("x2^3*T2 - x1*T1^2")]
+        with pytest.raises(BudgetExceeded,
+                           match=r"^degree cap 2 exceeded \(elim-aux\)$"):
+            groebner_basis(gens, R.elim_aux, max_degree=2)
+
 
 class TestReduceBasis:
     def test_strips_redundant_and_normalizes(self):
@@ -158,4 +170,4 @@ def test_golden_bases_match_recorded():
             ring, trace.defining_ideal.gens).groebner(),
     }
     assert {name: [str(g) for g in gb] for name, gb in computed.items()} \
-        == recorded
+        == {name: recorded[name] for name in computed}

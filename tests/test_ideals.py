@@ -1,5 +1,7 @@
 """Ideal operations against small hand-computed cases and a brute oracle."""
 
+import json
+import os
 import random
 
 import pytest
@@ -8,6 +10,8 @@ from reesgcd.ring import PolyRing
 from reesgcd.matrices import PolyMatrix, minors, submaximal_pfaffians
 from reesgcd.ideals import (
     Ideal,
+    _colon_by_elimination,
+    _saturate_by_elimination,
     colon,
     colon_ideal,
     colon_power,
@@ -20,6 +24,7 @@ from reesgcd.ideals import (
     saturate,
     saturate_poly,
 )
+from reesgcd.pipeline import builtin_example, gcd_iterations, random_instance
 
 # tiny ambient ring: variables x1, x2, T1, T2 plus the helper slot
 S = PolyRing.get(32003, 1)
@@ -71,7 +76,7 @@ class TestIntersection:
 
     def test_result_carries_groebner_basis(self):
         got = intersect(ideal(S, "x1"), ideal(S, "x2"))
-        assert got._gb is not None
+        assert got.order in got._bases
         assert got.contains(S.parse("x1*x2^3"))
 
     def test_rejects_helper_variable_input(self):
@@ -164,6 +169,56 @@ class TestSaturation:
             saturate_poly(ideal(S, "x1"), S.zero)
         with pytest.raises(ZeroDivisionError):
             saturate(ideal(S, "x1"), Ideal(S, ()))
+
+
+class TestBayerRoute:
+    def test_colon_and_saturation_share_one_run(self):
+        a = ideal(S, "x1^2*x2", "x1*x2^3 - T1^2*x2^2")
+        x2 = S.x(2)
+        first = a.groebner(order=S.revlex_last(1))
+        saturate_poly(a, x2)
+        colon(a, x2)
+        assert list(a._bases) == [S.revlex_last(1)]
+        assert a.groebner(order=S.revlex_last(1)) is first
+
+    def test_scalar_multiple_of_a_variable(self):
+        a = ideal(S, "x1^2*x2", "x1*x2^3")
+        got = colon(a, S.parse("3*x2"))
+        assert S.revlex_last(1) in a._bases
+        assert got.equals(ideal(S, "x1^2", "x1*x2^2"))
+
+    @pytest.mark.parametrize("divisor, gens", [
+        ("x1^2", ("x1^3", "x1*x2")),
+        ("x1 + x2", ("x1^3", "x1*x2")),
+        ("x1", ("x1^3 - x2", "x1*x2")),
+    ])
+    def test_other_input_keeps_elimination(self, divisor, gens):
+        a = ideal(S, *gens)
+        f = S.parse(divisor)
+        assert colon(a, f).equals(_colon_by_elimination(a, f))
+        assert saturate_poly(a, f).equals(_saturate_by_elimination(a, f))
+        assert not any(order.name.startswith("revlex-last")
+                       for order in a._bases)
+
+    def test_errors_unchanged(self):
+        a = ideal(S, "x1^2")
+        with_t = Ideal(S, [S.aux * S.x(1)])
+        for op in (colon, saturate_poly):
+            with pytest.raises(ZeroDivisionError):
+                op(a, S.zero)
+            with pytest.raises(ValueError):
+                op(with_t, S.x(1))
+        with pytest.raises(ValueError):
+            colon(a, S.aux)
+
+    @pytest.mark.parametrize("ring", [S, R], ids=repr)
+    def test_revlex_last_built_once_per_slot(self, ring):
+        for slot in range(ring.aux_slot):
+            order = ring.revlex_last(slot)
+            assert ring.revlex_last(slot) is order
+            assert order.name == "revlex-last-" + ring.names[slot]
+        with pytest.raises(IndexError):
+            ring.revlex_last(ring.nvars)
 
 
 def brute_monomial_dimension(supports, nvars):
@@ -274,3 +329,26 @@ class TestMembership:
     def test_duplicate_and_zero_generators_dropped(self):
         a = Ideal(S, [S.parse("x1"), S.zero, S.parse("x1"), S.x(1)])
         assert a.gens == (S.x(1),)
+
+
+@pytest.mark.parametrize("label, make", [
+    ("golden", builtin_example),
+    ("random_d4_m1_seed0", lambda: random_instance(4, 1, 32003, seed=0)),
+])
+def test_oracle_bases_match_recorded(label, make):
+    """Reduced grevlex bases of the saturation and of every colon power of
+    the base ideal, string for string, as the elimination route computed
+    them (tests/golden_bases.json)."""
+    path = os.path.join(os.path.dirname(__file__), "golden_bases.json")
+    with open(path) as fh:
+        recorded = json.load(fh)
+    inst = make()
+    base = gcd_iterations(inst).base_ideal
+    variables = inst.x_ideal()
+    computed = {label + "_saturation_grevlex": saturate(base, variables)}
+    chain = colon_power_chain(base, variables, inst.degree)
+    for i, step in enumerate(chain, 1):
+        computed["%s_colon_power_%d_grevlex" % (label, i)] = step
+    assert {name: [str(g) for g in idl.gens]
+            for name, idl in computed.items()} \
+        == {name: recorded[name] for name in computed}

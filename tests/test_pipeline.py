@@ -19,11 +19,12 @@ from reesgcd.pipeline import (
     minimality_and_invariants,
     optional_structural_checks,
     random_instance,
-    redundant_generators,
     sample_random_instances,
     verify_main_theorem,
     verify_well_definedness,
 )
+
+from redundancy_reference import redundant_generators
 
 FIBER_SRC = "T1*T3*T5 - T2*T3^2 - T2^2*T5 - T4*T5^2"
 

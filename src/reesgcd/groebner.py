@@ -264,17 +264,6 @@ def _autoreduce(basis_terms, mod):
     return out
 
 
-def reduce_basis(polys, order=None):
-    """Reduced monic form of a set already known to be a Groebner basis."""
-    polys = [g for g in polys if not g.is_zero]
-    if not polys:
-        return ()
-    ring = polys[0].ring
-    order = order or ring.grevlex
-    terms = [_to_terms(g, order) for g in polys]
-    return tuple(_to_poly(ring, t) for t in _autoreduce(terms, ring.p))
-
-
 def normal_form(poly, basis, order=None):
     """Remainder of poly on full division by an ordered basis."""
     ring = poly.ring

@@ -1,21 +1,22 @@
 """Ideal arithmetic built on the Groebner engine.
 
-Colons and saturations by a single variable x of a homogeneous ideal take
-Bayer's route (Bayer & Stillman, "A criterion for detecting m-regularity",
-Invent. Math. 87, 1987): in the graded reverse-lexicographic order with x
-moved last, x divides a homogeneous polynomial exactly when it divides
-its lead, so dividing every element of that basis by x (colon) or by its
-full power of x (saturation) yields a Groebner basis of the result.  No
-helper variable is involved, and each Ideal keeps its reduced bases per
-term order, so the colon and the saturation of one ideal by the same
-variable share a single run.
+Colons and saturations are taken only of homogeneous, t-free ideals and
+only by a single variable x other than t (or a nonzero scalar multiple of
+one); any other input raises ValueError.  They follow Bayer's route
+(Bayer & Stillman, "A criterion for detecting m-regularity", Invent.
+Math. 87, 1987): in the graded reverse-lexicographic order with x moved
+last, x divides a homogeneous polynomial exactly when it divides its
+lead, so dividing every element of that basis by x (colon) or by its
+full power of x (saturation) yields a Groebner basis of the result.  Each
+Ideal keeps its reduced bases per term order, so the colon and the
+saturation of one ideal by the same variable share a single run.
+Colons and saturations by an ideal of variables intersect the
+per-variable results.
 
-Every other colon or saturation, and every intersection, eliminates the
-helper variable t: intersections from t*I + (1-t)*J, colons by dividing
-an intersection with a principal ideal, saturations from I + (t*f - 1).
-Elimination outputs arrive as reduced grevlex bases of the eliminated
-ideal, so downstream membership tests reuse them without recomputation.
-Colons and saturations by an ideal intersect the per-generator results.
+Intersections are the only elimination constructions: the helper
+variable t is eliminated from t*I + (1-t)*J, and the output arrives as a
+reduced grevlex basis of the intersection, so downstream membership tests
+reuse it without recomputation.
 
 Krull dimension is the maximal number of variables supporting no lead
 monomial of the ideal, found by exhaustive search over variable subsets;
@@ -24,22 +25,23 @@ with at most 2(d+1)+1 variables that search is exact and cheap.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 
-from .groebner import groebner_basis, normal_form, reduce_basis
+from .groebner import groebner_basis, normal_form
 
 
 class Ideal:
     """Generator list with lazily cached reduced Groebner bases.
 
-    order is the term order of membership tests; gb, if given, is the
-    reduced basis under it.  Bases under other orders are computed on
-    request and kept, one per order, for the life of the ideal.
+    Membership tests run under grevlex; gb, if given, is the reduced
+    grevlex basis.  Bases under other orders are computed on request and
+    kept, one per order, for the life of the ideal.
     """
 
-    __slots__ = ("ring", "gens", "order", "_bases")
+    __slots__ = ("ring", "gens", "_bases")
 
-    def __init__(self, ring, gens, order=None, gb=None):
+    def __init__(self, ring, gens, gb=None):
         self.ring = ring
         seen = {}
         for g in gens:
@@ -47,16 +49,14 @@ class Ideal:
             if not g.is_zero and g not in seen:
                 seen[g] = None
         self.gens = tuple(seen)
-        self.order = order or ring.grevlex
-        self._bases = {} if gb is None else {self.order: gb}
+        self._bases = {} if gb is None else {ring.grevlex: gb}
 
-    def groebner(self, max_basis=None, max_degree=None, order=None):
-        """Reduced basis under order (default: the ideal's own order)."""
-        order = order or self.order
+    def groebner(self, order=None):
+        """Reduced basis under order (default: grevlex)."""
+        order = order or self.ring.grevlex
         gb = self._bases.get(order)
         if gb is None:
-            gb = groebner_basis(self.gens, order, max_basis=max_basis,
-                                max_degree=max_degree)
+            gb = groebner_basis(self.gens, order)
             self._bases[order] = gb
         return gb
 
@@ -67,7 +67,7 @@ class Ideal:
     def contains(self, poly):
         if poly.is_zero:
             return True
-        return normal_form(poly, self.groebner(), self.order).is_zero
+        return normal_form(poly, self.groebner()).is_zero
 
     def contains_ideal(self, other):
         return all(self.contains(g) for g in other.gens)
@@ -85,7 +85,7 @@ def _check_aux_free(ideal):
     for g in ideal.gens:
         if any(e[aux] for _, e, _ in g.terms):
             raise ValueError(
-                "elimination constructions need t-free input ideals")
+                "ideal operations need t-free input ideals")
 
 
 def _eliminate_aux(ring, gens, tag):
@@ -125,32 +125,23 @@ def intersect(a, b):
     return Ideal(ring, kept, gb=kept)
 
 
-def intersect_all(ideals):
-    out = ideals[0]
-    for nxt in ideals[1:]:
-        out = intersect(out, nxt)
-    return out
-
-
 def _bayer_slot(a, f):
-    """Slot of the variable f when Bayer's route applies, else None.
+    """Slot of the variable f, when Bayer's route applies to a : f.
 
-    It applies when f is a nonzero scalar times a variable other than t
-    and every generator of a is homogeneous in total degree.  Terms are
-    sorted by a graded order, so a polynomial is homogeneous exactly when
-    its first and last terms share a degree.
+    f must be a nonzero scalar times a variable other than t and every
+    generator of a homogeneous in total degree; otherwise ValueError.
+    Terms are sorted by a graded order, so a polynomial is homogeneous
+    exactly when its first and last terms share a degree.
     """
-    if len(f.terms) != 1:
-        return None
     exp = f.terms[0][1]
-    if sum(exp) != 1:
-        return None
+    if len(f.terms) != 1 or sum(exp) != 1:
+        raise ValueError("divisor must be a single variable, got %s" % f)
     slot = exp.index(1)
     if slot == a.ring.aux_slot:
-        return None
+        raise ValueError("divisor must not be the helper variable t")
     for g in a.gens:
         if sum(g.terms[0][1]) != sum(g.terms[-1][1]):
-            return None
+            raise ValueError("ideal is not homogeneous: %s" % g)
     return slot
 
 
@@ -169,84 +160,42 @@ def _divide_out(a, slot, whole_power):
     return Ideal(ring, quots)
 
 
-def _colon_by_elimination(a, f):
-    """a : f = (a ∩ (f)) / f."""
-    ring = a.ring
-    inter = intersect(a, Ideal(ring, [f]))
-    quots = []
-    for g in inter.gens:
-        q = g.exact_div(f)
-        if q is None:
-            raise AssertionError("intersection with (f) not divisible by f")
-        quots.append(q)
-    # quotients of a Groebner basis of a ∩ (f) form a Groebner basis of a : f
-    gb = reduce_basis(quots)
-    return Ideal(ring, gb, gb=gb)
-
-
-def _saturate_by_elimination(a, f):
-    """a : f^inf via elimination of t from a + (t*f - 1)."""
-    ring = a.ring
-    gens = list(a.gens) + [ring.aux * f - ring.one]
-    kept = _eliminate_aux(ring, gens, "saturation")
-    return Ideal(ring, kept, gb=kept)
-
-
 def colon(a, f):
-    """a : f for a single nonzero polynomial f."""
+    """a : f for a homogeneous ideal a and a single variable f."""
     f = a.ring.poly(f)
     if f.is_zero:
         raise ZeroDivisionError("colon by the zero polynomial")
     _check_aux_free(a)
-    slot = _bayer_slot(a, f)
-    if slot is None:
-        return _colon_by_elimination(a, f)
-    return _divide_out(a, slot, False)
-
-
-def colon_ideal(a, b):
-    """a : b as the intersection of the single-divisor colons."""
-    if b.is_zero:
-        raise ZeroDivisionError("colon by the zero ideal")
-    return intersect_all([colon(a, f) for f in b.gens])
+    return _divide_out(a, _bayer_slot(a, f), False)
 
 
 def colon_power_chain(a, b, k):
-    """[a : b, a : b^2, ..., a : b^k] by iterated colon."""
+    """[a : b, a : b^2, ..., a : b^k] by iterated colon, b generated by
+    variables; each step intersects the colons by b's generators."""
+    if b.is_zero:
+        raise ZeroDivisionError("colon by the zero ideal")
     chain = []
     current = a
     for _ in range(k):
-        current = colon_ideal(current, b)
+        current = reduce(intersect, [colon(current, f) for f in b.gens])
         chain.append(current)
     return chain
 
 
-def colon_power(a, b, k):
-    """a : b^k."""
-    if k < 0:
-        raise ValueError("negative colon power")
-    if k == 0:
-        return a
-    return colon_power_chain(a, b, k)[-1]
-
-
 def saturate_poly(a, f):
-    """a : f^inf for a single nonzero polynomial f."""
+    """a : f^inf for a homogeneous ideal a and a single variable f."""
     _check_aux_free(a)
     f = a.ring.poly(f)
     if f.is_zero:
         raise ZeroDivisionError("saturation by the zero polynomial")
-    slot = _bayer_slot(a, f)
-    if slot is None:
-        return _saturate_by_elimination(a, f)
-    return _divide_out(a, slot, True)
+    return _divide_out(a, _bayer_slot(a, f), True)
 
 
 def saturate(a, b):
     """a : b^inf as the intersection of the per-generator saturations."""
     if b.is_zero:
         raise ZeroDivisionError("saturation by the zero ideal")
-    return intersect_all([saturate_poly(a, f) for f in b.gens])
+    return reduce(intersect, [saturate_poly(a, f) for f in b.gens])
 
 
 def dimension(ideal, ambient):

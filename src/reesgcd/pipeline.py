@@ -35,7 +35,6 @@ from .matrices import (
     iteration_matrix,
     jacobian_dual,
     minors,
-    modified_jacobian_dual,
     submaximal_pfaffians,
 )
 from .groebner import normal_form
@@ -241,43 +240,6 @@ def builtin_example(prime=DEFAULT_PRIME):
 # ---------------------------------------------------------------------
 # hypothesis checks
 
-def _rank_mod(rows, p):
-    """Rank of an integer matrix modulo p."""
-    work = [[c % p for c in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        work[rank] = [c * inv % p for c in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                c = work[r][col]
-                work[r] = [(a - c * b) % p
-                           for a, b in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
-def _unit_exp(ring, slot):
-    exp = [0] * ring.nvars
-    exp[slot] = 1
-    return tuple(exp)
-
-
-def _linear_coefficients(poly):
-    """Coefficient vector of a linear x-form over the x-variables."""
-    ring = poly.ring
-    return [poly.coeff(_unit_exp(ring, slot)) for slot in ring.x_slots]
-
-
 def _span_basis(ring, polys):
     """Row-reduce equal-degree forms to a basis of their linear span.
 
@@ -364,13 +326,9 @@ def check_hypotheses(inst):
             rep.add(check_id, claim, "skip", "prerequisite check failed")
         return rep
 
-    coeff_rows = []
-    for i in range(d + 1):
-        for j in range(i + 1, d + 1):
-            entry = mat.at(i, j)
-            if not entry.is_zero:
-                coeff_rows.append(_linear_coefficients(entry))
-    span = _rank_mod(coeff_rows, ring.p) if coeff_rows else 0
+    entries = [mat.at(i, j)
+               for i in range(d + 1) for j in range(i + 1, d + 1)]
+    span = len(_span_basis(ring, entries))
     rep.add(*_HYPOTHESIS_CLAIMS[2], _status(span == d + 1),
             "" if span == d + 1 else
             "entries span only %d of %d linear forms" % (span, d + 1),
@@ -399,9 +357,7 @@ def check_hypotheses(inst):
                        % (size, ht, j + 1))
     rep.add(*_HYPOTHESIS_CLAIMS[4], _status(minor_ok), witness, heights)
 
-    monomials = sorted({e for g in pfs for _, e, _ in g.terms})
-    pf_rows = [[g.coeff(e) for e in monomials] for g in pfs]
-    pf_rank = _rank_mod(pf_rows, ring.p) if monomials else 0
+    pf_rank = len(_span_basis(ring, pfs))
     rep.add(*_HYPOTHESIS_CLAIMS[5], _status(pf_rank == d + 1),
             "" if pf_rank == d + 1 else
             "pfaffians span a %d-dimensional space" % pf_rank,
@@ -467,17 +423,18 @@ class IterationTrace:
         }
 
 
-def _column_forms(dual, nrows=None):
-    """Entries of [x1..x{nrows}] times the matrix, one per column."""
-    ring = dual.ring
-    nrows = dual.rows if nrows is None else nrows
-    out = []
-    for j in range(dual.cols):
-        acc = ring.zero
-        for k in range(nrows):
-            acc = acc + ring.x(k + 1) * dual.at(k, j)
-        out.append(acc)
-    return tuple(out)
+def _column_form(mat, j):
+    """Entry j of [x1..x{rows}] times the matrix."""
+    ring = mat.ring
+    acc = ring.zero
+    for k in range(mat.rows):
+        acc = acc + ring.x(k + 1) * mat.at(k, j)
+    return acc
+
+
+def _column_forms(mat):
+    """Entries of [x1..x{rows}] times the matrix, one per column."""
+    return tuple(_column_form(mat, j) for j in range(mat.cols))
 
 
 def gcd_iterations(inst, rule="min"):
@@ -519,13 +476,8 @@ def gcd_iterations(inst, rule="min"):
     carried = inst.equation
     dead = False
     for i in range(1, m + 1):
-        if i == 1:
-            current = modified_jacobian_dual(inst.presentation,
-                                             inst.equation, rule)
-        else:
-            current = iteration_matrix(dual, carried, rule)
-        reassembled = _column_forms(current)[d + 1]
-        if reassembled != carried:
+        current = iteration_matrix(dual, carried, rule)
+        if _column_form(current, d + 1) != carried:
             raise IterationError(
                 "step %d: appended column does not reassemble its source"
                 % i)
@@ -763,21 +715,16 @@ def _zero_last_variable(mat):
     return PolyMatrix.from_rows(ring, rows)
 
 
-def _substitute_linear(mat, table):
-    """Apply the invertible substitution x_k -> sum_j table[k][j] x_j."""
+def _substitute_linear(mat, images):
+    """Apply the substitution x_k -> images[k - 1] of linear forms."""
     ring = mat.ring
-    images = []
-    for k in range(len(table)):
-        images.append(ring.from_dict(
-            {_unit_exp(ring, ring.x_slots[j]): c
-             for j, c in enumerate(table[k]) if c % ring.p}))
     rows = []
     for i in range(mat.rows):
         row = []
         for j in range(mat.cols):
             acc = ring.zero
             for k, slot in enumerate(ring.x_slots):
-                c = mat.at(i, j).coeff(_unit_exp(ring, slot))
+                c = mat.at(i, j).coeff(ring._unit_exp(slot))
                 if c:
                     acc = acc + images[k].scale(c)
             row.append(acc)
@@ -785,12 +732,17 @@ def _substitute_linear(mat, table):
     return PolyMatrix.from_rows(ring, rows)
 
 
-def _random_invertible(rng, size, p):
+def _random_invertible(rng, ring, size):
+    """Images x_k -> sum_j table[k][j] x_j of a random invertible linear
+    substitution; the table is redrawn until the forms are independent."""
     while True:
-        table = [[rng.randrange(p) for _ in range(size)]
+        table = [[rng.randrange(ring.p) for _ in range(size)]
                  for _ in range(size)]
-        if _rank_mod(table, p) == size:
-            return table
+        images = [ring.from_dict({ring._unit_exp(ring.x_slots[j]): c
+                                  for j, c in enumerate(row)})
+                  for row in table]
+        if len(_span_basis(ring, images)) == size:
+            return images
 
 
 def _reduction_usable(mat, d):
@@ -845,7 +797,7 @@ def optional_structural_checks(inst, attempts=8, seed=0):
     for attempt in range(attempts + 1):
         candidate = inst.presentation if attempt == 0 else \
             _substitute_linear(inst.presentation,
-                               _random_invertible(rng, d + 1, ring.p))
+                               _random_invertible(rng, ring, d + 1))
         if _reduction_usable(candidate, d):
             chosen = (candidate, attempt)
             break
@@ -905,7 +857,7 @@ def _random_linear(rng, ring):
         for slot in ring.x_slots:
             c = rng.randint(-3, 3)
             if c:
-                acc[_unit_exp(ring, slot)] = c
+                acc[ring._unit_exp(slot)] = c
         if acc:
             return ring.from_dict(acc)
 

@@ -137,7 +137,7 @@ class PolyRing:
 
     __slots__ = (
         "p", "d", "n", "nvars", "names", "slot_of", "x_slots", "t_slots",
-        "aux_slot", "grevlex", "elim_aux", "elim_x", "zero", "one",
+        "aux_slot", "grevlex", "elim_aux", "zero", "one",
         "_half", "_vars", "_revlex",
     )
 
@@ -168,10 +168,6 @@ class PolyRing:
         self.elim_aux = MonomialOrder(
             "elim-aux", _block_weights([[self.aux_slot], all_slots[:-1]],
                                        self.nvars))
-        self.elim_x = MonomialOrder(
-            "elim-x", _block_weights([list(self.x_slots),
-                                      list(self.t_slots) + [self.aux_slot]],
-                                     self.nvars))
         self.zero = Polynomial(self, ())
         e0 = (0,) * self.nvars
         self.one = Polynomial(self, ((0, e0, 1),))
@@ -347,14 +343,6 @@ class PolyRing:
 
     def with_prime(self, q):
         return PolyRing.get(q, self.d)
-
-    def xdeg(self, exp):
-        n = self.n
-        return sum(exp[:n])
-
-    def tdeg(self, exp):
-        n = self.n
-        return sum(exp[n:2 * n])
 
 
 def _merge(a, b, mod):
@@ -661,9 +649,6 @@ class Polynomial:
             qc = c * dinv % mod
             q.append((k - dk, qe, qc))
             _add_shifted(acc, heap, dtail, k - dk, qe, -qc)
-
-    def divides(self, other):
-        return other.exact_div(self) is not None
 
     # -- comparison and display --------------------------------------
 

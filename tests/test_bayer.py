@@ -1,16 +1,16 @@
 """Colon and saturation by a variable on Bayer's revlex route against the
-elimination route, and the order that route uses, as property tests."""
+elimination reference (elimination_reference.py), and the order that route
+uses, as property tests."""
 
 import pytest
 
-from reesgcd.ideals import (
-    Ideal,
+from reesgcd.ideals import Ideal, colon, saturate_poly
+from reesgcd.ring import PolyRing
+
+from elimination_reference import (
     _colon_by_elimination,
     _saturate_by_elimination,
-    colon,
-    saturate_poly,
 )
-from reesgcd.ring import PolyRing
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

@@ -11,7 +11,6 @@ from reesgcd.pipeline import (
     InstanceSpec,
     IterationError,
     VerificationReport,
-    _rank_mod,
     _span_basis,
     builtin_example,
     check_hypotheses,
@@ -442,10 +441,15 @@ class TestRandomInstances:
 
 class TestInternals:
     def test_rank_mod(self):
-        assert _rank_mod([[1, 0], [0, 1]], 5) == 2
-        assert _rank_mod([[1, 2], [2, 4]], 5) == 1
-        assert _rank_mod([[5, 0], [0, 5]], 5) == 0
-        assert _rank_mod([], 5) == 0
+        ring = PolyRing.get(5, 1)
+
+        def rank(*srcs):
+            return len(_span_basis(ring, [ring.parse(s) for s in srcs]))
+
+        assert rank("x1", "x2") == 2
+        assert rank("x1 + 2*x2", "2*x1 + 4*x2") == 1
+        assert rank("5*x1", "5*x2") == 0
+        assert rank() == 0
 
     def test_span_basis_collapses_dependence(self):
         ring = PolyRing.get(32003, 1)

@@ -217,7 +217,8 @@ def cmd_verify(args):
 
 
 def cmd_example(args):
-    inst = builtin_example(args.prime if args.prime else DEFAULT_PRIME)
+    inst = builtin_example(
+        DEFAULT_PRIME if args.prime is None else args.prime)
     trace = gcd_iterations(inst)
     minimality = minimality_and_invariants(trace)
     generators = minimality.find("generator-minimality").data
@@ -241,7 +242,7 @@ def cmd_example(args):
 
 
 def cmd_random(args):
-    prime = args.prime if args.prime else DEFAULT_PRIME
+    prime = DEFAULT_PRIME if args.prime is None else args.prime
     pairs = sample_random_instances(args.d, args.m, args.count,
                                     prime, args.seed)
     results = []
@@ -354,6 +355,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "random" and args.count < 1:
+        parser.error("count must be positive")
     saved_cap = groebner.DEFAULT_MAX_BASIS
     if args.max_gb_size is not None:
         if args.max_gb_size < 1:

@@ -178,16 +178,10 @@ def pfaffian(m):
     def pf(idx):
         if not idx:
             return ring.one
-        i0 = idx[0]
-        total = ring.zero
-        for pos in range(1, len(idx)):
-            c = m.at(i0, idx[pos])
-            if c.is_zero:
-                continue
-            rest = idx[1:pos] + idx[pos + 1:]
-            term = c * pf(rest)
-            total = total + (term if pos % 2 == 1 else -term)
-        return total
+        row = [m.at(idx[0], i) for i in idx]
+        return ring.dot(((-1) ** (pos + 1), row[pos],
+                         pf(idx[1:pos] + idx[pos + 1:]))
+                        for pos in range(1, len(idx)) if row[pos])
 
     return pf(tuple(range(m.rows)))
 
@@ -228,14 +222,10 @@ def minors(m, k):
         for rows in combinations(range(k - j, m.rows), j):
             top, rest = rows[0], rows[1:]
             for cols in combinations(range(m.cols), j):
-                value = ring.zero
-                for pos, c in enumerate(cols):
-                    entry = m.at(top, c)
-                    if entry.is_zero:
-                        continue
-                    term = entry * smaller[rest, cols[:pos] + cols[pos + 1:]]
-                    value = value - term if pos % 2 else value + term
-                level[rows, cols] = value
+                level[rows, cols] = ring.dot(
+                    ((-1) ** pos, m.at(top, c),
+                     smaller[rest, cols[:pos] + cols[pos + 1:]])
+                    for pos, c in enumerate(cols))
         smaller = level
     return list(smaller.values())
 

@@ -104,10 +104,6 @@ class VerificationReport:
         self.checks.append(result)
         return result
 
-    def extend(self, other):
-        self.checks.extend(other.checks)
-        return self
-
     def find(self, check_id):
         for c in self.checks:
             if c.check_id == check_id:
@@ -117,12 +113,6 @@ class VerificationReport:
     @property
     def ok(self):
         return all(c.status != "fail" for c in self.checks)
-
-    def counts(self):
-        out = {"pass": 0, "fail": 0, "skip": 0}
-        for c in self.checks:
-            out[c.status] += 1
-        return out
 
     def lines(self):
         out = []
@@ -426,10 +416,8 @@ class IterationTrace:
 def _column_form(mat, j):
     """Entry j of [x1..x{rows}] times the matrix."""
     ring = mat.ring
-    acc = ring.zero
-    for k in range(mat.rows):
-        acc = acc + ring.x(k + 1) * mat.at(k, j)
-    return acc
+    return ring.dot((1, ring.x(k + 1), mat.at(k, j))
+                    for k in range(mat.rows))
 
 
 def _column_forms(mat):
@@ -464,13 +452,8 @@ def gcd_iterations(inst, rule="min"):
 
     def step_minor(column, j):
         """Minor of [B | column] without column j, 1 <= j <= d+1."""
-        total = ring.zero
-        for k, c in enumerate(column):
-            if c.is_zero:
-                continue
-            term = c * fixed[k][j - 1]
-            total = total - term if (k + d) % 2 else total + term
-        return total
+        return ring.dot(((-1) ** (k + d), c, fixed[k][j - 1])
+                        for k, c in enumerate(column))
 
     steps = []
     carried = inst.equation
@@ -700,36 +683,16 @@ def minimality_and_invariants(trace):
 # ---------------------------------------------------------------------
 # structural checks
 
-def _zero_last_variable(mat):
-    """The matrix with the last x-variable set to zero."""
-    ring = mat.ring
-    slot = ring.x_slots[-1]
-    rows = []
-    for i in range(mat.rows):
-        row = []
-        for j in range(mat.cols):
-            entry = mat.at(i, j)
-            kept = {e: c for _, e, c in entry.terms if not e[slot]}
-            row.append(ring.from_dict(kept))
-        rows.append(row)
-    return PolyMatrix.from_rows(ring, rows)
-
-
 def _substitute_linear(mat, images):
     """Apply the substitution x_k -> images[k - 1] of linear forms."""
     ring = mat.ring
-    rows = []
-    for i in range(mat.rows):
-        row = []
-        for j in range(mat.cols):
-            acc = ring.zero
-            for k, slot in enumerate(ring.x_slots):
-                c = mat.at(i, j).coeff(ring._unit_exp(slot))
-                if c:
-                    acc = acc + images[k].scale(c)
-            row.append(acc)
-        rows.append(row)
-    return PolyMatrix.from_rows(ring, rows)
+    units = [ring._unit_exp(slot) for slot in ring.x_slots]
+    entries = []
+    for entry in mat.entries:
+        coeffs = [entry.coeff(u) for u in units]
+        entries.append(ring.dot((c, ring.one, image)
+                                for c, image in zip(coeffs, images) if c))
+    return PolyMatrix(ring, mat.rows, mat.cols, entries)
 
 
 def _random_invertible(rng, ring, size):
@@ -750,7 +713,8 @@ def _reduction_usable(mat, d):
     dropping the last variable must keep the pfaffian ideal at height 3
     and every size-j minor ideal at height at least d - j + 2."""
     ring = mat.ring
-    reduced = _zero_last_variable(mat)
+    reduced = _substitute_linear(
+        mat, [ring.x(k) for k in range(1, d + 1)] + [ring.zero])
     ambient = ring.x_slots[:d]
     pfs = submaximal_pfaffians(reduced)
     if height(Ideal(ring, pfs), ambient) < 3:
@@ -762,7 +726,11 @@ def _reduction_usable(mat, d):
     return True
 
 
-def optional_structural_checks(inst, attempts=8, seed=0):
+# Random coordinate changes tried after the given coordinates.
+_COORDINATE_ATTEMPTS = 8
+
+
+def optional_structural_checks(inst):
     """Supporting facts the main argument leans on.
 
     (a) the size-d minors of the Jacobian dual cut out a locus of
@@ -792,9 +760,9 @@ def optional_structural_checks(inst, attempts=8, seed=0):
     claim_c = ("variables times the reduced-gcd ideal land in the last "
                "variable plus the bilinear forms")
 
-    rng = random.Random("coordinates:%d" % seed)
+    rng = random.Random("coordinates:0")
     chosen = None
-    for attempt in range(attempts + 1):
+    for attempt in range(_COORDINATE_ATTEMPTS + 1):
         candidate = inst.presentation if attempt == 0 else \
             _substitute_linear(inst.presentation,
                                _random_invertible(rng, ring, d + 1))
@@ -803,7 +771,7 @@ def optional_structural_checks(inst, attempts=8, seed=0):
             break
     if chosen is None:
         witness = ("no usable coordinates after %d attempts"
-                   % (attempts + 1))
+                   % (_COORDINATE_ATTEMPTS + 1))
         rep.add("reduced-cramer-containment", claim_b, "skip", witness)
         rep.add("product-containment", claim_c, "skip", witness)
         return rep
@@ -878,14 +846,18 @@ def _random_form(rng, ring, degree):
             return poly
 
 
-def _one_random_instance(d, m, p, seed, max_attempts):
+# Candidates drawn per seed before random sampling gives up.
+_MAX_CANDIDATES = 60
+
+
+def _one_random_instance(d, m, p, seed):
     if d % 2 or d < 4:
         raise ValueError("d must be an even integer of at least 4")
     if m < 1:
         raise ValueError("the equation degree must be at least 1")
     rng = random.Random("instance:%d:%d:%d" % (d, m, seed))
     ring = PolyRing.get(p, d)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, _MAX_CANDIDATES + 1):
         rows = [[ring.zero] * (d + 1) for _ in range(d + 1)]
         for i in range(d + 1):
             for j in range(i + 1, d + 1):
@@ -899,21 +871,20 @@ def _one_random_instance(d, m, p, seed, max_attempts):
         if check_hypotheses(inst).ok:
             return inst, attempt
     raise InstanceRejected(
-        "no hypothesis-passing instance in %d attempts" % max_attempts)
+        "no hypothesis-passing instance in %d attempts" % _MAX_CANDIDATES)
 
 
-def random_instance(d, m, p=DEFAULT_PRIME, seed=0, max_attempts=60):
+def random_instance(d, m, p=DEFAULT_PRIME, seed=0):
     """Rejection-sample a hypothesis-passing instance.
 
     Coefficients are drawn from a small symmetric range and the instance
     is stored as strings, so the same seed reproduces the same instance
     under any prime large enough to separate the coefficients.
     """
-    return _one_random_instance(d, m, p, seed, max_attempts)[0]
+    return _one_random_instance(d, m, p, seed)[0]
 
 
-def sample_random_instances(d, m, count, p=DEFAULT_PRIME, seed=0,
-                            max_attempts=60):
+def sample_random_instances(d, m, count, p=DEFAULT_PRIME, seed=0):
     """(instance, candidates tried) pairs for seeds seed..seed+count-1."""
-    return [_one_random_instance(d, m, p, seed + k, max_attempts)
+    return [_one_random_instance(d, m, p, seed + k)
             for k in range(count)]

@@ -11,14 +11,16 @@ variables.  Coefficients are integers in [1, p); the zero polynomial is
 the empty tuple.  Monomial orders are encoded as integer weight vectors so
 that the sort key of a product is the sum of the factors' keys.
 
-Division (exact_div here, normal forms and S-pairs in groebner) runs on one
-reduction accumulator: a dict from key to pending coefficient plus a
-max-heap of the pending keys.  Each step pops the largest key, reduces its
-coefficient mod p once and builds its exponent vector only then, and adds
-the reducer's shifted tail into the dict.  Every tail key is below the
-popped one, so a popped key never returns, and a division costs
-O(n log n) in the number of terms it touches instead of re-merging the
-whole remainder at every step.
+Products and division share one reduction accumulator: a dict from key to
+pending coefficient plus a max-heap of the pending keys.  A sum of products
+(PolyRing.dot, which also serves Polynomial.__mul__) adds every shifted
+factor into it and drains it once, so no partial product or partial sum is
+built.  Division (exact_div here, normal forms and S-pairs in groebner)
+pops the largest key, reduces its coefficient mod p once and builds its
+exponent vector only then, and adds the reducer's shifted tail into the
+dict.  Every tail key is below the popped one, so a popped key never
+returns, and a division costs O(n log n) in the number of terms it touches
+instead of re-merging the whole remainder at every step.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class PolyRing:
     __slots__ = (
         "p", "d", "n", "nvars", "names", "slot_of", "x_slots", "t_slots",
         "aux_slot", "grevlex", "elim_aux", "zero", "one",
-        "_half", "_vars", "_revlex",
+        "_half", "_revlex",
     )
 
     _cache = {}
@@ -172,7 +174,6 @@ class PolyRing:
         e0 = (0,) * self.nvars
         self.one = Polynomial(self, ((0, e0, 1),))
         self._half = p // 2
-        self._vars = None
         self._revlex = {}
 
     @classmethod
@@ -225,11 +226,6 @@ class PolyRing:
     @property
     def aux(self):
         return self.variable(self.aux_slot)
-
-    def variables(self):
-        if self._vars is None:
-            self._vars = tuple(self.variable(i) for i in range(self.nvars))
-        return self._vars
 
     def revlex_last(self, slot):
         """Graded reverse-lexicographic order with slot moved last.
@@ -341,8 +337,24 @@ class PolyRing:
                 factors.append("%s^%d" % (self.names[slot], e))
         return "*".join(factors)
 
-    def with_prime(self, q):
-        return PolyRing.get(q, self.d)
+    def dot(self, products):
+        """Sum of c * a * b over (int c, Polynomial a, Polynomial b).
+
+        Every term of a adds c times b's terms, shifted by that term, into
+        one reduction accumulator, which is drained once at the end: no
+        partial product or partial sum is built.
+        """
+        acc, heap = {}, []
+        for c, a, b in products:
+            terms = b.terms
+            for k, e, co in a.terms:
+                _add_shifted(acc, heap, terms, k, e, c * co)
+        out = []
+        lead = _pop_lead(acc, heap, self.p)
+        while lead is not None:
+            out.append(lead)
+            lead = _pop_lead(acc, heap, self.p)
+        return Polynomial(self, tuple(out))
 
 
 def _merge(a, b, mod):
@@ -579,20 +591,7 @@ class Polynomial:
         if len(b) == 1:
             k, e, c = b[0]
             return Polynomial(self.ring, _shift(a, k, e, c, mod))
-        acc = {}
-        for k1, e1, c1 in a:
-            for k2, e2, c2 in b:
-                k = k1 + k2
-                slot = acc.get(k)
-                if slot is None:
-                    acc[k] = [tuple(x + y for x, y in zip(e1, e2)),
-                              c1 * c2 % mod]
-                else:
-                    slot[1] = (slot[1] + c1 * c2) % mod
-        terms = tuple((k, e, c)
-                      for k, (e, c) in sorted(acc.items(), reverse=True)
-                      if c)
-        return Polynomial(self.ring, terms)
+        return self.ring.dot(((1, self, other),))
 
     __rmul__ = __mul__
 

@@ -89,8 +89,7 @@ class TestRevlexLastOrder:
         elif e1 != e2 and e1[slot] != e2[slot]:
             # equal degree: more of the moved variable is smaller
             assert (key(e1) < key(e2)) == (e1[slot] > e2[slot])
-        unit = ring.variables()
         for other in range(ring.nvars):
             if other != slot:
-                assert key(unit[slot].lead_exp()) < key(
-                    unit[other].lead_exp())
+                assert key(ring.variable(slot).lead_exp()) < key(
+                    ring.variable(other).lead_exp())

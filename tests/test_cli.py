@@ -105,6 +105,19 @@ class TestUsage:
             main(["check", golden_file, "--max-gb-size", "0"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_nonpositive_count(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["random", count, "-m", "1"])
+        assert exc.value.code == 1
+        assert "count must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["example", "random"])
+    def test_zero_prime_rejected(self, command, capsys):
+        # 0 is not prime; it must not fall back to the default prime
+        assert main([command, "--prime", "0"]) == 1
+        assert "modulus 0 is not prime" in capsys.readouterr().err
+
 
 class TestRun:
     def test_golden_text(self, golden_file, capsys):

@@ -1,9 +1,15 @@
-"""The heap-and-dict reduction kernel against the merge-based references."""
+"""The heap-and-dict accumulator against the merge-based references.
+
+Division (normal forms, S-polynomials, exact division) is compared with
+the routines in merge_reference; products and sums of products with a
+sum, merged term list by term list, of one factor shifted by each term of
+the other.
+"""
 
 import pytest
 
 from reesgcd.groebner import normal_form, spolynomial
-from reesgcd.ring import PolyRing
+from reesgcd.ring import Polynomial, PolyRing
 
 import merge_reference as ref
 
@@ -28,6 +34,22 @@ def nonzero_polys(ring):
     return polys(ring, min_terms=1)
 
 
+def operands(ring):
+    # single-term factors take the shift fast path of Polynomial.__mul__
+    return st.one_of(polys(ring), polys(ring, max_terms=1))
+
+
+def reference_dot(ring, products):
+    """Sum of c * a * b: b shifted by each term of a, merged one by one."""
+    mod = ring.p
+    terms = ()
+    for c, a, b in products:
+        for k, e, co in a.terms:
+            terms = ref._merge(terms, ref._shift(b.terms, k, e, c * co, mod),
+                               mod)
+    return Polynomial(ring, terms)
+
+
 @st.composite
 def division_problems(draw):
     ring = draw(st.sampled_from(RINGS))
@@ -41,6 +63,28 @@ def division_problems(draw):
 def factor_pairs(draw):
     ring = draw(st.sampled_from(RINGS))
     return draw(polys(ring)), draw(nonzero_polys(ring))
+
+
+@st.composite
+def operand_pairs(draw):
+    ring = draw(st.sampled_from(RINGS))
+    return draw(operands(ring)), draw(operands(ring))
+
+
+@st.composite
+def product_lists(draw):
+    """(ring, [(c, a, b), ...]) with c negative, zero or at least p, and
+    some products followed by a second one that cancels them."""
+    ring = draw(st.sampled_from(RINGS))
+    scalars = st.integers(-2 * ring.p, 2 * ring.p)
+    products = []
+    for c, a, b in draw(st.lists(
+            st.tuples(scalars, operands(ring), operands(ring)),
+            max_size=4)):
+        products.append((c, a, b))
+        if draw(st.booleans()):
+            products.append((ring.p - c, b, a))
+    return ring, products
 
 
 @st.composite
@@ -84,4 +128,16 @@ class TestAgainstMergeReference:
     def test_spolynomial(self, problem):
         f, g, order = problem
         assert spolynomial(f, g, order) == ref.spolynomial(f, g, order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operand_pairs())
+    def test_product(self, pair):
+        a, b = pair
+        assert a * b == reference_dot(a.ring, [(1, a, b)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_lists())
+    def test_dot(self, problem):
+        ring, products = problem
+        assert ring.dot(products) == reference_dot(ring, products)
 

@@ -22,7 +22,7 @@ import sys
 
 from . import groebner
 from .groebner import BudgetExceeded
-from .ring import DEFAULT_PRIME
+from .ring import DEFAULT_PRIME, is_prime
 from .pipeline import (
     InstanceRejected,
     InstanceSpec,
@@ -357,6 +357,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "random" and args.count < 1:
         parser.error("count must be positive")
+    second = getattr(args, "second_prime", None)
+    if second is not None and not is_prime(second):
+        parser.error("--second-prime %d is not prime" % second)
     saved_cap = groebner.DEFAULT_MAX_BASIS
     if args.max_gb_size is not None:
         if args.max_gb_size < 1:

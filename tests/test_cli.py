@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from reesgcd import groebner
-from reesgcd import cli
+from reesgcd import cli, pipeline
 from reesgcd.cli import main
 from reesgcd.pipeline import GOLDEN_MATRIX, VerificationReport
 from reesgcd.ring import PolyRing
@@ -117,6 +117,23 @@ class TestUsage:
         # 0 is not prime; it must not fall back to the default prime
         assert main([command, "--prime", "0"]) == 1
         assert "modulus 0 is not prime" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["verify", "random"])
+    @pytest.mark.parametrize("q", ["4", "0", "-7"])
+    def test_bad_second_prime_rejected_first(self, command, q, golden_file,
+                                             monkeypatch, capsys):
+        def reached(inst):
+            raise AssertionError("verification started")
+        monkeypatch.setattr(cli, "check_hypotheses", reached)
+        monkeypatch.setattr(pipeline, "check_hypotheses", reached)
+        argv = [command, golden_file] if command == "verify" else \
+            [command, "-m", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--second-prime", q])
+        assert exc.value.code == 1
+        assert "--second-prime %s is not prime" % q in \
+            capsys.readouterr().err
 
 
 class TestRun:

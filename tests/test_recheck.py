@@ -1,0 +1,135 @@
+"""The recheck on the base ideal's one basis: the column-rule and
+fiber-equation checks against their ideal-equality references
+(welldefinedness_reference.py), and the Groebner runs they save."""
+
+import pytest
+
+from reesgcd import ideals, pipeline
+from reesgcd.pipeline import (
+    IterationStep,
+    IterationTrace,
+    builtin_example,
+    gcd_iterations,
+    minimality_and_invariants,
+    random_instance,
+    verify_well_definedness,
+)
+
+from welldefinedness_reference import (
+    column_rule_report,
+    fiber_equation_check,
+)
+
+CASES = ["golden"] + [(m, k) for m in (2, 3) for k in range(3)]
+
+_INSTANCES = {}
+
+
+def instance(case):
+    """The golden instance or random d=4 instance (m, k), built once."""
+    if case not in _INSTANCES:
+        _INSTANCES[case] = builtin_example() if case == "golden" else \
+            random_instance(4, case[0], seed=case[1])
+    return _INSTANCES[case]
+
+
+def outcomes(rep):
+    return [(c.check_id, c.status, c.data) for c in rep.checks]
+
+
+@pytest.fixture
+def groebner_runs(monkeypatch):
+    """Counts Groebner runs from the moment the fixture is requested."""
+    runs = []
+    original = ideals.groebner_basis
+
+    def counted(gens, order=None, *args, **kwargs):
+        runs.append(order)
+        return original(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "groebner_basis", counted)
+    return runs
+
+
+def with_step_gcd(trace, i, gcd):
+    """The trace with the gcd of step i replaced."""
+    steps = list(trace.steps)
+    steps[i - 1] = IterationStep(steps[i - 1].matrix, gcd, gcd.bidegree())
+    return IterationTrace(trace.instance, trace.dual, trace.bilinear, steps)
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_matches_reference(case):
+    inst = instance(case)
+    first = gcd_iterations(inst)
+    second = gcd_iterations(inst, rule="max")
+    assert outcomes(verify_well_definedness(inst, first)) == \
+        outcomes(column_rule_report(first, second))
+    found = minimality_and_invariants(first).find("fiber-equation")
+    assert (found.status, found.data) == fiber_equation_check(first)
+    assert found.status == "pass"
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_perturbed_max_gcd_fails_like_reference(step, monkeypatch):
+    inst = instance((3, 1))
+    ring = inst.ring
+    m, d = inst.degree, inst.d
+    first = gcd_iterations(inst)
+    # a form of the step's bidegree outside B_{step-1}
+    form = ring.x(1) ** (m - step) * ring.T(1) ** (step * (d - 1))
+    assert not first.partial_ideal(step - 1).contains(form)
+    second = gcd_iterations(inst, rule="max")
+    perturbed = with_step_gcd(second, step, second.gcds[step - 1] + form)
+
+    def iterations(inst, rule="min"):
+        return perturbed if rule == "max" else gcd_iterations(inst, rule)
+
+    monkeypatch.setattr(pipeline, "gcd_iterations", iterations)
+    rep = verify_well_definedness(inst, first)
+    assert outcomes(rep) == outcomes(column_rule_report(first, perturbed))
+    failed = rep.find("column-rule-step-%d" % step)
+    assert failed.status == "fail"
+    # the witness is a generator of one step ideal outside the other
+    side, _, src = failed.witness.partition(": ")
+    left, right = first.partial_ideal(step), perturbed.partial_ideal(step)
+    outside, inside = (left, right) if side == "not in left ideal" \
+        else (right, left)
+    assert side in ("not in left ideal", "not in right ideal")
+    assert ring.parse(src) in inside.gens
+    assert not outside.contains(ring.parse(src))
+
+
+def test_pure_t_term_takes_fallback_and_passes(groebner_runs):
+    trace = gcd_iterations(builtin_example())
+    last = trace.gcds[-1]
+    # congruent to a multiple of the last gcd modulo the variables
+    bilinear = (trace.bilinear[0] + last,) + trace.bilinear[1:]
+    shifted = IterationTrace(trace.instance, trace.dual, bilinear,
+                             trace.steps)
+    found = minimality_and_invariants(shifted).find("fiber-equation")
+    # one basis of the base ideal, one of (x) plus the last gcd
+    assert len(groebner_runs) == 2
+    assert (found.status, found.data) == fiber_equation_check(shifted)
+    assert found.status == "pass"
+
+
+def test_pure_t_term_outside_fails_with_witness():
+    trace = gcd_iterations(builtin_example())
+    ring = trace.ring
+    form = trace.gcds[0] + ring.T(1) ** 5
+    shifted = with_step_gcd(trace, 1, form)
+    found = minimality_and_invariants(shifted).find("fiber-equation")
+    assert (found.status, found.data) == fiber_equation_check(shifted)
+    assert found.status == "fail"
+    assert found.witness == \
+        "not in the variables plus the fiber equation: %s" % form
+
+
+def test_recheck_makes_one_groebner_run(groebner_runs):
+    inst = instance((3, 1))
+    trace = gcd_iterations(inst)
+    assert verify_well_definedness(inst, trace).ok
+    assert minimality_and_invariants(trace).ok
+    # the base ideal's grevlex basis, shared by both reports
+    assert groebner_runs == [inst.ring.grevlex]

@@ -11,7 +11,8 @@ canonical grammar (grevlex term order, explicit * and ^), so JSON
 output re-parses bit-exactly.
 
 Exit codes: 0 success, 1 usage or parse error, 2 hypothesis failure,
-3 verification failure, 4 Groebner budget exceeded.
+3 verification failure, 4 Groebner budget exceeded, 5 an exponent past
+ring.EXP_MAX = 32767, in the input or in any product formed on the way.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 
 from . import groebner
 from .groebner import BudgetExceeded
-from .ring import DEFAULT_PRIME, is_prime
+from .ring import DEFAULT_PRIME, ExponentOverflow, is_prime
 from .pipeline import (
     InstanceRejected,
     InstanceSpec,
@@ -42,6 +43,7 @@ EXIT_USAGE = 1
 EXIT_HYPOTHESES = 2
 EXIT_VERIFICATION = 3
 EXIT_BUDGET = 4
+EXIT_OVERFLOW = 5
 
 _SECTIONS = (
     ("hypotheses", "hypothesis checks"),
@@ -379,6 +381,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
+    except ExponentOverflow as exc:
+        print("exponent overflow: %s" % exc, file=sys.stderr)
+        return EXIT_OVERFLOW
     finally:
         # the cap covers this one command, not the rest of the process
         groebner.DEFAULT_MAX_BASIS = saved_cap

@@ -14,13 +14,16 @@ the first basis entry whose lead divides it contributes its shifted tail,
 and the lead itself is never formed.  An S-polynomial is never built as a
 term tuple: the two shifted tails of its pair seed the accumulator and
 are reduced in the same pass.
+
+Exponents are the ring's packed integers, so every monomial operation of
+the run is integer arithmetic on them: a shift is an addition, "a divides
+b" is (b - a) & guard == 0, lcms come from ring._lcm, and two leads are
+coprime exactly when their lcm is their sum.
 """
 
 from __future__ import annotations
 
-from operator import sub
-
-from .ring import Polynomial, _accumulator, _add_shifted, _pop_lead
+from .ring import Polynomial, _accumulator, _add_shifted, _lcm, _pop_lead
 
 DEFAULT_MAX_BASIS = 20000
 DEFAULT_MAX_DEGREE = 500
@@ -30,18 +33,9 @@ class BudgetExceeded(RuntimeError):
     """The basis size or degree cap was hit before completion."""
 
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _coprime(a, b):
-    for x, y in zip(a, b):
-        if x and y:
-            return False
-    return True
+def _divides(a, b, guard):
+    """The packed exponent a divides b: b - a borrows in no field."""
+    return not (b - a) & guard
 
 
 def _to_terms(poly, order):
@@ -59,7 +53,7 @@ def _to_poly(ring, terms):
         sorted(((key(e), e, c) for _, e, c in terms), reverse=True)))
 
 
-def _reduce_terms(terms, basis, mod, shifted=()):
+def _reduce_terms(terms, basis, mod, guard, shifted=()):
     """Full normal form of a term list against basis entries.
 
     basis entries are (lead_key, lead_exp, inv_lead_coeff, tail) sorted
@@ -73,27 +67,20 @@ def _reduce_terms(terms, basis, mod, shifted=()):
         _add_shifted(acc, heap, *part)
     out = []
     while True:
-        lead = _pop_lead(acc, heap, mod)
+        lead = _pop_lead(acc, heap, mod, guard)
         if lead is None:
             return tuple(out)
         k, e, c = lead
-        hit = None
-        for ent in basis:
-            if ent[0] > k:
+        for lk, le, linv, tail in basis:
+            if lk > k:
+                out.append(lead)
                 break
-            le = ent[1]
-            for a, b in zip(le, e):
-                if a > b:
-                    break
-            else:
-                hit = ent
+            if not (e - le) & guard:
+                _add_shifted(acc, heap, tail, k - lk, e - le,
+                             -(c * linv % mod))
                 break
-        if hit is None:
-            out.append(lead)
         else:
-            lk, le, linv, tail = hit
-            _add_shifted(acc, heap, tail, k - lk, tuple(map(sub, e, le)),
-                         -(c * linv % mod))
+            out.append(lead)
 
 
 def _monic_terms(terms, mod):
@@ -104,7 +91,7 @@ def _monic_terms(terms, mod):
     return tuple((k, e, c * inv % mod) for k, e, c in terms)
 
 
-def _spair_tails(f, g, keyf):
+def _spair_tails(f, g, keyf, guard):
     """The S-polynomial of basis entries f and g as two shifted tails.
 
     Both leads are scaled to the lcm with coefficient 1 and cancel, so
@@ -112,56 +99,51 @@ def _spair_tails(f, g, keyf):
     """
     kf, ef, invf, tailf = f
     kg, eg, invg, tailg = g
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    lcm = _lcm(ef, eg, guard)
     klcm = keyf(lcm)
-    return ((tailf, klcm - kf, tuple(map(sub, lcm, ef)), invf),
-            (tailg, klcm - kg, tuple(map(sub, lcm, eg)), -invg))
+    return ((tailf, klcm - kf, lcm - ef, invf),
+            (tailg, klcm - kg, lcm - eg, -invg))
 
 
-def _update_pairs(pairs, lead, new, keyf):
-    """Gebauer-Moeller update of the pair set after appending element new."""
+def _update_pairs(pairs, lead, new, keyf, guard):
+    """Gebauer-Moeller update of the pair set after appending element new.
+
+    A pair's leads are coprime exactly when their lcm is their sum.
+    """
     lm_new = lead[new]
-    cand = []
-    for i in range(new):
-        cand.append((tuple(max(a, b) for a, b in zip(lead[i], lm_new)), i))
+    cand = [(_lcm(lead[i], lm_new, guard), i) for i in range(new)]
     kept_new = []
     ncand = len(cand)
     for pos in range(ncand):
         l1, i1 = cand[pos]
-        if _coprime(lead[i1], lm_new):
+        if l1 == lead[i1] + lm_new:
             kept_new.append((l1, i1))
             continue
         dominated = False
         for pos2 in range(pos + 1, ncand):
-            if _divides(cand[pos2][0], l1):
+            if not (l1 - cand[pos2][0]) & guard:
                 dominated = True
                 break
         if not dominated:
             for l2, _ in kept_new:
-                if _divides(l2, l1):
+                if not (l1 - l2) & guard:
                     dominated = True
                     break
         if not dominated:
             kept_new.append((l1, i1))
-    fresh = [(l, i) for l, i in kept_new if not _coprime(lead[i], lm_new)]
+    fresh = [(l, i) for l, i in kept_new if l != lead[i] + lm_new]
     out = []
     for lk, l, i, j in pairs:
-        if not _divides(lm_new, l):
+        if ((l - lm_new) & guard or _lcm(lead[i], lm_new, guard) == l
+                or _lcm(lead[j], lm_new, guard) == l):
             out.append((lk, l, i, j))
-            continue
-        if tuple(max(a, b) for a, b in zip(lead[i], lm_new)) == l:
-            out.append((lk, l, i, j))
-            continue
-        if tuple(max(a, b) for a, b in zip(lead[j], lm_new)) == l:
-            out.append((lk, l, i, j))
-            continue
     for l, i in fresh:
         out.append((keyf(l), l, i, new))
     return out
 
 
-def _max_degree(terms):
-    return max(sum(e) for _, e, _ in terms)
+def _max_degree(terms, unpack):
+    return max(sum(unpack(e)) for _, e, _ in terms)
 
 
 def _basis_entry(terms, mod):
@@ -195,7 +177,7 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
         return ()
     ring = gens[0].ring
     order = order or ring.grevlex
-    mod = ring.p
+    mod, guard = ring.p, ring.guard
     keyf = order.key
     cap_size = max_basis if max_basis is not None else DEFAULT_MAX_BASIS
     cap_deg = max_degree if max_degree is not None else DEFAULT_MAX_DEGREE
@@ -211,17 +193,17 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
         if len(G) + 1 > cap_size:
             raise BudgetExceeded("basis size cap %d exceeded (%s)"
                                  % (cap_size, order.name))
-        if _max_degree(terms) > cap_deg:
+        if _max_degree(terms, ring.unpack) > cap_deg:
             raise BudgetExceeded("degree cap %d exceeded (%s)"
                                  % (cap_deg, order.name))
         G.append(terms)
         entries.append(_basis_entry(terms, mod))
         lead.append(terms[0][1])
         _insert_sorted(red, entries[-1])
-        return _update_pairs(pairs, lead, len(G) - 1, keyf)
+        return _update_pairs(pairs, lead, len(G) - 1, keyf, guard)
 
     for f in gens:
-        h = _reduce_terms(_to_terms(f, order), red, mod)
+        h = _reduce_terms(_to_terms(f, order), red, mod, guard)
         if h:
             pairs = admit(h)
 
@@ -234,33 +216,28 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
                 best = pos
                 bk = cand
         _, _, i, j = pairs.pop(best)
-        h = _reduce_terms((), red, mod,
-                          _spair_tails(entries[i], entries[j], keyf))
+        h = _reduce_terms((), red, mod, guard,
+                          _spair_tails(entries[i], entries[j], keyf, guard))
         if h:
             pairs = admit(h)
 
     return tuple(_to_poly(ring, terms)
-                 for terms in _autoreduce(G, mod))
+                 for terms in _autoreduce(G, mod, guard))
 
 
-def _autoreduce(basis_terms, mod):
+def _autoreduce(basis_terms, mod, guard):
     """Minimalize and tail-reduce a basis known to be a Groebner basis."""
     items = sorted(basis_terms, key=lambda t: t[0][0])
     kept = []
     for g in items:
         le = g[0][1]
-        redundant = False
-        for h in kept:
-            if _divides(h[0][1], le):
-                redundant = True
-                break
-        if not redundant:
+        if not any(_divides(h[0][1], le, guard) for h in kept):
             kept.append(g)
     entries = [_basis_entry(g, mod) for g in kept]
     out = []
     for idx, g in enumerate(kept):
         others = entries[:idx] + entries[idx + 1:]
-        out.append(_monic_terms(_reduce_terms(g, others, mod), mod))
+        out.append(_monic_terms(_reduce_terms(g, others, mod, guard), mod))
     return out
 
 
@@ -275,7 +252,7 @@ def normal_form(poly, basis, order=None):
         (_basis_entry(_to_terms(g, order), mod)
          for g in basis if not g.is_zero),
         key=lambda ent: ent[0])
-    h = _reduce_terms(_to_terms(poly, order), entries, mod)
+    h = _reduce_terms(_to_terms(poly, order), entries, mod, ring.guard)
     return _to_poly(ring, h)
 
 
@@ -285,8 +262,9 @@ def spolynomial(f, g, order=None):
     order = order or ring.grevlex
     mod = ring.p
     tails = _spair_tails(_basis_entry(_to_terms(f, order), mod),
-                         _basis_entry(_to_terms(g, order), mod), order.key)
-    return _to_poly(ring, _reduce_terms((), (), mod, tails))
+                         _basis_entry(_to_terms(g, order), mod), order.key,
+                         ring.guard)
+    return _to_poly(ring, _reduce_terms((), (), mod, ring.guard, tails))
 
 
 def is_groebner(basis, order=None):

@@ -83,7 +83,7 @@ class Ideal:
 def _check_aux_free(ideal):
     aux = ideal.ring.aux_slot
     for g in ideal.gens:
-        if any(e[aux] for _, e, _ in g.terms):
+        if aux in g.support():
             raise ValueError(
                 "ideal operations need t-free input ideals")
 
@@ -91,24 +91,18 @@ def _check_aux_free(ideal):
 def _eliminate_aux(ring, gens, tag):
     """Reduced grevlex basis of (gens) intersected with the t-free subring.
 
-    The stored term order of a Polynomial is grevlex, so the lead under
-    the elimination order has to be recomputed before deciding whether an
-    element survives into the eliminated ideal.  On t-free monomials the
-    elimination order restricts to grevlex, which makes the surviving
-    subset a reduced grevlex basis.
+    The elimination order puts every monomial with t above every t-free
+    one, so an element survives exactly when it is t-free, and the
+    survivors lead the basis, which is sorted by increasing lead.  On
+    t-free monomials the elimination order restricts to grevlex, which
+    makes the surviving subset a reduced grevlex basis.
     """
     gb = groebner_basis(gens, ring.elim_aux)
     aux = ring.aux_slot
-    key = ring.elim_aux.key
-    kept = []
-    for g in gb:
-        lead = max(g.terms, key=lambda term: key(term[1]))
-        if lead[1][aux] == 0:
-            if any(e[aux] for _, e, _ in g.terms):
-                raise AssertionError(
-                    "elimination property violated in %s" % tag)
-            kept.append(g)
-    return tuple(kept)
+    kept = tuple(g for g in gb if aux not in g.support())
+    if gb[:len(kept)] != kept:
+        raise AssertionError("elimination property violated in %s" % tag)
+    return kept
 
 
 def intersect(a, b):
@@ -133,14 +127,15 @@ def _bayer_slot(a, f):
     Terms are sorted by a graded order, so a polynomial is homogeneous
     exactly when its first and last terms share a degree.
     """
-    exp = f.terms[0][1]
+    exp = f.lead_exp()
     if len(f.terms) != 1 or sum(exp) != 1:
         raise ValueError("divisor must be a single variable, got %s" % f)
     slot = exp.index(1)
     if slot == a.ring.aux_slot:
         raise ValueError("divisor must not be the helper variable t")
+    unpack = a.ring.unpack
     for g in a.gens:
-        if sum(g.terms[0][1]) != sum(g.terms[-1][1]):
+        if sum(unpack(g.terms[0][1])) != sum(unpack(g.terms[-1][1])):
             raise ValueError("ideal is not homogeneous: %s" % g)
     return slot
 
@@ -153,7 +148,7 @@ def _divide_out(a, slot, whole_power):
     x = ring.variable(slot)
     quots = []
     for g in a.groebner(order=ring.revlex_last(slot)):
-        v = min(e[slot] for _, e, _ in g.terms)
+        v = min(e[slot] for e, _ in g.items())
         if v > 1 and not whole_power:
             v = 1
         quots.append(g.exact_div(x ** v) if v else g)

@@ -263,7 +263,7 @@ def jacobian_dual(alt):
     for i in range(n):
         t_exp = ring.T(i + 1).lead_exp()
         for j in range(n):
-            for _, e, c in alt.at(i, j).terms:
+            for e, c in alt.at(i, j).items():
                 k = next(s for s in ring.x_slots if e[s])
                 acc = cols[j][k]
                 acc[t_exp] = (acc.get(t_exp, 0) + c) % ring.p

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .ring import DEFAULT_PRIME, BiDegree, PolyRing
+from .ring import DEFAULT_PRIME, BiDegree, PolyRing, Polynomial
 from .matrices import (
     PolyMatrix,
     delete_row,
@@ -240,9 +240,10 @@ def _span_basis(ring, polys):
     polys = [g for g in polys if not g.is_zero]
     if not polys:
         return []
-    monomials = sorted({e for g in polys for _, e, _ in g.terms},
-                       key=ring.grevlex.key, reverse=True)
-    index = {e: i for i, e in enumerate(monomials)}
+    # (key, exp) of every monomial, decreasing: the column order
+    monomials = sorted({(k, e) for g in polys for k, e, _ in g.terms},
+                       reverse=True)
+    index = {e: i for i, (_, e) in enumerate(monomials)}
     p = ring.p
     basis = []
     pivots = {}
@@ -260,8 +261,8 @@ def _span_basis(ring, polys):
         inv = pow(row[lead], p - 2, p)
         row = [c * inv % p for c in row]
         pivots[lead] = row
-        basis.append(ring.from_dict(
-            {monomials[i]: c for i, c in enumerate(row) if c}))
+        basis.append(Polynomial(ring, tuple(
+            monomials[i] + (c,) for i, c in enumerate(row) if c)))
     return basis
 
 
@@ -710,7 +711,7 @@ def minimality_and_invariants(trace):
         # a generator without a term of x-degree 0 lies in (x)
         n = ring.n
         stray = [g for g in gens if g != last and any(
-            sum(e[:n]) == 0 for _, e, _ in g.terms)]
+            not any(e[:n]) for e, _ in g.items())]
         if stray:
             xs = [ring.x(i) for i in range(1, d + 2)]
             with_last = Ideal(ring, xs + [last])

@@ -5,36 +5,57 @@ and the T-block carry the bigrading deg x_i = (1, 0), deg T_i = (0, 1);
 the trailing variable t is reserved for elimination constructions and does
 not count toward the bigrading.
 
-A polynomial is an immutable tuple of terms (key, exponent vector, coeff),
-sorted strictly decreasing under graded reverse-lexicographic order on all
+A polynomial is an immutable tuple of terms (key, exp, coeff), sorted
+strictly decreasing under graded reverse-lexicographic order on all
 variables.  Coefficients are integers in [1, p); the zero polynomial is
 the empty tuple.  Monomial orders are encoded as integer weight vectors so
 that the sort key of a product is the sum of the factors' keys.
 
+The exponent exp is one packed integer (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  Variable slot i owns the EXP_BITS = 16 bits starting at bit 16*i;
+the top bit of each field is a guard that stays clear, so an exponent is
+at most EXP_MAX = 32767 and no field ever carries into the next.  Hence
+the exponent of a product is the sum of the exponents, a divides b exactly
+when b - a borrows in no field, i.e. (b - a) & guard == 0, and the lcm is
+a field-wise maximum taken by a few mask operations (_lcm).  Exponent
+tuples appear only at the edges: parse, from_dict, term and formatting
+take or print them, and Polynomial.items() and lead_exp() are the public
+tuple view.  An exponent past EXP_MAX raises ExponentOverflow, whether it
+comes from input or from a product or shift that would set a guard bit;
+it never wraps.
+
 Products and division share one reduction accumulator: a dict from key to
-pending coefficient plus a max-heap of the pending keys.  A sum of products
-(PolyRing.dot, which also serves Polynomial.__mul__) adds every shifted
-factor into it and drains it once, so no partial product or partial sum is
-built.  Division (exact_div here, normal forms and S-pairs in groebner)
-pops the largest key, reduces its coefficient mod p once and builds its
-exponent vector only then, and adds the reducer's shifted tail into the
-dict.  Every tail key is below the popped one, so a popped key never
-returns, and a division costs O(n log n) in the number of terms it touches
-instead of re-merging the whole remainder at every step.
+pending coefficient and exponent plus a max-heap of the pending keys.  A
+sum of products (PolyRing.dot, which also serves Polynomial.__mul__) adds
+every shifted factor into it and drains it once, so no partial product or
+partial sum is built.  Division (exact_div here, normal forms and S-pairs
+in groebner) pops the largest key, reduces its coefficient mod p once and
+adds the reducer's shifted tail into the dict.  Every tail key is below
+the popped one, so a popped key never returns, and a division costs
+O(n log n) in the number of terms it touches instead of re-merging the
+whole remainder at every step.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from collections import namedtuple
 from heapq import heappop, heappush
-from operator import add
 
 DEFAULT_PRIME = 32003
 
+# Packed exponents: slot i owns bits [EXP_BITS*i, EXP_BITS*(i+1)), whose
+# top bit is the guard.  PolyRing reads and writes the fields as unsigned
+# 16-bit struct items, so EXP_BITS is fixed at 16.
+EXP_BITS = 16
+EXP_MAX = (1 << (EXP_BITS - 1)) - 1
+
 # Packed-field base for order keys.  Every field of a key is a signed
-# integer bounded by the total degree, so 2^24 leaves ample headroom and
-# keeps key comparison equivalent to field-by-field comparison.
+# integer bounded by the total degree, at most nvars * EXP_MAX, so 2^24
+# keeps key comparison equivalent to field-by-field comparison for up to
+# 256 variables.
 _FIELD_BITS = 24
 _BASE = 1 << _FIELD_BITS
 
@@ -66,29 +87,31 @@ def is_prime(n):
 
 
 class MonomialOrder:
-    """A total order on exponent vectors given by an additive integer key.
+    """A total order on exponents given by an additive integer key.
 
-    key(e) = sum_i e_i * weights[i], with the weights packed so that
+    key(e) = sum_i e_i * weights[i] over the fields e_i of the packed
+    exponent e, with the weights packed so that
     integer comparison of keys realizes a block order that is graded
     reverse-lexicographic inside each block.  Keys add under monomial
     multiplication.
     """
 
-    __slots__ = ("name", "weights", "_cache")
+    __slots__ = ("name", "weights")
 
     def __init__(self, name, weights):
         self.name = name
         self.weights = tuple(weights)
-        self._cache = {}
 
     def key(self, exp):
-        k = self._cache.get(exp)
-        if k is None:
-            k = 0
-            for e, w in zip(exp, self.weights):
-                if e:
-                    k += e * w
-            self._cache[exp] = k
+        """Key of the packed exponent exp."""
+        k = 0
+        for w in self.weights:
+            if not exp:
+                break
+            e = exp & EXP_MAX
+            if e:
+                k += e * w
+            exp >>= EXP_BITS
         return k
 
     def __repr__(self):
@@ -123,6 +146,10 @@ BiDegree = namedtuple("BiDegree", ["x", "t"])
 ZERO_BIDEGREE = object()
 
 
+class ExponentOverflow(OverflowError):
+    """An exponent past EXP_MAX, in input or in a product."""
+
+
 class ParseError(ValueError):
     """Raised on malformed polynomial input; .pos is the source offset."""
 
@@ -139,8 +166,8 @@ class PolyRing:
 
     __slots__ = (
         "p", "d", "n", "nvars", "names", "slot_of", "x_slots", "t_slots",
-        "aux_slot", "grevlex", "elim_aux", "zero", "one",
-        "_half", "_revlex",
+        "aux_slot", "grevlex", "elim_aux", "zero", "one", "guard",
+        "_half", "_revlex", "_fields", "_nbytes",
     )
 
     _cache = {}
@@ -161,6 +188,10 @@ class PolyRing:
             + ["t"]
         )
         self.slot_of = {name: i for i, name in enumerate(self.names)}
+        self.guard = sum(1 << (EXP_BITS * (slot + 1) - 1)
+                         for slot in range(self.nvars))
+        self._fields = struct.Struct("<%dH" % self.nvars)
+        self._nbytes = self._fields.size
         self.x_slots = tuple(range(n))
         self.t_slots = tuple(range(n, 2 * n))
         self.aux_slot = 2 * n
@@ -171,8 +202,7 @@ class PolyRing:
             "elim-aux", _block_weights([[self.aux_slot], all_slots[:-1]],
                                        self.nvars))
         self.zero = Polynomial(self, ())
-        e0 = (0,) * self.nvars
-        self.one = Polynomial(self, ((0, e0, 1),))
+        self.one = Polynomial(self, ((0, 0, 1),))
         self._half = p // 2
         self._revlex = {}
 
@@ -195,11 +225,34 @@ class PolyRing:
         exp[slot] = e
         return tuple(exp)
 
+    def pack(self, exp):
+        """The packed integer of an exponent sequence, one entry per slot.
+
+        Raises ExponentOverflow on an entry past EXP_MAX and ValueError on
+        a negative entry or a sequence of the wrong length.
+        """
+        exp = tuple(exp)
+        if len(exp) != self.nvars:
+            raise ValueError("exponent needs %d entries, got %d"
+                             % (self.nvars, len(exp)))
+        if not 0 <= min(exp) <= max(exp) <= EXP_MAX:
+            if min(exp) < 0:
+                raise ValueError("negative exponent in %r" % (exp,))
+            slot = exp.index(max(exp))
+            raise ExponentOverflow("exponent %d of %s exceeds %d"
+                                   % (exp[slot], self.names[slot], EXP_MAX))
+        return int.from_bytes(self._fields.pack(*exp), "little")
+
+    def unpack(self, exp):
+        """The exponent tuple, one entry per slot, of a packed exponent."""
+        return self._fields.unpack(exp.to_bytes(self._nbytes, "little"))
+
     def term(self, coeff, exp):
+        """coeff times the monomial of the exponent sequence exp."""
         c = coeff % self.p
         if c == 0:
             return self.zero
-        exp = tuple(exp)
+        exp = self.pack(exp)
         return Polynomial(self, ((self.grevlex.key(exp), exp, c),))
 
     def monomial(self, exp):
@@ -250,7 +303,7 @@ class PolyRing:
         for exp, c in coeffs.items():
             c %= self.p
             if c:
-                exp = tuple(exp)
+                exp = self.pack(exp)
                 terms.append((key(exp), exp, c))
         terms.sort(reverse=True)
         return Polynomial(self, tuple(terms))
@@ -329,8 +382,9 @@ class PolyRing:
         return self.from_dict(coeffs)
 
     def format_exp(self, exp):
+        """The packed exponent exp as a product of variable powers."""
         factors = []
-        for slot, e in enumerate(exp):
+        for slot, e in enumerate(self.unpack(exp)):
             if e == 1:
                 factors.append(self.names[slot])
             elif e > 1:
@@ -350,10 +404,11 @@ class PolyRing:
             for k, e, co in a.terms:
                 _add_shifted(acc, heap, terms, k, e, c * co)
         out = []
-        lead = _pop_lead(acc, heap, self.p)
+        mod, guard = self.p, self.guard
+        lead = _pop_lead(acc, heap, mod, guard)
         while lead is not None:
             out.append(lead)
-            lead = _pop_lead(acc, heap, self.p)
+            lead = _pop_lead(acc, heap, mod, guard)
         return Polynomial(self, tuple(out))
 
 
@@ -399,56 +454,73 @@ def _merge(a, b, mod):
             tb = b[ib]
 
 
-def _shift(terms, dkey, dexp, c, mod):
-    """terms multiplied by the monomial dexp and the scalar c."""
+def _shift(terms, dkey, dexp, c, ring):
+    """terms multiplied by the monomial (dkey, dexp) and the scalar c."""
+    mod = ring.p
     c %= mod
     if c == 0:
         return ()
     if c == 1 and dkey == 0:
         return terms
-    out = []
-    for k, e, co in terms:
-        out.append((k + dkey,
-                    tuple(x + y for x, y in zip(e, dexp)),
-                    co * c % mod))
-    return tuple(out)
+    out = tuple((k + dkey, e + dexp, co * c % mod) for k, e, co in terms)
+    guard = ring.guard
+    for _, e, _ in out:
+        if e & guard:
+            raise ExponentOverflow("a product exponent exceeds %d"
+                                   % EXP_MAX)
+    return out
+
+
+def _lcm(a, b, guard):
+    """Field-wise maximum of the packed exponents a and b."""
+    # (a | guard) - b borrows inside no field and leaves the guard bit of
+    # exactly the fields with a_i >= b_i; spread those bits over the field
+    ge = ((a | guard) - b) & guard
+    mask = ge - (ge >> (EXP_BITS - 1))
+    return b ^ ((a ^ b) & mask)
 
 
 def _accumulator(terms):
     """Reduction accumulator holding the term tuple terms.
 
-    Returns (acc, heap): acc maps key -> [coeff, exp, shift], where coeff
-    is not yet reduced mod p and the term's exponent vector is exp + shift
-    (shift None: exp itself); heap holds the negated pending keys, so its
-    top is the largest.  The negated keys of a decreasing term tuple are
+    Returns (acc, heap): acc maps key -> [coeff, exp], where coeff is not
+    yet reduced mod p; heap holds the negated pending keys, so its top is
+    the largest.  The negated keys of a decreasing term tuple are
     increasing, hence already a heap.
     """
-    acc = {k: [c, e, None] for k, e, c in terms}
+    acc = {k: [c, e] for k, e, c in terms}
     return acc, [-k for k, _, _ in terms]
 
 
 def _add_shifted(acc, heap, terms, dkey, dexp, c):
-    """Add c times the monomial (dkey, dexp) times terms into (acc, heap)."""
+    """Add c times the monomial (dkey, dexp) times terms into (acc, heap).
+
+    A shifted exponent may set a guard bit; _pop_lead rejects it.
+    """
     get = acc.get
     for k, e, co in terms:
         k += dkey
         slot = get(k)
         if slot is None:
-            acc[k] = [co * c, e, dexp]
+            acc[k] = [co * c, e + dexp]
             heappush(heap, -k)
         else:
             slot[0] += co * c
 
 
-def _pop_lead(acc, heap, mod):
-    """Remove and return the largest nonzero pending term, or None."""
+def _pop_lead(acc, heap, mod, guard):
+    """Remove and return the largest nonzero pending term, or None.
+
+    Raises ExponentOverflow on a term whose exponent set a guard bit.
+    """
     while heap:
         k = -heappop(heap)
-        c, e, shift = acc.pop(k)
+        c, e = acc.pop(k)
         c %= mod
         if c:
-            if shift is not None:
-                e = tuple(map(add, e, shift))
+            if e & guard:
+                raise ExponentOverflow(
+                    "a product exponent exceeds %d" % EXP_MAX)
             return k, e, c
     return None
 
@@ -489,13 +561,20 @@ class Polynomial:
         return self.terms[0]
 
     def lead_exp(self):
-        return self.lead_term()[1]
+        """Exponent tuple of the lead term."""
+        return self.ring.unpack(self.lead_term()[1])
 
     def lead_coeff(self):
         return self.lead_term()[2]
 
+    def items(self):
+        """(exponent tuple, coefficient) of every term, in term order."""
+        unpack = self.ring.unpack
+        return tuple((unpack(e), c) for _, e, c in self.terms)
+
     def coeff(self, exp):
-        exp = tuple(exp)
+        """Coefficient of the monomial with exponent tuple exp."""
+        exp = self.ring.pack(exp)
         for _, e, c in self.terms:
             if e == exp:
                 return c
@@ -503,12 +582,10 @@ class Polynomial:
 
     def support(self):
         """Set of variable slots appearing in some term."""
-        used = set()
+        used = 0
         for _, e, _ in self.terms:
-            for slot, x in enumerate(e):
-                if x:
-                    used.add(slot)
-        return used
+            used |= e
+        return {slot for slot, x in enumerate(self.ring.unpack(used)) if x}
 
     def bidegree(self):
         """Common (x-degree, T-degree) of all terms.
@@ -521,7 +598,7 @@ class Polynomial:
             return ZERO_BIDEGREE
         n = self.ring.n
         deg = None
-        for _, e, _ in self.terms:
+        for e, _ in self.items():
             bd = (sum(e[:n]), sum(e[n:2 * n]))
             if deg is None:
                 deg = bd
@@ -531,12 +608,11 @@ class Polynomial:
 
     def x_degree(self):
         n = self.ring.n
-        return max((sum(e[:n]) for _, e, _ in self.terms), default=-1)
+        return max((sum(e[:n]) for e, _ in self.items()), default=-1)
 
     def t_degree(self):
-        ring = self.ring
-        return max((sum(e[ring.n:2 * ring.n]) for _, e, _ in self.terms),
-                   default=-1)
+        n = self.ring.n
+        return max((sum(e[n:2 * n]) for e, _ in self.items()), default=-1)
 
     # -- arithmetic --------------------------------------------------
 
@@ -584,13 +660,13 @@ class Polynomial:
         a, b = self.terms, other.terms
         if not a or not b:
             return self.ring.zero
-        mod = self.ring.p
+        ring = self.ring
         if len(a) == 1:
             k, e, c = a[0]
-            return Polynomial(self.ring, _shift(b, k, e, c, mod))
+            return Polynomial(ring, _shift(b, k, e, c, ring))
         if len(b) == 1:
             k, e, c = b[0]
-            return Polynomial(self.ring, _shift(a, k, e, c, mod))
+            return Polynomial(ring, _shift(a, k, e, c, ring))
         return self.ring.dot(((1, self, other),))
 
     __rmul__ = __mul__
@@ -628,23 +704,20 @@ class Polynomial:
             raise ZeroDivisionError("exact_div by zero polynomial")
         if self.is_zero:
             return self
-        mod = self.ring.p
+        mod, guard = self.ring.p, self.ring.guard
         dk, de, dc = divisor.terms[0]
         dtail = divisor.terms[1:]
         dinv = pow(dc, mod - 2, mod)
         acc, heap = _accumulator(self.terms)
         q = []
         while True:
-            lead = _pop_lead(acc, heap, mod)
+            lead = _pop_lead(acc, heap, mod, guard)
             if lead is None:
                 return Polynomial(self.ring, tuple(q))
             k, e, c = lead
-            qe = []
-            for xe, ye in zip(e, de):
-                if xe < ye:
-                    return None
-                qe.append(xe - ye)
-            qe = tuple(qe)
+            qe = e - de
+            if qe & guard:
+                return None
             qc = c * dinv % mod
             q.append((k - dk, qe, qc))
             _add_shifted(acc, heap, dtail, k - dk, qe, -qc)
@@ -702,16 +775,18 @@ def partial_column(f, rule="min"):
         return [ring.zero] * n
     if f.bidegree() is None:
         raise ValueError("cannot split a non-bihomogeneous polynomial")
-    rows = [{} for _ in range(n)]
+    # row i takes the terms divisible by x_i, divided by it: key and
+    # exponent drop by those of x_i, so each row stays sorted
+    units = [ring.variable(slot).terms[0] for slot in ring.x_slots]
+    rows = [[] for _ in range(n)]
     xrange = range(n) if rule == "min" else range(n - 1, -1, -1)
-    for _, e, c in f.terms:
+    for k, e, c in f.terms:
         for i in xrange:
-            if e[i]:
-                reduced = list(e)
-                reduced[i] -= 1
-                rows[i][tuple(reduced)] = c
+            if e & (EXP_MAX << (EXP_BITS * i)):
+                uk, ue, _ = units[i]
+                rows[i].append((k - uk, e - ue, c))
                 break
         else:
             raise ValueError(
                 "polynomial is not in the ideal (x1..x%d)" % n)
-    return [ring.from_dict(r) for r in rows]
+    return [Polynomial(ring, tuple(r)) for r in rows]

@@ -20,7 +20,8 @@ def reduce_basis(polys, order=None):
     ring = polys[0].ring
     order = order or ring.grevlex
     terms = [_to_terms(g, order) for g in polys]
-    return tuple(_to_poly(ring, t) for t in _autoreduce(terms, ring.p))
+    return tuple(_to_poly(ring, t)
+                 for t in _autoreduce(terms, ring.p, ring.guard))
 
 
 def _colon_by_elimination(a, f):

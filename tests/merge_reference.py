@@ -1,25 +1,62 @@
 """Merge-based division routines, kept as references for the tests.
 
-These are the normal form, S-polynomial and exact division that the
-heap-and-dict accumulator replaced.  Each reduction step re-merges the
-whole remaining term tuple with the shifted reducer, which makes them
-quadratic in the length of the remainder but short enough to check by
-eye.  The tests compare the library against them term for term.
+These are the normal form, S-polynomial, exact division and sum of
+products that the heap-and-dict accumulator replaced.  Each reduction
+step re-merges the whole remaining term tuple with the shifted reducer,
+which makes them quadratic in the length of the remainder but short
+enough to check by eye.  The tests compare the library against them term
+for term.
+
+They work on their own terms (key, exponent tuple, coeff): exponents come
+from the public tuple view Polynomial.items(), keys are the defining sums
+sum_i e_i * weights[i] of the order, and results go back through
+PolyRing.from_dict, so nothing here depends on the packed exponent
+layout of the ring module.
 """
 
-from reesgcd.ring import Polynomial, _merge, _shift
+
+def order_key(order, exp):
+    """Key of an exponent tuple: the order's defining weighted sum."""
+    return sum(e * w for e, w in zip(exp, order.weights))
 
 
 def _to_terms(poly, order):
-    key = order.key
-    return tuple(sorted(((key(e), e, c) for _, e, c in poly.terms),
+    return tuple(sorted(((order_key(order, e), e, c) for e, c in poly.items()),
                         reverse=True))
 
 
 def _to_poly(ring, terms):
-    key = ring.grevlex.key
-    return Polynomial(ring, tuple(
-        sorted(((key(e), e, c) for _, e, c in terms), reverse=True)))
+    return ring.from_dict({e: c for _, e, c in terms})
+
+
+def _merge(a, b, mod):
+    """Sum of two term tuples sorted decreasing by key."""
+    out = []
+    ia = ib = 0
+    while ia < len(a) and ib < len(b):
+        ta, tb = a[ia], b[ib]
+        if ta[0] > tb[0]:
+            out.append(ta)
+            ia += 1
+        elif ta[0] < tb[0]:
+            out.append(tb)
+            ib += 1
+        else:
+            c = (ta[2] + tb[2]) % mod
+            if c:
+                out.append((ta[0], ta[1], c))
+            ia += 1
+            ib += 1
+    return tuple(out) + a[ia:] + b[ib:]
+
+
+def _shift(terms, dkey, dexp, c, mod):
+    """terms multiplied by the monomial (dkey, dexp) and the scalar c."""
+    c %= mod
+    if c == 0:
+        return ()
+    return tuple((k + dkey, tuple(x + y for x, y in zip(e, dexp)),
+                  co * c % mod) for k, e, co in terms)
 
 
 def reduce_terms(terms, basis, mod):
@@ -72,12 +109,11 @@ def spolynomial(f, g, order=None):
     ring = f.ring
     order = order or ring.grevlex
     mod = ring.p
-    keyf = order.key
     f, g = _to_terms(f, order), _to_terms(g, order)
     kf, ef, cf = f[0]
     kg, eg, cg = g[0]
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    klcm = keyf(lcm)
+    klcm = order_key(order, lcm)
     sf = _shift(f, klcm - kf, tuple(a - b for a, b in zip(lcm, ef)),
                 pow(cf, mod - 2, mod), mod)
     sg = _shift(g, klcm - kg, tuple(a - b for a, b in zip(lcm, eg)),
@@ -90,11 +126,13 @@ def exact_div(a, b):
     that the lead of b does not divide."""
     if b.is_zero:
         raise ZeroDivisionError("exact_div by zero polynomial")
-    mod = a.ring.p
-    dk, de, dc = b.terms[0]
+    ring = a.ring
+    mod = ring.p
+    bterms = _to_terms(b, ring.grevlex)
+    dk, de, dc = bterms[0]
     dinv = pow(dc, mod - 2, mod)
     q = []
-    rem = a.terms
+    rem = _to_terms(a, ring.grevlex)
     while rem:
         k, e, c = rem[0]
         if any(x < y for x, y in zip(e, de)):
@@ -102,5 +140,16 @@ def exact_div(a, b):
         qe = tuple(x - y for x, y in zip(e, de))
         qc = c * dinv % mod
         q.append((k - dk, qe, qc))
-        rem = _merge(rem, _shift(b.terms, k - dk, qe, -qc, mod), mod)
-    return Polynomial(a.ring, tuple(q))
+        rem = _merge(rem, _shift(bterms, k - dk, qe, -qc, mod), mod)
+    return _to_poly(ring, q)
+
+
+def dot(ring, products):
+    """Sum of c * a * b: b shifted by each term of a, merged one by one."""
+    mod = ring.p
+    terms = ()
+    for c, a, b in products:
+        bterms = _to_terms(b, ring.grevlex)
+        for k, e, co in _to_terms(a, ring.grevlex):
+            terms = _merge(terms, _shift(bterms, k, e, c * co, mod), mod)
+    return _to_poly(ring, terms)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from reesgcd import groebner
+from reesgcd import groebner, ideals
 from reesgcd import cli, pipeline
 from reesgcd.cli import main
 from reesgcd.pipeline import GOLDEN_MATRIX, VerificationReport
@@ -87,6 +87,18 @@ class TestParseFailures:
     def test_missing_key(self, tmp_path, capsys):
         assert main(["check",
                      write_instance(tmp_path, {"d": 4, "f": "x5"})]) == 1
+
+    @pytest.mark.parametrize("command", ["check", "run", "verify"])
+    def test_exponent_past_field_exits_5_before_any_groebner_run(
+            self, command, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a Groebner run started")
+        monkeypatch.setattr(groebner, "groebner_basis", no_run)
+        monkeypatch.setattr(ideals, "groebner_basis", no_run)
+        doc = dict(GOLDEN_DOC, f="x1^70000")
+        assert main([command, write_instance(tmp_path, doc)]) == 5
+        assert "exponent 70000 of x1 exceeds 32767" in \
+            capsys.readouterr().err
 
 
 class TestUsage:

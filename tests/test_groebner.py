@@ -117,7 +117,7 @@ class TestEliminationProperty:
         aux = R.aux_slot
         for g in gb:
             if g.lead_exp()[aux] == 0:
-                assert all(e[aux] == 0 for _, e, _ in g.terms)
+                assert all(e[aux] == 0 for e, _ in g.items())
         eliminated = [g for g in gb if g.lead_exp()[aux] == 0]
         assert [g for g in eliminated] == [R.x(2)]
 

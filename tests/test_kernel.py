@@ -1,15 +1,18 @@
-"""The heap-and-dict accumulator against the merge-based references.
+"""The heap-and-dict accumulator and the packed exponents against their
+references.
 
 Division (normal forms, S-polynomials, exact division) is compared with
 the routines in merge_reference; products and sums of products with a
 sum, merged term list by term list, of one factor shifted by each term of
-the other.
+the other.  The packed exponent operations (pack and unpack, mask
+divisibility, lcm, coprimality, order keys and overflow detection) are
+compared with their definitions on exponent tuples.
 """
 
 import pytest
 
-from reesgcd.groebner import normal_form, spolynomial
-from reesgcd.ring import Polynomial, PolyRing
+from reesgcd.groebner import _divides, normal_form, spolynomial
+from reesgcd.ring import EXP_MAX, ExponentOverflow, PolyRing, _lcm
 
 import merge_reference as ref
 
@@ -37,17 +40,6 @@ def nonzero_polys(ring):
 def operands(ring):
     # single-term factors take the shift fast path of Polynomial.__mul__
     return st.one_of(polys(ring), polys(ring, max_terms=1))
-
-
-def reference_dot(ring, products):
-    """Sum of c * a * b: b shifted by each term of a, merged one by one."""
-    mod = ring.p
-    terms = ()
-    for c, a, b in products:
-        for k, e, co in a.terms:
-            terms = ref._merge(terms, ref._shift(b.terms, k, e, c * co, mod),
-                               mod)
-    return Polynomial(ring, terms)
 
 
 @st.composite
@@ -133,11 +125,100 @@ class TestAgainstMergeReference:
     @given(operand_pairs())
     def test_product(self, pair):
         a, b = pair
-        assert a * b == reference_dot(a.ring, [(1, a, b)])
+        assert a * b == ref.dot(a.ring, [(1, a, b)])
 
     @settings(max_examples=150, deadline=None)
     @given(product_lists())
     def test_dot(self, problem):
         ring, products = problem
-        assert ring.dot(products) == reference_dot(ring, products)
+        assert ring.dot(products) == ref.dot(ring, products)
 
+
+
+# exponent layouts of every width the program uses, d=4 the paper's
+PACKED_RINGS = tuple(PolyRing.get(32003, d) for d in (1, 2, 4, 6))
+
+# small exponents and the ones at the top of the field
+field_values = st.one_of(st.integers(0, 3), st.integers(0, EXP_MAX),
+                         st.sampled_from((EXP_MAX - 1, EXP_MAX)))
+
+
+def exponent_tuples(ring):
+    return st.tuples(*[field_values] * ring.nvars)
+
+
+@st.composite
+def tuple_pairs(draw):
+    """(ring, a, b) with b a multiple of a about half of the time."""
+    ring = draw(st.sampled_from(PACKED_RINGS))
+    a = draw(exponent_tuples(ring))
+    b = draw(exponent_tuples(ring))
+    if draw(st.booleans()):
+        b = tuple(min(x + y, EXP_MAX) if x + y <= EXP_MAX else x
+                  for x, y in zip(a, b))
+    return ring, a, b
+
+
+def all_orders(ring):
+    return ((ring.grevlex, ring.elim_aux)
+            + tuple(ring.revlex_last(slot) for slot in range(ring.nvars)))
+
+
+class TestPackedExponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pack_unpack_round_trip(self, data):
+        ring = data.draw(st.sampled_from(PACKED_RINGS))
+        exp = data.draw(exponent_tuples(ring))
+        packed = ring.pack(exp)
+        assert ring.unpack(packed) == exp
+        assert not packed & ring.guard
+        assert ring.monomial(exp).lead_exp() == exp
+
+    @settings(max_examples=300, deadline=None)
+    @given(tuple_pairs())
+    def test_divides_lcm_and_coprime(self, problem):
+        ring, a, b = problem
+        pa, pb = ring.pack(a), ring.pack(b)
+        guard = ring.guard
+        assert _divides(pa, pb, guard) == all(
+            x <= y for x, y in zip(a, b))
+        lcm = _lcm(pa, pb, guard)
+        assert ring.unpack(lcm) == tuple(max(x, y) for x, y in zip(a, b))
+        assert lcm == _lcm(pb, pa, guard)
+        # the lcm is the sum exactly for coprime monomials
+        assert (lcm == pa + pb) == all(not (x and y) for x, y in zip(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_keys_are_the_weighted_sums(self, data):
+        ring = data.draw(st.sampled_from(PACKED_RINGS))
+        exp = data.draw(exponent_tuples(ring))
+        packed = ring.pack(exp)
+        for order in all_orders(ring):
+            assert order.key(packed) == ref.order_key(order, exp)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_overflow_detected_at_the_field_limit(self, data):
+        ring = data.draw(st.sampled_from(PACKED_RINGS))
+        slot = data.draw(st.integers(0, ring.nvars - 1))
+        a = data.draw(st.integers(1, EXP_MAX))
+        b = data.draw(st.sampled_from((EXP_MAX - a, EXP_MAX + 1 - a)))
+        rest = data.draw(st.tuples(*[st.integers(0, 3)] * ring.nvars))
+        fa = ring.monomial(rest[:slot] + (a,) + rest[slot + 1:])
+        fb = ring.monomial(ring._unit_exp(slot, b))
+        # the shift path of __mul__, then the accumulator of dot
+        products = (lambda: fa * fb, lambda: (fa + 1) * (fb + 1))
+        for product in products:
+            if a + b > EXP_MAX:
+                with pytest.raises(ExponentOverflow):
+                    product()
+            else:
+                assert product().lead_exp()[slot] == a + b
+        over = [0] * ring.nvars
+        over[slot] = EXP_MAX + 1
+        with pytest.raises(ExponentOverflow):
+            ring.pack(over)
+        with pytest.raises(ExponentOverflow):
+            ring.parse("%s^%d" % (ring.names[slot], EXP_MAX + 1))

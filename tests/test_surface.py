@@ -2,11 +2,15 @@
 
 perfbench/tracing.py wraps functions by module and attribute path; a name
 deleted or renamed in the program would only show up as every benchmark
-operation failing, so the names are resolved here.
+operation failing, so the names are resolved here.  The algebra modules
+also keep no mutable container at module or class level, where it would
+be shared by every caller in the process.
 """
 
 import importlib
 import importlib.util
+import inspect
+from collections.abc import MutableMapping, MutableSequence, MutableSet
 from pathlib import Path
 
 import reesgcd
@@ -48,3 +52,33 @@ def test_tracer_installs_and_removes_on_every_target():
         tracer.remove()
     assert not unwrapped
     assert all(resolve(*key) is fn for key, fn in originals.items())
+
+
+# PolyRing._cache, the one documented exception, holds the rings by (p, d);
+# perfbench/workloads.py empties it before every operation.
+SHARED_STATE_ALLOWED = {("reesgcd.ring", "PolyRing._cache")}
+
+
+def own_attributes(owner):
+    """Attributes the program defines: no dunders, and not the empty
+    _field_defaults map that namedtuple adds to its classes."""
+    for attr, value in vars(owner).items():
+        if not attr.startswith("__") and attr != "_field_defaults":
+            yield attr, value
+
+
+def test_no_module_level_mutable_containers():
+    mutable = (MutableMapping, MutableSequence, MutableSet, bytearray)
+    found = set()
+    for name in ("ring", "groebner", "ideals", "matrices", "pipeline"):
+        module = importlib.import_module("reesgcd." + name)
+        for attr, value in own_attributes(module):
+            if isinstance(value, mutable):
+                found.add((module.__name__, attr))
+            if (inspect.isclass(value)
+                    and value.__module__ == module.__name__):
+                for cattr, cvalue in own_attributes(value):
+                    if isinstance(cvalue, mutable):
+                        found.add((module.__name__,
+                                   "%s.%s" % (attr, cattr)))
+    assert found == SHARED_STATE_ALLOWED

@@ -11,7 +11,8 @@ canonical grammar (grevlex term order, explicit * and ^), so JSON
 output re-parses bit-exactly.
 
 Exit codes: 0 success, 1 usage or parse error, 2 hypothesis failure,
-3 verification failure, 4 Groebner budget exceeded, 5 an exponent past
+3 verification failure, 4 Groebner budget exceeded (stderr names the
+report section whose run hit the cap), 5 an exponent past
 ring.EXP_MAX = 32767, in the input or in any product formed on the way.
 """
 
@@ -101,17 +102,30 @@ def _print_trace(trace):
     print("candidate defining ideal: %d generators" % len(gens))
 
 
+def _in_section(key, check, *args):
+    """check(*args), with a budget overrun tagged by the section key."""
+    try:
+        return check(*args)
+    except BudgetExceeded as exc:
+        exc.section = key
+        raise
+
+
 def _full_verification(inst):
     """Hypotheses first; the remaining sections only when those pass."""
-    sections = {"hypotheses": check_hypotheses(inst)}
+    sections = {"hypotheses": _in_section("hypotheses", check_hypotheses,
+                                          inst)}
     trace = None
     if sections["hypotheses"].ok:
         trace = gcd_iterations(inst)
-        sections["main"] = verify_main_theorem(inst, trace)
-        sections["well_definedness"] = verify_well_definedness(inst,
-                                                               trace)
-        sections["minimality"] = minimality_and_invariants(trace)
-        sections["structural"] = optional_structural_checks(inst)
+        sections["main"] = _in_section("main", verify_main_theorem, inst,
+                                       trace)
+        sections["well_definedness"] = _in_section(
+            "well_definedness", verify_well_definedness, inst, trace)
+        sections["minimality"] = _in_section(
+            "minimality", minimality_and_invariants, trace)
+        sections["structural"] = _in_section(
+            "structural", optional_structural_checks, inst)
     return trace, sections
 
 
@@ -137,7 +151,7 @@ def _section_dicts(sections):
 
 def cmd_check(args):
     inst = _load_instance(args.file, args.prime)
-    report = check_hypotheses(inst)
+    report = _in_section("hypotheses", check_hypotheses, inst)
     if args.json:
         print(_dumps({"command": "check", "prime": inst.prime,
                       "instance": inst.to_dict(),
@@ -150,7 +164,7 @@ def cmd_check(args):
 
 def cmd_run(args):
     inst = _load_instance(args.file, args.prime)
-    hypotheses = check_hypotheses(inst)
+    hypotheses = _in_section("hypotheses", check_hypotheses, inst)
     if not hypotheses.ok:
         if args.json:
             print(_dumps({"command": "run", "prime": inst.prime,
@@ -245,8 +259,8 @@ def cmd_example(args):
 
 def cmd_random(args):
     prime = DEFAULT_PRIME if args.prime is None else args.prime
-    pairs = sample_random_instances(args.d, args.m, args.count,
-                                    prime, args.seed)
+    pairs = _in_section("hypotheses", sample_random_instances, args.d,
+                        args.m, args.count, prime, args.seed)
     results = []
     all_ok = True
     candidates = 0
@@ -379,7 +393,8 @@ def main(argv=None):
         print("iteration failure: %s" % exc, file=sys.stderr)
         return EXIT_VERIFICATION
     except BudgetExceeded as exc:
-        print("budget exceeded: %s" % exc, file=sys.stderr)
+        where = " in %s" % exc.section if exc.section else ""
+        print("budget exceeded%s: %s" % (where, exc), file=sys.stderr)
         return EXIT_BUDGET
     except ExponentOverflow as exc:
         print("exponent overflow: %s" % exc, file=sys.stderr)

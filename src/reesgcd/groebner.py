@@ -30,7 +30,13 @@ DEFAULT_MAX_DEGREE = 500
 
 
 class BudgetExceeded(RuntimeError):
-    """The basis size or degree cap was hit before completion."""
+    """The basis size or degree cap was hit before completion.
+
+    section names the report section whose run hit the cap, once a
+    caller that knows it has set it.
+    """
+
+    section = None
 
 
 def _divides(a, b, guard):
@@ -163,7 +169,8 @@ def _insert_sorted(basis, entry):
     basis.insert(lo, entry)
 
 
-def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
+def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
+                   known=0):
     """Reduced monic Groebner basis of the ideal generated by gens.
 
     The output is a tuple of Polynomials sorted by increasing lead
@@ -171,7 +178,20 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
     (1,) for the unit ideal.  Raises BudgetExceeded when the basis grows
     past max_basis elements or any basis element's total degree passes
     max_degree; its message names the cap and the term order of the run.
+
+    known is the caller's claim that the first known gens form a reduced
+    Groebner basis under order.  The S-polynomial of two of them then has
+    a standard representation over them, which is all Buchberger's
+    criterion asks of a pair (Becker & Weispfenning, Groebner Bases, GTM
+    141, ch. 5), so their pairs still take part in the Gebauer-Moeller
+    pruning but are never reduced.  The claim is checked as far as it
+    is cheap: the first known gens must be nonzero and admitted
+    unchanged, each fully reduced against the ones before it; otherwise
+    every pair is reduced as usual.
     """
+    gens = list(gens)
+    if known > len(gens) or not all(gens[:known]):
+        known = 0
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return ()
@@ -202,8 +222,11 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
         _insert_sorted(red, entries[-1])
         return _update_pairs(pairs, lead, len(G) - 1, keyf, guard)
 
-    for f in gens:
-        h = _reduce_terms(_to_terms(f, order), red, mod, guard)
+    for pos, f in enumerate(gens):
+        terms = _to_terms(f, order)
+        h = _reduce_terms(terms, red, mod, guard)
+        if pos < known and h != terms:
+            known = 0
         if h:
             pairs = admit(h)
 
@@ -216,6 +239,8 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None):
                 best = pos
                 bk = cand
         _, _, i, j = pairs.pop(best)
+        if j < known:
+            continue
         h = _reduce_terms((), red, mod, guard,
                           _spair_tails(entries[i], entries[j], keyf, guard))
         if h:

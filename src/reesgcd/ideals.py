@@ -18,6 +18,19 @@ variable t is eliminated from t*I + (1-t)*J, and the output arrives as a
 reduced grevlex basis of the intersection, so downstream membership tests
 reuse it without recomputation.
 
+Nothing derived from an ideal is computed twice while the ideal lives.
+An ideal keeps one quotient Ideal per distinct quotient list, so a colon
+and a saturation by x whose quotients agree are the same object, and it
+keeps its intersection with each generator tuple.  Hence, when the
+first colon step by every x_i equals the saturation by it, that step's
+fold of intersections is the saturation's fold, run once.  An
+intersection whose first argument is given by its reduced grevlex basis
+(every intersection is) passes known to its elimination run: on the
+monomials t*u with u t-free the elimination order is grevlex, so t*I is
+a reduced basis there as well, and the S-pairs inside it are not
+reduced (the known-basis criterion of groebner.groebner_basis).  The
+memos live on the Ideal objects of one verification, not in the module.
+
 Krull dimension is the maximal number of variables supporting no lead
 monomial of the ideal, found by exhaustive search over variable subsets;
 with at most 2(d+1)+1 variables that search is exact and cheap.
@@ -36,10 +49,13 @@ class Ideal:
 
     Membership tests run under grevlex; gb, if given, is the reduced
     grevlex basis.  Bases under other orders are computed on request and
-    kept, one per order, for the life of the ideal.
+    kept, one per order, for the life of the ideal.  So are the ideals
+    derived from it: the quotient ideal of each quotient list that
+    _divide_out forms from its bases, and its intersection with each
+    generator tuple it has been intersected with.
     """
 
-    __slots__ = ("ring", "gens", "_bases")
+    __slots__ = ("ring", "gens", "_bases", "_quotients", "_intersections")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -50,6 +66,8 @@ class Ideal:
                 seen[g] = None
         self.gens = tuple(seen)
         self._bases = {} if gb is None else {ring.grevlex: gb}
+        self._quotients = {}
+        self._intersections = {}
 
     def groebner(self, order=None):
         """Reduced basis under order (default: grevlex)."""
@@ -88,16 +106,17 @@ def _check_aux_free(ideal):
                 "ideal operations need t-free input ideals")
 
 
-def _eliminate_aux(ring, gens, tag):
+def _eliminate_aux(ring, gens, tag, known=0):
     """Reduced grevlex basis of (gens) intersected with the t-free subring.
 
     The elimination order puts every monomial with t above every t-free
     one, so an element survives exactly when it is t-free, and the
     survivors lead the basis, which is sorted by increasing lead.  On
     t-free monomials the elimination order restricts to grevlex, which
-    makes the surviving subset a reduced grevlex basis.
+    makes the surviving subset a reduced grevlex basis.  known is passed
+    on to groebner_basis: the first known gens form a reduced basis.
     """
-    gb = groebner_basis(gens, ring.elim_aux)
+    gb = groebner_basis(gens, ring.elim_aux, known=known)
     aux = ring.aux_slot
     kept = tuple(g for g in gb if aux not in g.support())
     if gb[:len(kept)] != kept:
@@ -106,17 +125,31 @@ def _eliminate_aux(ring, gens, tag):
 
 
 def intersect(a, b):
-    """a ∩ b via elimination of t from t*a + (1-t)*b."""
+    """a ∩ b via elimination of t from t*a + (1-t)*b, kept on a by the
+    generators of b.
+
+    When a's generators are its reduced grevlex basis, as they are for
+    every intersection, the elimination run is told so: the elimination
+    order agrees with grevlex on the monomials t*u with u t-free, so t*a
+    is a reduced basis too and its pairs need no reduction.
+    """
     _check_aux_free(a)
     _check_aux_free(b)
+    found = a._intersections.get(b.gens)
+    if found is not None:
+        return found
     ring = a.ring
     if a.is_zero or b.is_zero:
-        return Ideal(ring, ())
-    t = ring.aux
-    one_minus_t = ring.one - t
-    gens = [t * g for g in a.gens] + [one_minus_t * h for h in b.gens]
-    kept = _eliminate_aux(ring, gens, "intersection")
-    return Ideal(ring, kept, gb=kept)
+        found = Ideal(ring, ())
+    else:
+        t = ring.aux
+        one_minus_t = ring.one - t
+        gens = [t * g for g in a.gens] + [one_minus_t * h for h in b.gens]
+        known = len(a.gens) if a._bases.get(ring.grevlex) == a.gens else 0
+        kept = _eliminate_aux(ring, gens, "intersection", known)
+        found = Ideal(ring, kept, gb=kept)
+    a._intersections[b.gens] = found
+    return found
 
 
 def _bayer_slot(a, f):
@@ -143,7 +176,7 @@ def _bayer_slot(a, f):
 def _divide_out(a, slot, whole_power):
     """Basis of a under the order with slot last, each element divided by
     its full power of that variable (whole_power) or by the variable once
-    where it divides."""
+    where it divides; one Ideal per distinct quotient list, kept on a."""
     ring = a.ring
     x = ring.variable(slot)
     quots = []
@@ -152,7 +185,11 @@ def _divide_out(a, slot, whole_power):
         if v > 1 and not whole_power:
             v = 1
         quots.append(g.exact_div(x ** v) if v else g)
-    return Ideal(ring, quots)
+    quots = tuple(quots)
+    found = a._quotients.get(quots)
+    if found is None:
+        found = a._quotients[quots] = Ideal(ring, quots)
+    return found
 
 
 def colon(a, f):

@@ -212,6 +212,27 @@ class TestVerify:
         assert main(["verify", golden_file, "--max-gb-size", "3"]) == 4
         assert "budget exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, cap, section, order", [
+        ("verify", 32, "main", "elim-aux"),
+        ("run", 3, "hypotheses", "grevlex"),
+        ("check", 3, "hypotheses", "grevlex"),
+        ("random", 3, "hypotheses", "grevlex"),
+    ])
+    def test_budget_names_the_section(self, command, cap, section, order,
+                                      golden_file, capsys):
+        target = ["-m", "1"] if command == "random" else [golden_file]
+        assert main([command, *target, "--json", "--max-gb-size",
+                     str(cap)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("budget exceeded in %s: basis size cap %d "
+                       "exceeded (%s)\n" % (section, cap, order))
+
+    def test_golden_verify_fits_a_cap_of_33(self, golden_file, capsys):
+        assert main(["verify", golden_file, "--json", "--max-gb-size",
+                     "33"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     def test_budget_covers_one_command_only(self, golden_file, capsys):
         cap = groebner.DEFAULT_MAX_BASIS
         assert main(["check", golden_file, "--max-gb-size", "3"]) == 4

@@ -82,7 +82,7 @@ def test_perturbed_max_gcd_fails_like_reference(step, monkeypatch):
     second = gcd_iterations(inst, rule="max")
     perturbed = with_step_gcd(second, step, second.gcds[step - 1] + form)
 
-    def iterations(inst, rule="min"):
+    def iterations(inst, rule="min", prior=None):
         return perturbed if rule == "max" else gcd_iterations(inst, rule)
 
     monkeypatch.setattr(pipeline, "gcd_iterations", iterations)
@@ -133,3 +133,42 @@ def test_recheck_makes_one_groebner_run(groebner_runs):
     assert minimality_and_invariants(trace).ok
     # the base ideal's grevlex basis, shared by both reports
     assert groebner_runs == [inst.ring.grevlex]
+
+
+@pytest.fixture
+def dual_work(monkeypatch):
+    """Counts the rule-independent work of a gcd run: det(B) and the
+    d x d minors of B."""
+    calls = []
+    for name in ("det", "deletion_minors"):
+        original = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["golden", (3, 1)], ids=str)
+def test_rerun_takes_the_dual_minors_from_the_trace(case, dual_work):
+    inst = instance(case)
+    trace = gcd_iterations(inst)
+    assert dual_work == ["det", "deletion_minors"]
+    rerun = gcd_iterations(inst, rule="max", prior=trace)
+    assert dual_work == ["det", "deletion_minors"]
+    assert rerun.gcds == gcd_iterations(inst, rule="max").gcds
+    del dual_work[:]
+    verify_well_definedness(inst, trace)
+    assert dual_work == []
+
+
+def test_rebuilt_trace_recomputes_the_dual_minors(dual_work):
+    inst = instance((3, 1))
+    trace = gcd_iterations(inst)
+    rebuilt = IterationTrace(inst, trace.dual, trace.bilinear, trace.steps)
+    del dual_work[:]
+    assert outcomes(verify_well_definedness(inst, rebuilt)) == \
+        outcomes(verify_well_definedness(inst, trace))
+    assert dual_work == ["det", "deletion_minors"]

@@ -5,7 +5,9 @@ selection); every S-polynomial is fully reduced against the current
 basis; the returned basis is reduced, monic, and sorted by increasing
 lead monomial, hence unique for the ideal and the order.  A configurable
 budget on basis size and degree turns runaway computations into a hard
-BudgetExceeded error instead of an apparent hang.
+BudgetExceeded error instead of an apparent hang.  For input bihomogeneous
+in (x, T) a run can stop at a bidegree box: it then keeps only the pairs
+whose lcm lies inside, enough for normal forms of bidegree inside the box.
 
 All reduction runs on the heap-and-dict accumulator of the ring module
 (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -111,10 +113,11 @@ def _spair_tails(f, g, keyf, guard):
             (tailg, klcm - kg, lcm - eg, -invg))
 
 
-def _update_pairs(pairs, lead, new, keyf, guard):
+def _update_pairs(pairs, lead, new, keyf, guard, inside=None):
     """Gebauer-Moeller update of the pair set after appending element new.
 
-    A pair's leads are coprime exactly when their lcm is their sum.
+    A pair's leads are coprime exactly when their lcm is their sum.  A
+    fresh pair whose lcm fails inside, when given, is dropped.
     """
     lm_new = lead[new]
     cand = [(_lcm(lead[i], lm_new, guard), i) for i in range(new)]
@@ -137,7 +140,8 @@ def _update_pairs(pairs, lead, new, keyf, guard):
                     break
         if not dominated:
             kept_new.append((l1, i1))
-    fresh = [(l, i) for l, i in kept_new if l != lead[i] + lm_new]
+    fresh = [(l, i) for l, i in kept_new if l != lead[i] + lm_new
+             and (inside is None or inside(l))]
     out = []
     for lk, l, i, j in pairs:
         if ((l - lm_new) & guard or _lcm(lead[i], lm_new, guard) == l
@@ -146,6 +150,18 @@ def _update_pairs(pairs, lead, new, keyf, guard):
     for l, i in fresh:
         out.append((keyf(l), l, i, new))
     return out
+
+
+def _inside_box(ring, box):
+    """Predicate on packed exponents: the bidegree (x-degree, T-degree)
+    lies componentwise within box; t has bidegree (0, 0)."""
+    x_max, t_max = box
+    n, unpack = ring.n, ring.unpack
+
+    def inside(exp):
+        fields = unpack(exp)
+        return sum(fields[:n]) <= x_max and sum(fields[n:2 * n]) <= t_max
+    return inside
 
 
 def _max_degree(terms, unpack):
@@ -170,7 +186,7 @@ def _insert_sorted(basis, entry):
 
 
 def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
-                   known=0):
+                   known=0, within=None):
     """Reduced monic Groebner basis of the ideal generated by gens.
 
     The output is a tuple of Polynomials sorted by increasing lead
@@ -188,6 +204,17 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     is cheap: the first known gens must be nonzero and admitted
     unchanged, each fully reduced against the ones before it; otherwise
     every pair is reduced as usual.
+
+    within = (x_max, T_max) truncates the run at that bidegree box, for
+    gens bihomogeneous in (x, T) (t has bidegree (0, 0)); a generator
+    that is not raises ValueError.  Generators outside the box are
+    dropped, and so is every S-pair whose lcm lies outside it.  S-pairs
+    and reductions of bihomogeneous elements stay bihomogeneous and
+    reduce only against elements of componentwise smaller bidegree, so
+    the result is the reduced basis's elements inside the box, and
+    normal forms on it are exact for every polynomial of bidegree in
+    the box (degree-truncated Buchberger).  The known claim stands only
+    if no prefix generator is dropped.  The budget caps apply as before.
     """
     gens = list(gens)
     if known > len(gens) or not all(gens[:known]):
@@ -196,6 +223,17 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     if not gens:
         return ()
     ring = gens[0].ring
+    inside = None
+    if within is not None:
+        inside = _inside_box(ring, within)
+        if any(g.bidegree() is None for g in gens):
+            raise ValueError("a truncated run needs bihomogeneous input")
+        kept = [inside(g.terms[0][1]) for g in gens]
+        if not all(kept[:known]):
+            known = 0
+        gens = [g for g, keep in zip(gens, kept) if keep]
+        if not gens:
+            return ()
     order = order or ring.grevlex
     mod, guard = ring.p, ring.guard
     keyf = order.key
@@ -220,7 +258,7 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
         entries.append(_basis_entry(terms, mod))
         lead.append(terms[0][1])
         _insert_sorted(red, entries[-1])
-        return _update_pairs(pairs, lead, len(G) - 1, keyf, guard)
+        return _update_pairs(pairs, lead, len(G) - 1, keyf, guard, inside)
 
     for pos, f in enumerate(gens):
         terms = _to_terms(f, order)

@@ -31,6 +31,14 @@ a reduced basis there as well, and the S-pairs inside it are not
 reduced (the known-basis criterion of groebner.groebner_basis).  The
 memos live on the Ideal objects of one verification, not in the module.
 
+Membership is decided on a grevlex basis.  The ideals of the problem are
+bihomogeneous in (x, T), and for such an ideal and bihomogeneous queries
+a basis truncated at the box of the queries' bidegrees gives the same
+normal forms as the full one (groebner.groebner_basis, within): an Ideal
+keeps one such basis, with its box, until its full basis is computed.
+A generator or query that is not bihomogeneous, or holds t, takes the
+full basis, so the grading never decides soundness.
+
 Krull dimension is the maximal number of variables supporting no lead
 monomial of the ideal, found by exhaustive search over variable subsets;
 with at most 2(d+1)+1 variables that search is exact and cheap.
@@ -53,9 +61,14 @@ class Ideal:
     derived from it: the quotient ideal of each quotient list that
     _divide_out forms from its bases, and its intersection with each
     generator tuple it has been intersected with.
+
+    Beside them it keeps one grevlex basis truncated at a bidegree box,
+    with the box (see basis_for): the membership basis of a bigraded
+    ideal whose full basis nobody has asked for.
     """
 
-    __slots__ = ("ring", "gens", "_bases", "_quotients", "_intersections")
+    __slots__ = ("ring", "gens", "_bases", "_quotients", "_intersections",
+                 "_truncated")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -68,6 +81,7 @@ class Ideal:
         self._bases = {} if gb is None else {ring.grevlex: gb}
         self._quotients = {}
         self._intersections = {}
+        self._truncated = None
 
     def groebner(self, order=None):
         """Reduced basis under order (default: grevlex)."""
@@ -82,12 +96,43 @@ class Ideal:
     def is_zero(self):
         return not self.gens
 
+    def basis_for(self, polys):
+        """A grevlex basis giving the normal form modulo self of every
+        polynomial in polys.
+
+        The cached full basis when there is one.  Otherwise, when every
+        generator and every nonzero query is bihomogeneous and t-free,
+        the basis truncated at the box of the queries' bidegrees: the
+        kept one if its box covers them, else a new run over the join of
+        both boxes, which replaces it.  Anything else takes groebner(),
+        so soundness never rests on the grading.
+        """
+        gb = self._bases.get(self.ring.grevlex)
+        if gb is not None:
+            return gb
+        box = _bigraded_box(polys)
+        if box is None or (self._truncated is None
+                           and _bigraded_box(self.gens) is None):
+            return self.groebner()
+        if self._truncated is not None:
+            have, basis = self._truncated
+            if box[0] <= have[0] and box[1] <= have[1]:
+                return basis
+            box = (max(box[0], have[0]), max(box[1], have[1]))
+        basis = groebner_basis(self.gens, self.ring.grevlex, within=box)
+        self._truncated = (box, basis)
+        return basis
+
     def contains(self, poly):
         if poly.is_zero:
             return True
-        return normal_form(poly, self.groebner()).is_zero
+        return normal_form(poly, self.basis_for((poly,))).is_zero
 
     def contains_ideal(self, other):
+        """Membership of every generator of other, on one basis sized
+        for all of them."""
+        if other.gens:
+            self.basis_for(other.gens)
         return all(self.contains(g) for g in other.gens)
 
     def equals(self, other):
@@ -96,6 +141,21 @@ class Ideal:
 
     def __repr__(self):
         return "Ideal(%d gens over %r)" % (len(self.gens), self.ring)
+
+
+def _bigraded_box(polys):
+    """The componentwise largest bidegree of the nonzero polys, or None
+    unless there is one and every one is t-free and bihomogeneous."""
+    box = None
+    for g in polys:
+        if g.is_zero:
+            continue
+        bd = g.bidegree()
+        if bd is None or g.ring.aux_slot in g.support():
+            return None
+        box = bd if box is None else (max(box[0], bd[0]),
+                                      max(box[1], bd[1]))
+    return box
 
 
 def _check_aux_free(ideal):

@@ -605,19 +605,24 @@ def verify_well_definedness(inst, trace=None):
     (m-i, i(d-1)), whose x-degree is below that of the equation and of
     every earlier gcd, so in that bidegree B_{i-1} agrees with B_0 and
     B_i is B_0 plus the multiples of g, and B_i = B'_i puts g' - c*g in
-    B_0.  Any other step falls back to comparing the two partial ideals,
-    each on a Groebner basis of its own.
+    B_0.  The normal forms are taken on one basis of B_0, truncated at
+    the box of the bidegrees of all gcds of both traces, which the
+    minimality check reuses.  Any other step falls back to comparing the
+    two partial ideals, each on a Groebner basis of its own.
     """
     first = trace if trace is not None else gcd_iterations(inst, "min")
     second = gcd_iterations(inst, rule="max", prior=first)
     rep = VerificationReport()
+    base = first.base_ideal
+    basis = None
     # B_{i-1} = B'_{i-1} is proven; at i = 1 by equal generators
-    agreed = first.base_ideal.gens == second.base_ideal.gens
+    agreed = base.gens == second.base_ideal.gens
     for i in range(1, inst.degree + 1):
         g, h = first.gcds[i - 1], second.gcds[i - 1]
         same = g == h
-        equal = same or (agreed and _agree_up_to_scalar(
-            g, h, first.base_ideal.groebner()))
+        if not same and agreed and basis is None:
+            basis = base.basis_for(first.gcds + second.gcds)
+        equal = same or (agreed and _agree_up_to_scalar(g, h, basis))
         witness = ""
         if not equal:
             left, right = first.partial_ideal(i), second.partial_ideal(i)
@@ -646,7 +651,9 @@ def _trace_redundancies(trace):
     and strictly smaller T-degree than the later ones, so only the
     bilinear forms remain, and membership there is one normal form
     against the base ideal, whose every generator beyond them is again
-    ruled out by bidegree.
+    ruled out by bidegree.  The base ideal's basis is sized once for all
+    intermediate gcds, truncated at their bidegree box; after
+    verify_well_definedness the basis it left covers them already.
     """
     ring = trace.ring
     inst = trace.instance
@@ -666,6 +673,8 @@ def _trace_redundancies(trace):
             redundant.add(i)
 
     base = trace.base_ideal
+    if any(trace.gcds[:-1]):
+        base.basis_for(trace.gcds[:-1])
     for i, g in enumerate(trace.gcds[:-1], 1):
         if not g.is_zero and base.contains(g):
             redundant.add(len(bilinear) + 1 + i - 1)
@@ -729,6 +738,7 @@ def minimality_and_invariants(trace):
         if stray:
             xs = [ring.x(i) for i in range(1, d + 2)]
             with_last = Ideal(ring, xs + [last])
+            with_last.basis_for(stray)
             stray = [g for g in stray if not with_last.contains(g)]
         fiber_ok = not stray
         witness = "" if fiber_ok else \
@@ -863,15 +873,11 @@ def optional_structural_checks(inst):
     last_var = ring.x(d + 1)
     target = Ideal(ring, [last_var] + list(_column_forms(full_dual)))
     combined = list(reduced_forms) + [reduced_gcd, last_var]
-    bad = None
-    for i in range(1, d + 2):
-        xi = ring.x(i)
-        for g in combined:
-            if not target.contains(xi * g):
-                bad = (i, g)
-                break
-        if bad:
-            break
+    products = [(i, g, ring.x(i) * g)
+                for i in range(1, d + 2) for g in combined]
+    target.basis_for([p for _, _, p in products])
+    bad = next(((i, g) for i, g, p in products if not target.contains(p)),
+               None)
     rep.add("product-containment", claim_c, _status(bad is None),
             "fails for x%d times %s" % (bad[0], bad[1]) if bad else "",
             {"attempt": attempt})

@@ -126,9 +126,11 @@ def test_pure_t_term_outside_fails_with_witness():
         "not in the variables plus the fiber equation: %s" % form
 
 
-def test_recheck_makes_one_groebner_run(groebner_runs):
+def test_recheck_makes_one_groebner_run(request):
     inst = instance((3, 1))
     trace = gcd_iterations(inst)
+    # counting starts once the instance and its hypothesis checks are done
+    groebner_runs = request.getfixturevalue("groebner_runs")
     assert verify_well_definedness(inst, trace).ok
     assert minimality_and_invariants(trace).ok
     # the base ideal's grevlex basis, shared by both reports

@@ -1,0 +1,232 @@
+"""Membership by bidegree: Groebner runs truncated at a bidegree box.
+
+For bihomogeneous generators, groebner_basis(..., within=box) must be the
+full reduced basis restricted to the box, string for string, and give the
+same normal forms on every bihomogeneous polynomial inside the box.
+Ideal.basis_for takes that route only for bihomogeneous, t-free
+generators and queries.  The property tests draw bigraded ideals of the
+d=1 and d=2 rings at p=7 and p=32003.
+"""
+
+import pytest
+
+from reesgcd import groebner
+from reesgcd.groebner import BudgetExceeded, groebner_basis, normal_form
+from reesgcd.ideals import Ideal
+from reesgcd.pipeline import (
+    gcd_iterations,
+    random_instance,
+    verify_well_definedness,
+)
+from reesgcd.ring import PolyRing
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given = hypothesis.given
+settings = hypothesis.settings
+
+RINGS = tuple(PolyRing.get(p, d) for p in (7, 32003) for d in (1, 2))
+
+
+def bihomogeneous_polys(ring, x_deg, t_deg):
+    """Nonzero t-free polynomials of bidegree (x_deg, t_deg)."""
+
+    def exponent(parts):
+        xs, ts = parts
+        exp = [0] * ring.nvars
+        for slot in xs + ts:
+            exp[slot] += 1
+        return tuple(exp)
+
+    monomials = st.tuples(
+        st.lists(st.sampled_from(ring.x_slots), min_size=x_deg,
+                 max_size=x_deg),
+        st.lists(st.sampled_from(ring.t_slots), min_size=t_deg,
+                 max_size=t_deg)).map(exponent)
+    coeffs = st.integers(1, ring.p - 1)
+    return st.dictionaries(monomials, coeffs, min_size=1,
+                           max_size=4).map(ring.from_dict).filter(bool)
+
+
+def bidegrees(top=2):
+    return st.tuples(st.integers(0, top), st.integers(0, top)).filter(any)
+
+
+def bigraded_lists(ring, max_size=4):
+    return st.lists(bidegrees().flatmap(
+        lambda bd: bihomogeneous_polys(ring, *bd)),
+        min_size=1, max_size=max_size)
+
+
+@st.composite
+def problems(draw):
+    """A bigraded generator list, a box and a query inside the box."""
+    ring = draw(st.sampled_from(RINGS))
+    gens = draw(bigraded_lists(ring))
+    box = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    query = draw(st.tuples(st.integers(0, box[0]), st.integers(0, box[1]))
+                 .filter(any).flatmap(
+                     lambda bd: bihomogeneous_polys(ring, *bd))) \
+        if any(box) else ring.one
+    return ring, gens, box, query
+
+
+def in_box(g, box):
+    bd = g.bidegree()
+    return bd[0] <= box[0] and bd[1] <= box[1]
+
+
+def strings(basis):
+    return [str(g) for g in basis]
+
+
+class TestWithin:
+    @settings(max_examples=80, deadline=None)
+    @given(problems())
+    def test_is_full_basis_restricted_to_box(self, problem):
+        _, gens, box, _ = problem
+        full = groebner_basis(gens)
+        assert strings(groebner_basis(gens, within=box)) == \
+            strings(g for g in full if in_box(g, box))
+
+    @settings(max_examples=80, deadline=None)
+    @given(problems())
+    def test_normal_forms_agree_inside_box(self, problem):
+        ring, gens, box, query = problem
+        truncated = groebner_basis(gens, within=box)
+        full = groebner_basis(gens)
+        assert normal_form(query, truncated) == normal_form(query, full)
+        ideal = Ideal(ring, gens)
+        assert ideal.contains(query) == normal_form(query, full).is_zero
+        assert ring.grevlex not in ideal._bases
+
+    def test_rejects_input_that_is_not_bihomogeneous(self):
+        ring = RINGS[0]
+        with pytest.raises(ValueError):
+            groebner_basis([ring.parse("x1*T1 + x2")], within=(2, 2))
+
+    def test_nothing_inside_the_box(self):
+        ring = RINGS[0]
+        assert groebner_basis([ring.parse("x1^2*T1")], within=(1, 1)) == ()
+
+
+class TestFallback:
+    """Anything not bigraded and t-free is answered on the full basis."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problems(), st.integers(0, 3))
+    def test_generator_not_bihomogeneous(self, problem, which):
+        ring, gens, _, query = problem
+        gens = list(gens)
+        gens[which % len(gens)] += ring.x(1) ** 4
+        self._assert_full(Ideal(ring, gens), query)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problems())
+    def test_query_not_bihomogeneous(self, problem):
+        ring, gens, _, query = problem
+        self._assert_full(Ideal(ring, gens), query + ring.T(1) ** 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problems())
+    def test_t_in_query(self, problem):
+        ring, gens, _, query = problem
+        self._assert_full(Ideal(ring, gens), query * ring.aux)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problems())
+    def test_t_in_generator(self, problem):
+        ring, gens, _, query = problem
+        self._assert_full(Ideal(ring, list(gens) + [ring.aux * gens[0]]),
+                          query)
+
+    @staticmethod
+    def _assert_full(ideal, query):
+        full = groebner_basis(ideal.gens)
+        assert ideal.basis_for([query]) == full
+        assert ideal._bases[ideal.ring.grevlex] == full
+        assert ideal._truncated is None
+        assert ideal.contains(query) == normal_form(query, full).is_zero
+
+
+class TestIdealBox:
+    def test_box_grows_to_the_join_and_full_basis_wins(self):
+        ring = RINGS[1]
+        ideal = Ideal(ring, [ring.parse("x1*T1 - x2*T2"),
+                             ring.parse("x1*T2"), ring.parse("x2^3")])
+        first = ideal.basis_for([ring.parse("x1*T1^2")])
+        assert ideal._truncated == ((1, 2), first)
+        assert ideal.basis_for([ring.parse("x2*T2")]) is first
+        joined = ideal.basis_for([ring.parse("x1^2*T1")])
+        assert ideal._truncated == ((2, 2), joined)
+        full = ideal.groebner()
+        assert ideal.basis_for([ring.parse("x1*T1")]) is full
+
+    def test_contains_ideal_sizes_the_box_once(self, monkeypatch):
+        ring = RINGS[1]
+        ideal = Ideal(ring, [ring.parse("x1*T1 - x2*T2"),
+                             ring.parse("x1*T2")])
+        other = Ideal(ring, [ring.parse("x2*T2^2"), ring.parse("x1^2*T1"),
+                             ring.parse("x2^2")])
+        runs = []
+        original = groebner.groebner_basis
+
+        def counted(gens, order=None, *args, **kwargs):
+            runs.append(kwargs.get("within"))
+            return original(gens, order, *args, **kwargs)
+
+        monkeypatch.setattr("reesgcd.ideals.groebner_basis", counted)
+        assert not ideal.contains_ideal(other)
+        assert runs == [(2, 2)]
+
+
+class TestKnownWithin:
+    @settings(max_examples=60, deadline=None)
+    @given(problems(), st.data())
+    def test_reduced_prefix(self, problem, data):
+        ring, gens, box, _ = problem
+        prefix = list(groebner_basis(gens))
+        gens = prefix + data.draw(bigraded_lists(ring, 2))
+        assert groebner_basis(gens, known=len(prefix), within=box) == \
+            groebner_basis(gens, within=box)
+
+    def test_claim_honoured_when_nothing_is_dropped(self):
+        """An interreduced prefix that is no Groebner basis: the skipped
+        pair shows that the claim was taken."""
+        ring = RINGS[0]
+        prefix = [ring.parse("x1*T1 + x2*T2"), ring.parse("x1*T2")]
+        true = groebner_basis(prefix, within=(1, 2))
+        assert ring.parse("x2*T2^2") in true
+        trusted = groebner_basis(prefix, known=2, within=(1, 2))
+        assert trusted != true
+
+    def test_claim_dropped_when_a_prefix_generator_is(self):
+        ring = RINGS[0]
+        prefix = [ring.parse("x1*T1 + x2*T2"), ring.parse("x1*T2"),
+                  ring.parse("x2^3")]
+        assert groebner_basis(prefix, known=3, within=(1, 2)) == \
+            groebner_basis(prefix[:2], within=(1, 2))
+
+
+class TestGeneratorOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(problems(), st.data())
+    def test_output_does_not_depend_on_order(self, problem, data):
+        _, gens, box, _ = problem
+        shuffled = data.draw(st.permutations(gens))
+        assert groebner_basis(shuffled) == groebner_basis(gens)
+        assert groebner_basis(shuffled, within=box) == \
+            groebner_basis(gens, within=box)
+
+
+def test_truncated_membership_obeys_the_basis_cap(monkeypatch):
+    """On random d=4, m=3, k=1 two steps' gcds differ between the rules,
+    so the check needs the base ideal's basis truncated at (2, 9): 11
+    elements, 21 in the full basis."""
+    inst = random_instance(4, 3, seed=1)
+    trace = gcd_iterations(inst)
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", 10)
+    with pytest.raises(BudgetExceeded, match=r"cap 10 .*\(grevlex\)"):
+        verify_well_definedness(inst, trace)
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", 11)
+    assert verify_well_definedness(inst, gcd_iterations(inst)).ok

@@ -373,15 +373,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "random" and args.count < 1:
         parser.error("count must be positive")
-    second = getattr(args, "second_prime", None)
-    if second is not None and not is_prime(second):
-        parser.error("--second-prime %d is not prime" % second)
     saved_cap = groebner.DEFAULT_MAX_BASIS
-    if args.max_gb_size is not None:
-        if args.max_gb_size < 1:
-            parser.error("--max-gb-size must be positive")
-        groebner.DEFAULT_MAX_BASIS = args.max_gb_size
     try:
+        # inside the try: is_prime raises ValueError past its exact bound
+        second = getattr(args, "second_prime", None)
+        if second is not None and not is_prime(second):
+            parser.error("--second-prime %d is not prime" % second)
+        if args.max_gb_size is not None:
+            if args.max_gb_size < 1:
+                parser.error("--max-gb-size must be positive")
+            groebner.DEFAULT_MAX_BASIS = args.max_gb_size
         return args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

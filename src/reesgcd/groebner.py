@@ -156,11 +156,11 @@ def _inside_box(ring, box):
     """Predicate on packed exponents: the bidegree (x-degree, T-degree)
     lies componentwise within box; t has bidegree (0, 0)."""
     x_max, t_max = box
-    n, unpack = ring.n, ring.unpack
+    read = ring.bidegree_of
 
     def inside(exp):
-        fields = unpack(exp)
-        return sum(fields[:n]) <= x_max and sum(fields[n:2 * n]) <= t_max
+        x, t = read(exp)
+        return x <= x_max and t <= t_max
     return inside
 
 

@@ -216,19 +216,17 @@ def _bayer_slot(a, f):
     """Slot of the variable f, when Bayer's route applies to a : f.
 
     f must be a nonzero scalar times a variable other than t and every
-    generator of a homogeneous in total degree; otherwise ValueError.
-    Terms are sorted by a graded order, so a polynomial is homogeneous
-    exactly when its first and last terms share a degree.
+    generator of the t-free ideal a homogeneous in total degree;
+    otherwise ValueError.
     """
     exp = f.lead_exp()
-    if len(f.terms) != 1 or sum(exp) != 1:
+    if len(f) != 1 or sum(exp) != 1:
         raise ValueError("divisor must be a single variable, got %s" % f)
     slot = exp.index(1)
     if slot == a.ring.aux_slot:
         raise ValueError("divisor must not be the helper variable t")
-    unpack = a.ring.unpack
     for g in a.gens:
-        if sum(unpack(g.terms[0][1])) != sum(unpack(g.terms[-1][1])):
+        if not g.is_homogeneous():
             raise ValueError("ideal is not homogeneous: %s" % g)
     return slot
 

@@ -101,8 +101,9 @@ def det(m):
 
     Row swaps repair zero pivots; a pivot column with no nonzero entry
     certifies a singular matrix, so the answer is 0 with no further
-    elimination.  Every interior division is exact.  The empty 0x0 matrix
-    has determinant 1.
+    elimination.  Each step's a*pivot - b*c is one PolyRing.dot call, and
+    every interior division is exact.  The empty 0x0 matrix has
+    determinant 1.
 
     The pipeline takes its minors from the Laplace kernel in minors();
     this is the independent second route that rechecks them.
@@ -130,7 +131,8 @@ def det(m):
         pivot = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = a[i][j] * pivot - a[i][k] * a[k][j]
+                num = ring.dot(((1, a[i][j], pivot),
+                                (-1, a[i][k], a[k][j])))
                 q = num.exact_div(prev)
                 if q is None:
                     raise ArithmeticError("inexact division in elimination")
@@ -259,18 +261,11 @@ def jacobian_dual(alt):
         raise ValueError("expected a %dx%d matrix" % (n, n))
     if not has_linear_x_entries(alt):
         raise ValueError("entries must be linear forms in x1..x%d" % n)
-    cols = [[dict() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        t_exp = ring.T(i + 1).lead_exp()
-        for j in range(n):
-            for e, c in alt.at(i, j).items():
-                k = next(s for s in ring.x_slots if e[s])
-                acc = cols[j][k]
-                acc[t_exp] = (acc.get(t_exp, 0) + c) % ring.p
-    flat = []
-    for k in range(n):
-        for j in range(n):
-            flat.append(ring.from_dict(cols[j][k]))
+    # B[k][j] sums c * T_{i+1} over the terms c * x_{k+1} of alt[i][j]
+    ts = [ring.T(i) for i in range(1, n + 1)]
+    flat = [ring.dot((c, ring.one, ts[i]) for i in range(n)
+                     for e, c in alt.at(i, j).items() if e[k])
+            for k in range(n) for j in range(n)]
     return PolyMatrix(ring, n, n, flat)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .ring import DEFAULT_PRIME, BiDegree, PolyRing, Polynomial
+from .ring import DEFAULT_PRIME, BiDegree, PolyRing
 from .matrices import (
     PolyMatrix,
     delete_row,
@@ -148,8 +148,11 @@ class InstanceSpec:
                  "presentation", "equation", "degree")
 
     def __init__(self, prime, d, matrix_src, equation_src):
-        self.prime = int(prime)
-        self.d = int(d)
+        if type(prime) is not int or type(d) is not int:
+            raise ValueError("prime and d must be integers, got %r and %r"
+                             % (prime, d))
+        self.prime = prime
+        self.d = d
         if self.d < 0:
             raise ValueError("d must be nonnegative")
         rows = tuple(tuple(str(e) for e in row) for row in matrix_src)
@@ -230,45 +233,9 @@ def builtin_example(prime=DEFAULT_PRIME):
 # ---------------------------------------------------------------------
 # hypothesis checks
 
-def _span_basis(ring, polys):
-    """Row-reduce equal-degree forms to a basis of their linear span.
-
-    The returned polynomials generate the same ideal with far fewer
-    elements, which keeps the Groebner runs behind the height checks
-    small even for dense input.
-    """
-    polys = [g for g in polys if not g.is_zero]
-    if not polys:
-        return []
-    # (key, exp) of every monomial, decreasing: the column order
-    monomials = sorted({(k, e) for g in polys for k, e, _ in g.terms},
-                       reverse=True)
-    index = {e: i for i, (_, e) in enumerate(monomials)}
-    p = ring.p
-    basis = []
-    pivots = {}
-    for g in polys:
-        row = [0] * len(monomials)
-        for _, e, c in g.terms:
-            row[index[e]] = c
-        for col, other in pivots.items():
-            c = row[col]
-            if c:
-                row = [(a - c * b) % p for a, b in zip(row, other)]
-        lead = next((i for i, c in enumerate(row) if c), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], p - 2, p)
-        row = [c * inv % p for c in row]
-        pivots[lead] = row
-        basis.append(Polynomial(ring, tuple(
-            monomials[i] + (c,) for i, c in enumerate(row) if c)))
-    return basis
-
-
 def _deduped_minors(mat, size):
     """A spanning set for the nonzero size x size minors."""
-    return _span_basis(mat.ring, minors(mat, size))
+    return mat.ring.span_basis(minors(mat, size))
 
 
 _HYPOTHESIS_CLAIMS = (
@@ -319,7 +286,7 @@ def check_hypotheses(inst):
 
     entries = [mat.at(i, j)
                for i in range(d + 1) for j in range(i + 1, d + 1)]
-    span = len(_span_basis(ring, entries))
+    span = len(ring.span_basis(entries))
     rep.add(*_HYPOTHESIS_CLAIMS[2], _status(span == d + 1),
             "" if span == d + 1 else
             "entries span only %d of %d linear forms" % (span, d + 1),
@@ -348,7 +315,7 @@ def check_hypotheses(inst):
                        % (size, ht, j + 1))
     rep.add(*_HYPOTHESIS_CLAIMS[4], _status(minor_ok), witness, heights)
 
-    pf_rank = len(_span_basis(ring, pfs))
+    pf_rank = len(ring.span_basis(pfs))
     rep.add(*_HYPOTHESIS_CLAIMS[5], _status(pf_rank == d + 1),
             "" if pf_rank == d + 1 else
             "pfaffians span a %d-dimensional space" % pf_rank,
@@ -668,7 +635,7 @@ def _trace_redundancies(trace):
                   for k in range(1, inst.d + 2)]
     for i in range(len(bilinear)):
         others = bilinear[:i] + bilinear[i + 1:] + extras
-        basis = _span_basis(ring, others)
+        basis = ring.span_basis(others)
         if normal_form(bilinear[i], basis).is_zero:
             redundant.add(i)
 
@@ -758,12 +725,10 @@ def minimality_and_invariants(trace):
 def _substitute_linear(mat, images):
     """Apply the substitution x_k -> images[k - 1] of linear forms."""
     ring = mat.ring
-    units = [ring._unit_exp(slot) for slot in ring.x_slots]
-    entries = []
-    for entry in mat.entries:
-        coeffs = [entry.coeff(u) for u in units]
-        entries.append(ring.dot((c, ring.one, image)
-                                for c, image in zip(coeffs, images) if c))
+    # x_k sits in slot k - 1
+    entries = [ring.dot((c, ring.one, images[e.index(1)])
+                        for e, c in entry.items())
+               for entry in mat.entries]
     return PolyMatrix(ring, mat.rows, mat.cols, entries)
 
 
@@ -773,10 +738,10 @@ def _random_invertible(rng, ring, size):
     while True:
         table = [[rng.randrange(ring.p) for _ in range(size)]
                  for _ in range(size)]
-        images = [ring.from_dict({ring._unit_exp(ring.x_slots[j]): c
-                                  for j, c in enumerate(row)})
+        images = [ring.dot((c, ring.one, ring.x(j))
+                           for j, c in enumerate(row, 1) if c)
                   for row in table]
-        if len(_span_basis(ring, images)) == size:
+        if len(ring.span_basis(images)) == size:
             return images
 
 
@@ -889,13 +854,10 @@ def optional_structural_checks(inst):
 
 def _random_linear(rng, ring):
     while True:
-        acc = {}
-        for slot in ring.x_slots:
-            c = rng.randint(-3, 3)
-            if c:
-                acc[ring._unit_exp(slot)] = c
-        if acc:
-            return ring.from_dict(acc)
+        coeffs = [rng.randint(-3, 3) for _ in ring.x_slots]
+        if any(coeffs):
+            return ring.dot((c, ring.one, ring.x(j))
+                            for j, c in enumerate(coeffs, 1) if c)
 
 
 def _random_form(rng, ring, degree):

@@ -21,20 +21,24 @@ when b - a borrows in no field, i.e. (b - a) & guard == 0, and the lcm is
 a field-wise maximum taken by a few mask operations (_lcm).  Exponent
 tuples appear only at the edges: parse, from_dict, term and formatting
 take or print them, and Polynomial.items() and lead_exp() are the public
-tuple view.  An exponent past EXP_MAX raises ExponentOverflow, whether it
-comes from input or from a product or shift that would set a guard bit;
-it never wraps.
+tuple view; PolyRing.bidegree_of reads the bidegree of a packed
+exponent.  Outside this module only the groebner reduction loop reads
+term tuples.  An exponent past EXP_MAX raises ExponentOverflow, whether
+it comes from input or from a product or shift that would set a guard
+bit; it never wraps.
 
-Products and division share one reduction accumulator: a dict from key to
-pending coefficient and exponent plus a max-heap of the pending keys.  A
-sum of products (PolyRing.dot, which also serves Polynomial.__mul__) adds
-every shifted factor into it and drains it once, so no partial product or
-partial sum is built.  Division (exact_div here, normal forms and S-pairs
-in groebner) pops the largest key, reduces its coefficient mod p once and
-adds the reducer's shifted tail into the dict.  Every tail key is below
-the popped one, so a popped key never returns, and a division costs
-O(n log n) in the number of terms it touches instead of re-merging the
-whole remainder at every step.
+One reduction accumulator, a dict from key to pending coefficient and
+exponent plus a max-heap of the pending keys, serves every sum and every
+division.  PolyRing.dot forms +, -, products, sums of products and the
+Bareiss steps of matrices.det: it adds every shifted summand into the
+accumulator and drains it once, so no partial product or partial sum is
+built; a product by one term and a scaling are single passes instead.
+Division (exact_div here, normal forms and S-pairs in groebner) pops the
+largest key, reduces its coefficient mod p once and adds the reducer's
+shifted tail into the dict.  Every tail key is below the popped one, so
+a popped key never returns, and a division costs O(n log n) in the
+number of terms it touches instead of re-merging the whole remainder at
+every step.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ DEFAULT_PRIME = 32003
 # 16-bit struct items, so EXP_BITS is fixed at 16.
 EXP_BITS = 16
 EXP_MAX = (1 << (EXP_BITS - 1)) - 1
+# 2^EXP_BITS is 1 modulo this, so a packed block is its field sum modulo it
+_DIGIT_SUM_MOD = (1 << EXP_BITS) - 1
 
 # Packed-field base for order keys.  Every field of a key is a signed
 # integer bounded by the total degree, at most nvars * EXP_MAX, so 2^24
@@ -59,11 +65,20 @@ EXP_MAX = (1 << (EXP_BITS - 1)) - 1
 _FIELD_BITS = 24
 _BASE = 1 << _FIELD_BITS
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases decide primality exactly below _MR_BOUND
+# (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact for n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin, exact for n < 3317044064679887385961981.
+
+    Raises ValueError for a larger n, whose answer would not be exact.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError("modulus %d is too large: primality is decided "
+                         "exactly only below %d" % (n, _MR_BOUND))
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -167,7 +182,7 @@ class PolyRing:
     __slots__ = (
         "p", "d", "n", "nvars", "names", "slot_of", "x_slots", "t_slots",
         "aux_slot", "grevlex", "elim_aux", "zero", "one", "guard",
-        "_half", "_revlex", "_fields", "_nbytes",
+        "_half", "_revlex", "_fields", "_nbytes", "_block", "_wide",
     )
 
     _cache = {}
@@ -192,6 +207,13 @@ class PolyRing:
                          for slot in range(self.nvars))
         self._fields = struct.Struct("<%dH" % self.nvars)
         self._nbytes = self._fields.size
+        # bidegree_of reads a block's field sum as the block mod 2^16 - 1,
+        # exact while the sum stays below 2^16 - 1: that holds when every
+        # x and T field is below 2^k with n * 2^k <= 2^16 - 1
+        self._block = (1 << (EXP_BITS * n)) - 1
+        k = (_DIGIT_SUM_MOD // n).bit_length() - 1
+        self._wide = sum((_DIGIT_SUM_MOD + 1 - (1 << k)) << (EXP_BITS * slot)
+                         for slot in range(2 * n))
         self.x_slots = tuple(range(n))
         self.t_slots = tuple(range(n, 2 * n))
         self.aux_slot = 2 * n
@@ -220,11 +242,6 @@ class PolyRing:
     def compatible(self, other):
         return self.p == other.p and self.d == other.d
 
-    def _unit_exp(self, slot, e=1):
-        exp = [0] * self.nvars
-        exp[slot] = e
-        return tuple(exp)
-
     def pack(self, exp):
         """The packed integer of an exponent sequence, one entry per slot.
 
@@ -247,6 +264,16 @@ class PolyRing:
         """The exponent tuple, one entry per slot, of a packed exponent."""
         return self._fields.unpack(exp.to_bytes(self._nbytes, "little"))
 
+    def bidegree_of(self, exp):
+        """(x-degree, T-degree) of the packed exponent exp; t is ignored."""
+        if exp & self._wide:
+            fields = self.unpack(exp)
+            n = self.n
+            return sum(fields[:n]), sum(fields[n:2 * n])
+        block = self._block
+        return ((exp & block) % _DIGIT_SUM_MOD,
+                ((exp >> (EXP_BITS * self.n)) & block) % _DIGIT_SUM_MOD)
+
     def term(self, coeff, exp):
         """coeff times the monomial of the exponent sequence exp."""
         c = coeff % self.p
@@ -262,7 +289,9 @@ class PolyRing:
         return self.term(c, (0,) * self.nvars)
 
     def variable(self, slot):
-        return self.monomial(self._unit_exp(slot))
+        exp = [0] * self.nvars
+        exp[slot] = 1
+        return self.monomial(exp)
 
     def x(self, i):
         """The variable x_i, 1-based, 1 <= i <= d+1."""
@@ -411,47 +440,40 @@ class PolyRing:
             lead = _pop_lead(acc, heap, mod, guard)
         return Polynomial(self, tuple(out))
 
+    def span_basis(self, polys):
+        """Row-reduce equal-degree forms to a basis of their linear span.
 
-def _merge(a, b, mod):
-    """Sum of two term tuples sorted decreasing by key."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    append = out.append
-    ia = ib = 0
-    la, lb = len(a), len(b)
-    ta, tb = a[ia], b[ib]
-    while True:
-        if ta[0] > tb[0]:
-            append(ta)
-            ia += 1
-            if ia == la:
-                out.extend(b[ib:])
-                return tuple(out)
-            ta = a[ia]
-        elif ta[0] < tb[0]:
-            append(tb)
-            ib += 1
-            if ib == lb:
-                out.extend(a[ia:])
-                return tuple(out)
-            tb = b[ib]
-        else:
-            c = (ta[2] + tb[2]) % mod
-            if c:
-                append((ta[0], ta[1], c))
-            ia += 1
-            ib += 1
-            if ia == la:
-                out.extend(b[ib:])
-                return tuple(out)
-            if ib == lb:
-                out.extend(a[ia:])
-                return tuple(out)
-            ta = a[ia]
-            tb = b[ib]
+        The returned polynomials generate the same ideal with far fewer
+        elements, which keeps the Groebner runs behind the height checks
+        small even for dense input.
+        """
+        polys = [g for g in polys if not g.is_zero]
+        if not polys:
+            return []
+        # (key, exp) of every monomial, decreasing: the column order
+        monomials = sorted({(k, e) for g in polys for k, e, _ in g.terms},
+                           reverse=True)
+        index = {e: i for i, (_, e) in enumerate(monomials)}
+        p = self.p
+        basis = []
+        pivots = {}
+        for g in polys:
+            row = [0] * len(monomials)
+            for _, e, c in g.terms:
+                row[index[e]] = c
+            for col, other in pivots.items():
+                c = row[col]
+                if c:
+                    row = [(a - c * b) % p for a, b in zip(row, other)]
+            lead = next((i for i, c in enumerate(row) if c), None)
+            if lead is None:
+                continue
+            inv = pow(row[lead], p - 2, p)
+            row = [c * inv % p for c in row]
+            pivots[lead] = row
+            basis.append(Polynomial(self, tuple(
+                monomials[i] + (c,) for i, c in enumerate(row) if c)))
+        return basis
 
 
 def _shift(terms, dkey, dexp, c, ring):
@@ -555,30 +577,16 @@ class Polynomial:
     def __len__(self):
         return len(self.terms)
 
-    def lead_term(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no lead term")
-        return self.terms[0]
-
     def lead_exp(self):
         """Exponent tuple of the lead term."""
-        return self.ring.unpack(self.lead_term()[1])
-
-    def lead_coeff(self):
-        return self.lead_term()[2]
+        if not self.terms:
+            raise ValueError("zero polynomial has no lead term")
+        return self.ring.unpack(self.terms[0][1])
 
     def items(self):
         """(exponent tuple, coefficient) of every term, in term order."""
         unpack = self.ring.unpack
         return tuple((unpack(e), c) for _, e, c in self.terms)
-
-    def coeff(self, exp):
-        """Coefficient of the monomial with exponent tuple exp."""
-        exp = self.ring.pack(exp)
-        for _, e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
 
     def support(self):
         """Set of variable slots appearing in some term."""
@@ -596,43 +604,36 @@ class Polynomial:
         """
         if not self.terms:
             return ZERO_BIDEGREE
-        n = self.ring.n
-        deg = None
-        for e, _ in self.items():
-            bd = (sum(e[:n]), sum(e[n:2 * n]))
-            if deg is None:
-                deg = bd
-            elif deg != bd:
-                return None
-        return BiDegree(*deg)
+        read = self.ring.bidegree_of
+        degs = {read(e) for _, e, _ in self.terms}
+        return BiDegree(*degs.pop()) if len(degs) == 1 else None
 
     def x_degree(self):
-        n = self.ring.n
-        return max((sum(e[:n]) for e, _ in self.items()), default=-1)
+        read = self.ring.bidegree_of
+        return max((read(e)[0] for _, e, _ in self.terms), default=-1)
 
     def t_degree(self):
-        n = self.ring.n
-        return max((sum(e[n:2 * n]) for e, _ in self.items()), default=-1)
+        read = self.ring.bidegree_of
+        return max((read(e)[1] for _, e, _ in self.terms), default=-1)
+
+    def is_homogeneous(self):
+        """All terms share one degree in x and T together; t is ignored."""
+        read = self.ring.bidegree_of
+        return len({sum(read(e)) for _, e, _ in self.terms}) <= 1
 
     # -- arithmetic --------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.ring is self.ring:
-                return other
-            if not self.ring.compatible(other.ring):
-                raise ValueError("operands from incompatible rings")
-            return Polynomial(self.ring, other.terms)
-        if isinstance(other, int):
-            return self.ring.const(other)
+        if isinstance(other, (Polynomial, int)):
+            return self.ring.poly(other)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial(self.ring,
-                          _merge(self.terms, other.terms, self.ring.p))
+        one = self.ring.one
+        return self.ring.dot(((1, one, self), (1, one, other)))
 
     __radd__ = __add__
 
@@ -643,9 +644,8 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.ring.p
-        return Polynomial(self.ring,
-                          _merge(self.terms, _scale(other.terms, -1, p), p))
+        one = self.ring.one
+        return self.ring.dot(((1, one, self), (-1, one, other)))
 
     def __rsub__(self, other):
         other = self._coerce(other)

@@ -1,10 +1,10 @@
 """Merge-based division routines, kept as references for the tests.
 
-These are the normal form, S-polynomial, exact division and sum of
-products that the heap-and-dict accumulator replaced.  Each reduction
-step re-merges the whole remaining term tuple with the shifted reducer,
-which makes them quadratic in the length of the remainder but short
-enough to check by eye.  The tests compare the library against them term
+These are the normal form, S-polynomial, exact division, sum of
+products and sum or difference that the heap-and-dict accumulator
+replaced.  Each reduction step re-merges the whole remaining term tuple
+with the shifted reducer, which makes them quadratic in the length of
+the remainder but short enough to check by eye.  The tests compare the library against them term
 for term.
 
 They work on their own terms (key, exponent tuple, coeff): exponents come
@@ -153,3 +153,12 @@ def dot(ring, products):
         for k, e, co in _to_terms(a, ring.grevlex):
             terms = _merge(terms, _shift(bterms, k, e, c * co, mod), mod)
     return _to_poly(ring, terms)
+
+
+def add(a, b, sign=1):
+    """a + sign * b by one merge of their term tuples."""
+    ring = a.ring
+    b_terms = _shift(_to_terms(b, ring.grevlex), 0, (0,) * ring.nvars,
+                     sign, ring.p)
+    return _to_poly(ring, _merge(_to_terms(a, ring.grevlex), b_terms,
+                                 ring.p))

@@ -88,6 +88,20 @@ class TestParseFailures:
         assert main(["check",
                      write_instance(tmp_path, {"d": 4, "f": "x5"})]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", 4.5), ("d", True), ("d", "4"),
+        ("prime", 32003.9), ("prime", True), ("prime", "32003"),
+    ])
+    def test_non_integer_d_or_prime_exits_1(self, key, value, tmp_path,
+                                            capsys):
+        # no rounding: 4.5 must not run as d = 4, nor true as 1
+        doc = dict(GOLDEN_DOC, **{key: value})
+        assert main(["run", write_instance(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "prime and d must be integers, got %r and %r" % (
+            doc["prime"], doc["d"]) in captured.err
+
     @pytest.mark.parametrize("command", ["check", "run", "verify"])
     def test_exponent_past_field_exits_5_before_any_groebner_run(
             self, command, tmp_path, monkeypatch, capsys):
@@ -131,8 +145,28 @@ class TestUsage:
         assert "modulus 0 is not prime" in capsys.readouterr().err
 
 
+    def test_pseudoprime_modulus_exits_1(self, golden_file, capsys):
+        # a strong pseudoprime to the 12 prime bases 2..37
+        q = "318665857834031151167461"
+        assert main(["run", golden_file, "--prime", q]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "modulus %s is not prime" % q in captured.err
+
+    @pytest.mark.parametrize("option", ["--prime", "--second-prime"])
+    def test_modulus_past_the_exact_bound_exits_1(
+            self, option, golden_file, monkeypatch, capsys):
+        def reached(inst):
+            raise AssertionError("verification started")
+        monkeypatch.setattr(cli, "check_hypotheses", reached)
+        monkeypatch.setattr(pipeline, "check_hypotheses", reached)
+        q = "3317044064679887385961981"
+        assert main(["verify", golden_file, option, q]) == 1
+        assert "only below %s" % q in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["verify", "random"])
-    @pytest.mark.parametrize("q", ["4", "0", "-7"])
+    @pytest.mark.parametrize("q", ["4", "0", "-7",
+                                   "318665857834031151167461"])
     def test_bad_second_prime_rejected_first(self, command, q, golden_file,
                                              monkeypatch, capsys):
         def reached(inst):

@@ -4,15 +4,18 @@ references.
 Division (normal forms, S-polynomials, exact division) is compared with
 the routines in merge_reference; products and sums of products with a
 sum, merged term list by term list, of one factor shifted by each term of
-the other.  The packed exponent operations (pack and unpack, mask
-divisibility, lcm, coprimality, order keys and overflow detection) are
-compared with their definitions on exponent tuples.
+the other; sums and differences with one merge.  The packed exponent
+operations (pack and unpack, mask divisibility, lcm, coprimality, order
+keys, overflow detection and the bidegree reader) are compared with their
+definitions on exponent tuples.
 """
 
 import pytest
 
 from reesgcd.groebner import _divides, normal_form, spolynomial
-from reesgcd.ring import EXP_MAX, ExponentOverflow, PolyRing, _lcm
+from reesgcd.ring import (
+    EXP_MAX, ZERO_BIDEGREE, ExponentOverflow, PolyRing, _lcm,
+)
 
 import merge_reference as ref
 
@@ -24,6 +27,8 @@ settings = hypothesis.settings
 # p = 7 makes coefficient cancellation during reduction frequent
 RINGS = (PolyRing.get(7, 1), PolyRing.get(32003, 1))
 ORDERS = ("grevlex", "elim_aux")
+# exponent layouts of every width the program uses, d=4 the paper's
+PACKED_RINGS = tuple(PolyRing.get(32003, d) for d in (1, 2, 4, 6))
 
 
 def polys(ring, min_terms=0, max_terms=5, max_exp=2):
@@ -80,6 +85,33 @@ def product_lists(draw):
 
 
 @st.composite
+def bigraded_polys(draw, ring):
+    """Terms of one (x, T) bidegree, each times a random power of t."""
+    n = ring.n
+    x_deg, t_deg = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exp = [0] * ring.nvars
+        for slot in draw(st.lists(st.integers(0, n - 1), min_size=x_deg,
+                                  max_size=x_deg)):
+            exp[slot] += 1
+        for slot in draw(st.lists(st.integers(n, 2 * n - 1),
+                                  min_size=t_deg, max_size=t_deg)):
+            exp[slot] += 1
+        exp[ring.aux_slot] = draw(st.integers(0, 2))
+        coeffs[tuple(exp)] = draw(st.integers(1, ring.p - 1))
+    return ring.from_dict(coeffs)
+
+
+@st.composite
+def degree_problems(draw):
+    """Polynomials with and without t, bihomogeneous or not."""
+    ring = draw(st.sampled_from(PACKED_RINGS))
+    return draw(st.one_of(polys(ring), bigraded_polys(ring),
+                          polys(ring).map(lambda f: f * ring.aux)))
+
+
+@st.composite
 def spair_problems(draw):
     ring = draw(st.sampled_from(RINGS))
     order = getattr(ring, draw(st.sampled_from(ORDERS)))
@@ -133,18 +165,31 @@ class TestAgainstMergeReference:
         ring, products = problem
         assert ring.dot(products) == ref.dot(ring, products)
 
+    @settings(max_examples=150, deadline=None)
+    @given(operand_pairs(), st.sampled_from(("b", "a", "-a", "0")))
+    def test_sum_and_difference(self, pair, other):
+        # b drawn, or a itself, its negative or zero, so that terms cancel
+        a, b = pair
+        b = {"b": b, "a": a, "-a": -a, "0": a.ring.zero}[other]
+        assert a + b == ref.add(a, b)
+        assert a - b == ref.add(a, b, -1)
 
 
-# exponent layouts of every width the program uses, d=4 the paper's
-PACKED_RINGS = tuple(PolyRing.get(32003, d) for d in (1, 2, 4, 6))
 
 # small exponents and the ones at the top of the field
 field_values = st.one_of(st.integers(0, 3), st.integers(0, EXP_MAX),
                          st.sampled_from((EXP_MAX - 1, EXP_MAX)))
 
 
-def exponent_tuples(ring):
-    return st.tuples(*[field_values] * ring.nvars)
+def exponent_tuples(ring, values=field_values):
+    return st.tuples(*[values] * ring.nvars)
+
+
+# fields on both sides of every power of two the bidegree reader's
+# digit-sum shortcut may take as its bound, and fields up to EXP_MAX
+reader_values = st.one_of(field_values, st.sampled_from(
+    [v for j in range(8, 16) for v in ((1 << j) - 1, 1 << j)
+     if v <= EXP_MAX]))
 
 
 @st.composite
@@ -198,6 +243,42 @@ class TestPackedExponents:
         for order in all_orders(ring):
             assert order.key(packed) == ref.order_key(order, exp)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bidegree_of_sums_the_x_and_T_fields(self, data):
+        ring = data.draw(st.sampled_from(PACKED_RINGS))
+        exp = data.draw(exponent_tuples(ring, reader_values))
+        n = ring.n
+        assert ring.bidegree_of(ring.pack(exp)) == (sum(exp[:n]),
+                                                    sum(exp[n:2 * n]))
+
+    def test_bidegree_of_past_the_digit_sum_bound(self):
+        # the x-fields sum to 2^16 - 1, which the shortcut would read as 0
+        ring = PolyRing.get(32003, 4)
+        exp = (EXP_MAX, EXP_MAX, 1, 0, 0, 3, 0, 0, 0, 0, 5)
+        assert ring.bidegree_of(ring.pack(exp)) == (2 * EXP_MAX + 1, 3)
+        assert ring.monomial(exp).bidegree() == (2 * EXP_MAX + 1, 3)
+        f = ring.monomial(exp) + ring.monomial((0,) * 10 + (1,))
+        assert f.bidegree() is None
+        assert (f.x_degree(), f.t_degree()) == (2 * EXP_MAX + 1, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(degree_problems())
+    # first and last terms share a degree in x and T, the middle one not
+    @hypothesis.example(PACKED_RINGS[0].parse("x1^2*t^2 + x1^3 + x1^2"))
+    def test_polynomial_degrees_match_the_tuple_definitions(self, f):
+        n = f.ring.n
+        degs = [(sum(e[:n]), sum(e[n:2 * n])) for e, _ in f.items()]
+        if f.is_zero:
+            assert f.bidegree() is ZERO_BIDEGREE
+        elif len(set(degs)) == 1:
+            assert f.bidegree() == degs[0]
+        else:
+            assert f.bidegree() is None
+        assert f.x_degree() == max((x for x, _ in degs), default=-1)
+        assert f.t_degree() == max((t for _, t in degs), default=-1)
+        assert f.is_homogeneous() == (len({x + t for x, t in degs}) <= 1)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_overflow_detected_at_the_field_limit(self, data):
@@ -207,7 +288,8 @@ class TestPackedExponents:
         b = data.draw(st.sampled_from((EXP_MAX - a, EXP_MAX + 1 - a)))
         rest = data.draw(st.tuples(*[st.integers(0, 3)] * ring.nvars))
         fa = ring.monomial(rest[:slot] + (a,) + rest[slot + 1:])
-        fb = ring.monomial(ring._unit_exp(slot, b))
+        fb = ring.monomial(tuple(b if i == slot else 0
+                                 for i in range(ring.nvars)))
         # the shift path of __mul__, then the accumulator of dot
         products = (lambda: fa * fb, lambda: (fa + 1) * (fb + 1))
         for product in products:

@@ -4,9 +4,12 @@ perfbench/tracing.py wraps functions by module and attribute path; a name
 deleted or renamed in the program would only show up as every benchmark
 operation failing, so the names are resolved here.  The algebra modules
 also keep no mutable container at module or class level, where it would
-be shared by every caller in the process.
+be shared by every caller in the process.  The term format and the
+packed exponents stay inside the ring module: the modules above it use
+its public API only.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -14,6 +17,7 @@ from collections.abc import MutableMapping, MutableSequence, MutableSet
 from pathlib import Path
 
 import reesgcd
+from reesgcd import ring
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -82,3 +86,43 @@ def test_no_module_level_mutable_containers():
                         found.add((module.__name__,
                                    "%s.%s" % (attr, cattr)))
     assert found == SHARED_STATE_ALLOWED
+
+
+# The groebner reduction loop is the one other reader of term tuples.
+RING_CLIENTS = ("pipeline", "ideals", "matrices", "cli")
+TERM_FORMAT = {"terms", "pack", "unpack"}
+
+
+def ring_private_names():
+    """Private names of the ring module and of its classes, but not the
+    public _replace and _asdict of its namedtuple."""
+    owners = [ring] + [value for value in vars(ring).values()
+                       if inspect.isclass(value)
+                       and value.__module__ == ring.__name__
+                       and not issubclass(value, tuple)]
+    names = set()
+    for owner in owners:
+        names.update(vars(owner))
+        names.update(getattr(owner, "__slots__", ()))
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_ring_clients_use_only_its_public_api():
+    private = ring_private_names()
+    assert {"_shift", "_add_shifted", "_half"} <= private
+    found = set()
+    for name in RING_CLIENTS:
+        module = importlib.import_module("reesgcd." + name)
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Attribute):
+                used = node.attr
+            elif isinstance(node, ast.Name):
+                used = node.id
+            elif isinstance(node, ast.alias):
+                used = node.name
+            else:
+                continue
+            if used in TERM_FORMAT or used in private:
+                found.add((name, used))
+    assert not found

@@ -164,8 +164,8 @@ def _inside_box(ring, box):
     return inside
 
 
-def _max_degree(terms, unpack):
-    return max(sum(unpack(e)) for _, e, _ in terms)
+def _max_degree(terms, degree_of):
+    return max(degree_of(e) for _, e, _ in terms)
 
 
 def _basis_entry(terms, mod):
@@ -251,7 +251,7 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
         if len(G) + 1 > cap_size:
             raise BudgetExceeded("basis size cap %d exceeded (%s)"
                                  % (cap_size, order.name))
-        if _max_degree(terms, ring.unpack) > cap_deg:
+        if _max_degree(terms, ring.degree_of) > cap_deg:
             raise BudgetExceeded("degree cap %d exceeded (%s)"
                                  % (cap_deg, order.name))
         G.append(terms)

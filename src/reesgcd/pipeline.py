@@ -9,14 +9,17 @@ defining ideal, and certifies it against an independent Groebner oracle:
 the candidate must equal both the saturation of the base ideal by the
 variable ideal and its m-th colon power, with strictness one step below.
 
-Every step matrix is the fixed Jacobian dual B plus one column, so the
-iteration takes each step's maximal minors from the d x d minors of B,
-computed once per run, by expansion along the new column.  Every algebraic
-identity the algorithm relies on (column factorization of the maximal
-minors at every step, vanishing of the full-dual minor det(B), checked
-once per run by an independent Bareiss determinant, the bidegree law) is
-re-verified at runtime; a violation raises IterationError since it can
-only mean a bug, not bad input.
+Every step matrix is the fixed Jacobian dual B plus one column C, so every
+maximal minor of a step is an expansion along C over the d x d minors of
+B.  Those factor once per run: adj(B) = [T]^t . lambda for one row lambda,
+and each step's gcd is then one sum of products, sum_k C_k lambda_k.  Every
+algebraic identity the algorithm relies on is re-verified at runtime: the
+vanishing of the full-dual minor det(B), by an independent Bareiss
+determinant, and the factorization of all (d+1)^2 minors of B through
+lambda, which carries the column factorization of the maximal minors to
+every step, both once per run; the reassembly of each appended column and
+the bidegree law at every step.  A violation raises IterationError since it
+can only mean a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -335,10 +338,10 @@ class IterationTrace:
     partial_ideal(i) is the base ideal together with the first i gcds;
     index 0 is the base ideal itself and index m the candidate defining
     ideal.  Ideals are cached so repeated verification reuses Groebner
-    bases.  A trace made by gcd_iterations also carries the d x d minors
-    of the dual (fixed), whose det(dual) it has checked, so that a rerun
-    under the other column rule can take them from it; a trace rebuilt
-    from saved output has none.
+    bases.  A trace made by gcd_iterations also carries the row lambda
+    with adj(dual) = [T]^t . lambda (fixed), whose factorization law and
+    det(dual) it has checked, so that a rerun under the other column rule
+    can take it from it; a trace rebuilt from saved output has none.
     """
 
     __slots__ = ("instance", "ring", "dual", "bilinear", "steps",
@@ -397,41 +400,68 @@ def _column_forms(mat):
     return tuple(_column_form(mat, j) for j in range(mat.cols))
 
 
+def _adjugate_row(ring, d, fixed):
+    """The row lambda with adj(B) = [T]^t . lambda, from the d x d minors
+    M = fixed of the Jacobian dual B, checked entry by entry.
+
+    B . [T]^t = 0 and det(B) = 0 put every column of adj(B) on the line
+    of [T]^t, so (-1)^(k+d) M[k][j-1] = s_j T_j lambda_k for every row
+    k and every column 1 <= j <= d+1, with s_j = -1 for even j.  Column 1
+    defines lambda_k by exact division by T1; every other entry is then
+    compared with its product.  A failed division or a mismatch raises
+    IterationError naming the minor, by the row and column of B it omits.
+    """
+    row = []
+    for k, minors_k in enumerate(fixed):
+        signed = [m if (k + d) % 2 == 0 else -m for m in minors_k]
+        lam = signed[0].exact_div(ring.T(1))
+        if lam is None:
+            raise IterationError(
+                "adjugate: the minor of B without row %d and column 1 is "
+                "not divisible by T1" % (k + 1))
+        for j in range(2, d + 2):
+            expected = ring.T(j) * lam
+            if j % 2 == 0:
+                expected = -expected
+            if signed[j - 1] != expected:
+                raise IterationError(
+                    "adjugate: factorization fails at the minor of B "
+                    "without row %d and column %d" % (k + 1, j))
+        row.append(lam)
+    return row
+
+
 def gcd_iterations(inst, rule="min", prior=None):
     """Run the m gcd iterations and return the trace.
 
     Every step matrix is [B | C]: the fixed Jacobian dual B plus one
     column C.  Expanding along C, the minor without column j <= d+1 is
-    sum_k (-1)^(k+d) C_k M[k][j], where the d x d minors M of B are
-    computed once per call; the full-dual minor det(B) does not depend on
-    the step and is checked to vanish once per call, by Bareiss
-    elimination.  Step i divides the minor without column 1 by the first
-    T-variable and monic-normalizes; the remaining column deletions are
-    then re-verified against the signed factorization law and the
-    bidegree against (m-i, i(d-1)).  A vanishing first minor requires
-    every other minor to vanish too; its zero gcd then zeroes out every
-    later step by convention.  B, its column forms and its minors do not
-    depend on the rule; a prior trace of the same instance made by this
-    function lends them, so a rerun under the other rule skips that work.
+    sum_k (-1)^(k+d) C_k M[k][j-1] over the d x d minors M of B, and the
+    full-dual minor det(B) does not depend on the step.  Once per call
+    det(B) is checked to vanish, by Bareiss elimination, and M is
+    factored as adj(B) = [T]^t . lambda (_adjugate_row), which checks
+    all (d+1)^2 entries.  By linearity in C every step's minor without
+    column j is then s_j T_j sum_k C_k lambda_k, s_j = -1 for even j,
+    so step i takes g_i = monic(sum_k C_k lambda_k) and re-verifies the
+    reassembly of its column and the bidegree (m-i, i(d-1)).  A vanishing
+    sum means every maximal minor vanishes; its zero gcd then zeroes out
+    every later step by convention.  B, its column forms and lambda do
+    not depend on the rule; a prior trace of the same instance made by
+    this function lends them, so a rerun under the other rule skips that
+    work.
     """
     ring = inst.ring
     d = inst.d
     m = inst.degree
     if prior is not None and prior.instance is inst and \
             prior._fixed is not None:
-        dual, bilinear, fixed = prior.dual, prior.bilinear, prior._fixed
+        dual, bilinear, lam = prior.dual, prior.bilinear, prior._fixed
     else:
         dual = jacobian_dual(inst.presentation)
         bilinear = _column_forms(dual)
         if not det(dual).is_zero:
             raise IterationError("full-dual minor does not vanish")
-        fixed = deletion_minors(dual)
-    tfirst = ring.T(1)
-
-    def step_minor(column, j):
-        """Minor of [B | column] without column j, 1 <= j <= d+1."""
-        return ring.dot(((-1) ** (k + d), c, fixed[k][j - 1])
-                        for k, c in enumerate(column))
+        lam = _adjugate_row(ring, d, deletion_minors(dual))
 
     steps = []
     carried = inst.equation
@@ -445,30 +475,14 @@ def gcd_iterations(inst, rule="min", prior=None):
         if dead:
             steps.append(IterationStep(current, ring.zero, None))
             continue
-        column = current.column(d + 1)
-        raw = step_minor(column, 1)
+        raw = ring.dot((1, c, lam_k) for c, lam_k
+                       in zip(current.column(d + 1), lam))
         if raw.is_zero:
-            for j in range(2, d + 2):
-                if not step_minor(column, j).is_zero:
-                    raise IterationError(
-                        "step %d: minor 1 vanishes but minor %d does not"
-                        % (i, j))
             steps.append(IterationStep(current, ring.zero, None))
             carried = ring.zero
             dead = True
             continue
-        quotient = raw.exact_div(tfirst)
-        if quotient is None:
-            raise IterationError(
-                "step %d: first minor is not divisible by T1" % i)
-        for j in range(2, d + 2):
-            expected = ring.T(j) * quotient
-            if j % 2 == 0:
-                expected = -expected
-            if step_minor(column, j) != expected:
-                raise IterationError(
-                    "step %d: factorization fails at column %d" % (i, j))
-        gcd_i = quotient.monic()
+        gcd_i = raw.monic()
         bideg = gcd_i.bidegree()
         wanted = BiDegree(m - i, i * (d - 1))
         if bideg != wanted:
@@ -476,7 +490,7 @@ def gcd_iterations(inst, rule="min", prior=None):
                 "step %d: bidegree %s, expected %s" % (i, bideg, wanted))
         steps.append(IterationStep(current, gcd_i, bideg))
         carried = gcd_i
-    return IterationTrace(inst, dual, bilinear, steps, fixed)
+    return IterationTrace(inst, dual, bilinear, steps, lam)
 
 
 # ---------------------------------------------------------------------

@@ -21,9 +21,9 @@ when b - a borrows in no field, i.e. (b - a) & guard == 0, and the lcm is
 a field-wise maximum taken by a few mask operations (_lcm).  Exponent
 tuples appear only at the edges: parse, from_dict, term and formatting
 take or print them, and Polynomial.items() and lead_exp() are the public
-tuple view; PolyRing.bidegree_of reads the bidegree of a packed
-exponent.  Outside this module only the groebner reduction loop reads
-term tuples.  An exponent past EXP_MAX raises ExponentOverflow, whether
+tuple view; PolyRing.bidegree_of and degree_of read the bidegree and the
+total degree of a packed exponent.  Outside this module only the groebner
+reduction loop reads term tuples.  An exponent past EXP_MAX raises ExponentOverflow, whether
 it comes from input or from a product or shift that would set a guard
 bit; it never wraps.
 
@@ -161,6 +161,14 @@ BiDegree = namedtuple("BiDegree", ["x", "t"])
 ZERO_BIDEGREE = object()
 
 
+def _wide_mask(count, slots):
+    """The bits at or above 2^k in each field of slots, for the largest k
+    with count * 2^k <= 2^16 - 1."""
+    k = (_DIGIT_SUM_MOD // count).bit_length() - 1
+    return sum((_DIGIT_SUM_MOD + 1 - (1 << k)) << (EXP_BITS * slot)
+               for slot in slots)
+
+
 class ExponentOverflow(OverflowError):
     """An exponent past EXP_MAX, in input or in a product."""
 
@@ -183,6 +191,7 @@ class PolyRing:
         "p", "d", "n", "nvars", "names", "slot_of", "x_slots", "t_slots",
         "aux_slot", "grevlex", "elim_aux", "zero", "one", "guard",
         "_half", "_revlex", "_fields", "_nbytes", "_block", "_wide",
+        "_wide_total",
     )
 
     _cache = {}
@@ -208,12 +217,12 @@ class PolyRing:
         self._fields = struct.Struct("<%dH" % self.nvars)
         self._nbytes = self._fields.size
         # bidegree_of reads a block's field sum as the block mod 2^16 - 1,
-        # exact while the sum stays below 2^16 - 1: that holds when every
-        # x and T field is below 2^k with n * 2^k <= 2^16 - 1
+        # and degree_of the whole exponent's: exact while the sum stays
+        # below 2^16 - 1, which holds when every field summed is below 2^k
+        # with (number of fields) * 2^k <= 2^16 - 1
         self._block = (1 << (EXP_BITS * n)) - 1
-        k = (_DIGIT_SUM_MOD // n).bit_length() - 1
-        self._wide = sum((_DIGIT_SUM_MOD + 1 - (1 << k)) << (EXP_BITS * slot)
-                         for slot in range(2 * n))
+        self._wide = _wide_mask(n, range(2 * n))
+        self._wide_total = _wide_mask(self.nvars, range(self.nvars))
         self.x_slots = tuple(range(n))
         self.t_slots = tuple(range(n, 2 * n))
         self.aux_slot = 2 * n
@@ -273,6 +282,12 @@ class PolyRing:
         block = self._block
         return ((exp & block) % _DIGIT_SUM_MOD,
                 ((exp >> (EXP_BITS * self.n)) & block) % _DIGIT_SUM_MOD)
+
+    def degree_of(self, exp):
+        """Total degree of the packed exponent exp, t included."""
+        if exp & self._wide_total:
+            return sum(self.unpack(exp))
+        return exp % _DIGIT_SUM_MOD
 
     def term(self, coeff, exp):
         """coeff times the monomial of the exponent sequence exp."""

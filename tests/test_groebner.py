@@ -133,6 +133,26 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             groebner_basis(gens, max_degree=2)
 
+    @pytest.mark.parametrize("order,srcs,top", [
+        # an S-pair of the two quadrics admits a cubic
+        ("grevlex", ["x1^2 - x2*x3", "x1*x2 - x3^2"], 3),
+        ("revlex-last-x3", ["x1^2 - x2*x3", "x1*x2 - x3^2"], 3),
+        # the degree-12 term of the largest admitted element is no lead
+        ("elim-aux", ["x1^3 - T1*x2^2", "x2^3*T2 - x1*T1^2",
+                      "t*x2 - x3^3"], 12),
+    ])
+    def test_degree_cap_admits_the_cap_and_not_one_more(self, order, srcs,
+                                                         top):
+        order = {"grevlex": R.grevlex, "revlex-last-x3": R.revlex_last(2),
+                 "elim-aux": R.elim_aux}[order]
+        gens = [R.parse(src) for src in srcs]
+        assert groebner_basis(gens, order, max_degree=top) == \
+            groebner_basis(gens, order)
+        with pytest.raises(BudgetExceeded,
+                           match=r"^degree cap %d exceeded \(%s\)$"
+                                 % (top - 1, order.name)):
+            groebner_basis(gens, order, max_degree=top - 1)
+
     def test_message_names_the_order(self):
         ells = presented_forms(R, PRESENTATION_ROWS)
         order = R.revlex_last(2)

@@ -251,6 +251,7 @@ class TestPackedExponents:
         n = ring.n
         assert ring.bidegree_of(ring.pack(exp)) == (sum(exp[:n]),
                                                     sum(exp[n:2 * n]))
+        assert ring.degree_of(ring.pack(exp)) == sum(exp)
 
     def test_bidegree_of_past_the_digit_sum_bound(self):
         # the x-fields sum to 2^16 - 1, which the shortcut would read as 0
@@ -261,6 +262,12 @@ class TestPackedExponents:
         f = ring.monomial(exp) + ring.monomial((0,) * 10 + (1,))
         assert f.bidegree() is None
         assert (f.x_degree(), f.t_degree()) == (2 * EXP_MAX + 1, 3)
+        # all fields sum to 2^16 - 1, which a plain digit sum reads as 0
+        exp = (EXP_MAX, EXP_MAX, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+        assert ring.degree_of(ring.pack(exp)) == 2 * EXP_MAX + 1
+        # every x and T field within the bidegree bound, t past it
+        exp = (4095,) * 10 + (EXP_MAX,)
+        assert ring.degree_of(ring.pack(exp)) == 40950 + EXP_MAX
 
     @settings(max_examples=300, deadline=None)
     @given(degree_problems())

@@ -327,7 +327,7 @@ class TestMinors:
         with pytest.raises(ValueError):
             minors(m, 6)
 
-        # the d x d minors the iteration expands along its new column
+        # the d x d minors the iteration factors through adj(B)
         duals = [PolyMatrix.from_rows(R, B_ROWS),
                  jacobian_dual(random_linear_alternating(rng, R))]
         for b in duals:

@@ -125,7 +125,7 @@ def _full_verification(inst):
         sections["minimality"] = _in_section(
             "minimality", minimality_and_invariants, trace)
         sections["structural"] = _in_section(
-            "structural", optional_structural_checks, inst)
+            "structural", optional_structural_checks, trace)
     return trace, sections
 
 

@@ -18,8 +18,11 @@ vanishing of the full-dual minor det(B), by an independent Bareiss
 determinant, and the factorization of all (d+1)^2 minors of B through
 lambda, which carries the column factorization of the maximal minors to
 every step, both once per run; the reassembly of each appended column and
-the bidegree law at every step.  A violation raises IterationError since it
-can only mean a bug, not bad input.
+the bidegree law at every step.  The structural checks read the height of
+the minors of B off lambda, and that of the size-d minors of the reduced
+presentation off the square law adj = p . p^t of its Pfaffians, checked
+entry by entry.  A violation raises IterationError since it can only mean
+a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -341,7 +344,8 @@ class IterationTrace:
     bases.  A trace made by gcd_iterations also carries the row lambda
     with adj(dual) = [T]^t . lambda (fixed), whose factorization law and
     det(dual) it has checked, so that a rerun under the other column rule
-    can take it from it; a trace rebuilt from saved output has none.
+    can take it from it; a trace rebuilt from saved output has none, and
+    optional_structural_checks then forms it by the same checked route.
     """
 
     __slots__ = ("instance", "ring", "dual", "bilinear", "steps",
@@ -400,19 +404,25 @@ def _column_forms(mat):
     return tuple(_column_form(mat, j) for j in range(mat.cols))
 
 
-def _adjugate_row(ring, d, fixed):
-    """The row lambda with adj(B) = [T]^t . lambda, from the d x d minors
-    M = fixed of the Jacobian dual B, checked entry by entry.
+def _adjugate_row(dual):
+    """The row lambda with adj(B) = [T]^t . lambda for the Jacobian dual
+    B = dual, checked entry by entry.
 
     B . [T]^t = 0 and det(B) = 0 put every column of adj(B) on the line
-    of [T]^t, so (-1)^(k+d) M[k][j-1] = s_j T_j lambda_k for every row
-    k and every column 1 <= j <= d+1, with s_j = -1 for even j.  Column 1
-    defines lambda_k by exact division by T1; every other entry is then
-    compared with its product.  A failed division or a mismatch raises
-    IterationError naming the minor, by the row and column of B it omits.
+    of [T]^t.  det(B) is checked to vanish by Bareiss elimination; then
+    with M the deletion minors of B, (-1)^(k+d) M[k][j-1] = s_j T_j
+    lambda_k for every row k and every column 1 <= j <= d+1, with s_j =
+    -1 for even j.  Column 1 defines lambda_k by exact division by T1;
+    every other entry is then compared with its product.  A nonzero
+    det(B), a failed division or a mismatch raises IterationError, the
+    last two naming the minor by the row and column of B it omits.
     """
+    ring = dual.ring
+    d = dual.rows - 1
+    if not det(dual).is_zero:
+        raise IterationError("full-dual minor does not vanish")
     row = []
-    for k, minors_k in enumerate(fixed):
+    for k, minors_k in enumerate(deletion_minors(dual)):
         signed = [m if (k + d) % 2 == 0 else -m for m in minors_k]
         lam = signed[0].exact_div(ring.T(1))
         if lam is None:
@@ -438,10 +448,10 @@ def gcd_iterations(inst, rule="min", prior=None):
     column C.  Expanding along C, the minor without column j <= d+1 is
     sum_k (-1)^(k+d) C_k M[k][j-1] over the d x d minors M of B, and the
     full-dual minor det(B) does not depend on the step.  Once per call
-    det(B) is checked to vanish, by Bareiss elimination, and M is
-    factored as adj(B) = [T]^t . lambda (_adjugate_row), which checks
-    all (d+1)^2 entries.  By linearity in C every step's minor without
-    column j is then s_j T_j sum_k C_k lambda_k, s_j = -1 for even j,
+    _adjugate_row checks that det(B) vanishes, by Bareiss elimination,
+    and factors M as adj(B) = [T]^t . lambda, checking all (d+1)^2
+    entries.  By linearity in C every step's minor without column j is
+    then s_j T_j sum_k C_k lambda_k, s_j = -1 for even j,
     so step i takes g_i = monic(sum_k C_k lambda_k) and re-verifies the
     reassembly of its column and the bidegree (m-i, i(d-1)).  A vanishing
     sum means every maximal minor vanishes; its zero gcd then zeroes out
@@ -459,9 +469,7 @@ def gcd_iterations(inst, rule="min", prior=None):
     else:
         dual = jacobian_dual(inst.presentation)
         bilinear = _column_forms(dual)
-        if not det(dual).is_zero:
-            raise IterationError("full-dual minor does not vanish")
-        lam = _adjugate_row(ring, d, deletion_minors(dual))
+        lam = _adjugate_row(dual)
 
     steps = []
     carried = inst.equation
@@ -759,10 +767,32 @@ def _random_invertible(rng, ring, size):
             return images
 
 
+def _check_square_law(mat, pfs):
+    """adj(mat) = p . p^t for an alternating matrix mat of odd size and
+    its signed submaximal Pfaffians p = pfs (Buchsbaum & Eisenbud, Amer.
+    J. Math. 99, 1977): (-1)^(k+j) M[k][j] = p_k p_j for every entry of
+    the deletion minors M.  A mismatch raises IterationError naming the
+    minor by the row and column it omits."""
+    for k, minors_k in enumerate(deletion_minors(mat)):
+        for j, minor in enumerate(minors_k):
+            signed = minor if (k + j) % 2 == 0 else -minor
+            if signed != pfs[k] * pfs[j]:
+                raise IterationError(
+                    "square law: adj = p . p^t fails at the minor without "
+                    "row %d and column %d" % (k + 1, j + 1))
+
+
 def _reduction_usable(mat, d):
     """Height conditions qualifying coordinates for the reduced checks:
     dropping the last variable must keep the pfaffian ideal at height 3
-    and every size-j minor ideal at height at least d - j + 2."""
+    and every size-j minor ideal at height at least d - j + 2.
+
+    The size-d minors need no Groebner run: once the Pfaffians p have
+    height 3, the square law adj = p . p^t, checked entry by entry, makes
+    their ideal (p)^2, whose radical is that of (p), so its height is 3,
+    above the 2 required.  Sizes 2..d-1 are spanned and their heights
+    computed.
+    """
     ring = mat.ring
     reduced = _substitute_linear(
         mat, [ring.x(k) for k in range(1, d + 1)] + [ring.zero])
@@ -770,7 +800,8 @@ def _reduction_usable(mat, d):
     pfs = submaximal_pfaffians(reduced)
     if height(Ideal(ring, pfs), ambient) < 3:
         return False
-    for size in range(2, d + 1):
+    _check_square_law(reduced, pfs)
+    for size in range(2, d):
         mins = _deduped_minors(reduced, size)
         if height(Ideal(ring, mins), ambient) < d - size + 2:
             return False
@@ -781,10 +812,10 @@ def _reduction_usable(mat, d):
 _COORDINATE_ATTEMPTS = 8
 
 
-def optional_structural_checks(inst):
+def optional_structural_checks(trace):
     """Supporting facts the main argument leans on.
 
-    (a) the size-d minors of the Jacobian dual cut out a locus of
+    (a) the size-d minors of the Jacobian dual B cut out a locus of
     codimension at least 2 in the T-variables; (b) after dropping the
     last x-variable (in the given coordinates or a random invertible
     change of them), the reduced gcd multiplies every retained variable
@@ -792,14 +823,23 @@ def optional_structural_checks(inst):
     with the reduced-gcd ideal land in the last variable plus the
     bilinear forms.  If no usable coordinates are found the dependent
     checks are reported as skipped, not failed.
+
+    For (a), adj(B) = [T]^t . lambda makes the size-d minors of B the
+    products +-T_j lambda_k, so their ideal is (T)(lambda), whose zero
+    set is V(T) u V(lambda): its height is min(d+1, ht(lambda)), one
+    Groebner run on the d+1 entries of lambda.  The row comes from the
+    trace when gcd_iterations made it; a trace rebuilt from saved output
+    gets it by the same checked route (_adjugate_row).
     """
     rep = VerificationReport()
+    inst = trace.instance
     ring = inst.ring
     d = inst.d
-    dual = jacobian_dual(inst.presentation)
+    lam = trace._fixed
+    if lam is None:
+        lam = _adjugate_row(trace.dual)
 
-    mins = _deduped_minors(dual, d)
-    dual_height = height(Ideal(ring, mins), ring.t_slots)
+    dual_height = min(d + 1, height(Ideal(ring, lam), ring.t_slots))
     rep.add("dual-minor-height",
             "size-d minors of the dual have height at least 2",
             _status(dual_height >= 2),

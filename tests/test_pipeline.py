@@ -382,7 +382,7 @@ class TestDegreeOneRecovery:
 
 class TestStructuralChecks:
     def test_golden_passes_in_given_coordinates(self, golden, fiber):
-        rep = optional_structural_checks(golden)
+        rep = optional_structural_checks(gcd_iterations(golden))
         assert rep.ok
         cramer = rep.find("reduced-cramer-containment")
         assert cramer.data["attempt"] == 0
@@ -391,7 +391,7 @@ class TestStructuralChecks:
 
     def test_random_instance_passes(self):
         inst = random_instance(4, 1, seed=2)
-        assert optional_structural_checks(inst).ok
+        assert optional_structural_checks(gcd_iterations(inst)).ok
 
 
 class TestRandomInstances:

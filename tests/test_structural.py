@@ -1,0 +1,168 @@
+"""Heights the structural checks read off checked identities: the same
+reports as the minor-ideal route (structural_reference.py), the height of
+the minors of B against min(d+1, ht(lambda)), the guard on the Pfaffian
+square law, and the checked fallback of a trace rebuilt from saved
+output."""
+
+import random
+
+import pytest
+
+from reesgcd import pipeline
+from reesgcd.ideals import Ideal, height
+from reesgcd.matrices import iteration_matrix, jacobian_dual
+from reesgcd.pipeline import (
+    IterationError,
+    IterationStep,
+    IterationTrace,
+    builtin_example,
+    gcd_iterations,
+    optional_structural_checks,
+    random_instance,
+)
+
+from structural_reference import (
+    dual_minor_height_by_minors,
+    reduction_usable_by_minors,
+    structural_checks_by_minors,
+)
+
+PRIMES = (32003, 65537)
+CASES = ["golden"] + [(m, k) for m in (1, 2, 3) for k in range(3)]
+
+_INSTANCES = {}
+
+
+def instance(prime, case):
+    """The golden or random d=4 instance (m, k) modulo prime, built once."""
+    if (prime, case) not in _INSTANCES:
+        _INSTANCES[prime, case] = builtin_example(prime) \
+            if case == "golden" else \
+            random_instance(4, case[0], p=prime, seed=case[1])
+    return _INSTANCES[prime, case]
+
+
+def rebuilt(inst):
+    """The trace of inst rebuilt from its saved run output, without the
+    row lambda, as a recheck of a saved run builds it."""
+    ring = inst.ring
+    saved = gcd_iterations(inst).to_dict()
+    dual = jacobian_dual(inst.presentation)
+    bilinear = [ring.parse(s) for s in saved["generators"][:inst.d + 1]]
+    steps = []
+    carried = inst.equation
+    for src in saved["gcds"]:
+        gcd = ring.parse(src)
+        steps.append(IterationStep(iteration_matrix(dual, carried), gcd,
+                                   gcd.bidegree()))
+        carried = gcd
+    return IterationTrace(inst, dual, bilinear, steps)
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+@pytest.mark.parametrize("prime", PRIMES)
+def test_matches_minor_reference(prime, case):
+    inst = instance(prime, case)
+    report = optional_structural_checks(gcd_iterations(inst))
+    assert report.to_dict() == structural_checks_by_minors(inst).to_dict()
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_dual_minor_height_is_min_of_lambda_height(case):
+    # V((T)(lambda)) = V(T) u V(lambda)
+    inst = instance(32003, case)
+    ring = inst.ring
+    trace = gcd_iterations(inst)
+    lam_height = height(Ideal(ring, trace._fixed), ring.t_slots)
+    assert dual_minor_height_by_minors(trace.dual) == \
+        min(inst.d + 1, lam_height)
+
+
+@pytest.mark.parametrize("case", ["golden", (1, 0), (2, 1)], ids=str)
+def test_reduction_usable_matches_reference_in_new_coordinates(case):
+    inst = instance(32003, case)
+    ring = inst.ring
+    d = inst.d
+    rng = random.Random("reference:%s" % (case,))
+    mats = [inst.presentation] + [
+        pipeline._substitute_linear(
+            inst.presentation,
+            pipeline._random_invertible(rng, ring, d + 1))
+        for _ in range(2)]
+    # x1 <-> x5 on golden drops the reduced Pfaffian height to 2
+    swap = [ring.x(5), ring.x(2), ring.x(3), ring.x(4), ring.x(1)]
+    mats.append(pipeline._substitute_linear(inst.presentation, swap))
+    verdicts = [pipeline._reduction_usable(mat, d) for mat in mats]
+    assert verdicts == [reduction_usable_by_minors(mat, d) for mat in mats]
+
+
+def perturbed_minors(monkeypatch, k, j, delta):
+    """pipeline.deletion_minors with delta added to entry M[k][j]."""
+    original = pipeline.deletion_minors
+
+    def perturbed(mat):
+        fixed = original(mat)
+        fixed[k][j] = fixed[k][j] + delta(mat.ring)
+        return fixed
+
+    monkeypatch.setattr(pipeline, "deletion_minors", perturbed)
+
+
+@pytest.mark.parametrize("k,j", [(0, 0), (0, 1), (3, 2), (4, 4)])
+def test_perturbed_reduced_minor_trips_the_square_law(k, j, monkeypatch):
+    # the trace lends lambda, so only the reduced matrix's minors are
+    # formed under the patch
+    trace = gcd_iterations(builtin_example())
+    perturbed_minors(monkeypatch, k, j, lambda ring: ring.x(1) ** 4)
+    with pytest.raises(IterationError,
+                       match="square law: adj = p . p\\^t fails at the "
+                             "minor without row %d and column %d$"
+                             % (k + 1, j + 1)):
+        optional_structural_checks(trace)
+
+
+@pytest.mark.parametrize("case", ["golden", (1, 2), (3, 0)], ids=str)
+def test_rebuilt_trace_gives_the_same_report(case):
+    inst = instance(32003, case)
+    trace = rebuilt(inst)
+    assert trace._fixed is None
+    assert optional_structural_checks(trace).to_dict() == \
+        optional_structural_checks(gcd_iterations(inst)).to_dict()
+
+
+def test_lent_lambda_skips_the_adjugate_route(monkeypatch):
+    trace = gcd_iterations(builtin_example())
+
+    def no_det(mat):
+        raise AssertionError("det(B) recomputed")
+
+    monkeypatch.setattr(pipeline, "det", no_det)
+    assert optional_structural_checks(trace).ok
+
+
+@pytest.mark.parametrize("k,j", [(0, 1), (2, 4)])
+def test_rebuilt_trace_checks_the_adjugate_law(k, j, monkeypatch):
+    trace = rebuilt(builtin_example())
+    perturbed_minors(monkeypatch, k, j, lambda ring: ring.T(1) ** 4)
+    with pytest.raises(IterationError,
+                       match="factorization fails at the minor of B "
+                             "without row %d and column %d$"
+                             % (k + 1, j + 1)):
+        optional_structural_checks(trace)
+
+
+def test_rebuilt_trace_checks_t1_divisibility(monkeypatch):
+    trace = rebuilt(builtin_example())
+    perturbed_minors(monkeypatch, 1, 0, lambda ring: ring.x(1) ** 3)
+    with pytest.raises(IterationError,
+                       match="minor of B without row 2 and column 1 is "
+                             "not divisible by T1"):
+        optional_structural_checks(trace)
+
+
+def test_rebuilt_trace_checks_the_full_dual_minor(monkeypatch):
+    trace = rebuilt(builtin_example())
+    monkeypatch.setattr(pipeline, "det", lambda mat: mat.ring.one)
+    with pytest.raises(IterationError,
+                       match="full-dual minor does not vanish"):
+        optional_structural_checks(trace)

@@ -8,6 +8,11 @@ budget on basis size and degree turns runaway computations into a hard
 BudgetExceeded error instead of an apparent hang.  For input bihomogeneous
 in (x, T) a run can stop at a bidegree box: it then keeps only the pairs
 whose lcm lies inside, enough for normal forms of bidegree inside the box.
+Given the bigraded Hilbert series of its ideal, a run on t-free
+bihomogeneous input under a graded order skips the S-pairs of every
+bidegree where its lead ideal is already complete (Traverso, "Hilbert
+functions and the Buchberger algorithm", J. Symb. Comp. 22, 1996); the
+series comes as the numerator that hilbert_numerator reads off a basis.
 
 All reduction runs on the heap-and-dict accumulator of the ring module
 (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -25,7 +30,17 @@ coprime exactly when their lcm is their sum.
 
 from __future__ import annotations
 
-from .ring import Polynomial, _accumulator, _add_shifted, _lcm, _pop_lead
+from math import comb
+
+from .ring import (
+    EXP_BITS,
+    EXP_MAX,
+    Polynomial,
+    _accumulator,
+    _add_shifted,
+    _lcm,
+    _pop_lead,
+)
 
 DEFAULT_MAX_BASIS = 20000
 DEFAULT_MAX_DEGREE = 500
@@ -185,8 +200,188 @@ def _insert_sorted(basis, entry):
     basis.insert(lo, entry)
 
 
+# A bidegree (a, b) is packed as a << _SPLIT | b, so that the bidegree of
+# a product is the sum of the factors' bidegrees.
+_SPLIT = 32
+_LOW = (1 << _SPLIT) - 1
+
+
+def _combine(num, other, shift, sign):
+    """num + sign * s^a u^b * other for shift the packed (a, b)."""
+    out = dict(num)
+    for k, c in other.items():
+        k += shift
+        c = out.get(k, 0) + sign * c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _minimal(exps, guard):
+    """The minimal generators of the monomial ideal of packed exponents.
+
+    A proper divisor of a packed exponent is a smaller integer, so
+    divisors come first in increasing order."""
+    kept = []
+    for e in sorted(set(exps)):
+        for h in kept:
+            if not (e - h) & guard:
+                break
+        else:
+            kept.append(e)
+    return kept
+
+
+def _numerator(exps, weight, guard, fields):
+    """Bigraded numerator of the monomial ideal of packed exponents exps
+    by Bigatti's pivot recursion (JPAA 119, 1997).
+
+    Pairwise coprime generators u give prod (1 - w(u)), w the packed
+    bidegree.  Otherwise the pivot p is the power of the variable that
+    divides the most generators, at its least exponent there, and
+    N(M) = N(M + (p)) + w(p) N(M : p): every generator holding the
+    variable is a multiple of p, so M + (p) is p beside the rest, coprime
+    to it, and M : p lowers that variable's exponent by p's.  fields
+    holds the mask of each variable's field.
+    """
+    exps = _minimal(exps, guard)
+    lcm = total = 0
+    for e in exps:
+        lcm = _lcm(lcm, e, guard)
+        total += e
+    if lcm == total:
+        num = {0: 1}
+        for e in exps:
+            num = _combine(num, num, weight(e), -1)
+        return num
+    best = 0
+    for mask in fields:
+        count = 0
+        low = mask
+        for e in exps:
+            f = e & mask
+            if f:
+                count += 1
+                if f < low:
+                    low = f
+        if count > best:
+            best, pivot, pmask = count, low, mask
+    rest = [e for e in exps if not e & pmask]
+    quotient = [e - pivot if e & pmask else e for e in exps]
+    w = weight(pivot)
+    num = _numerator(rest, weight, guard, fields)
+    num = _combine(num, num, w, -1)
+    return _combine(num, _numerator(quotient, weight, guard, fields), w, 1)
+
+
+def _hilbert_value(num, bidegree, n):
+    """dim_(a, b) of the module whose Hilbert series is num over
+    (1 - s)^n (1 - u)^n, bidegree the packed (a, b)."""
+    a, b = bidegree >> _SPLIT, bidegree & _LOW
+    total = 0
+    for k, c in num.items():
+        i, j = k >> _SPLIT, k & _LOW
+        if i <= a and j <= b:
+            total += (c * comb(a - i + n - 1, n - 1)
+                      * comb(b - j + n - 1, n - 1))
+    return total
+
+
+def _packed_bidegree(ring):
+    read = ring.bidegree_of
+
+    def weight(exp):
+        a, b = read(exp)
+        return a << _SPLIT | b
+    return weight
+
+
+def _fields(ring):
+    return [EXP_MAX << (EXP_BITS * slot)
+            for slot in ring.x_slots + ring.t_slots]
+
+
+def hilbert_numerator(basis, order=None):
+    """Numerator N(s, u) of the bigraded Hilbert series of R/(leads),
+    R = k[x, T], for the lead monomials under order of a t-free basis;
+    t in basis raises ValueError.
+
+    For a Groebner basis of a t-free bihomogeneous ideal I under order
+    this is the numerator of the series of R/I, the same under every
+    order: sum dim (R/I)_(a,b) s^a u^b = N(s, u) / ((1-s)^n (1-u)^n),
+    n = d + 1.  Returned as a map (a, b) -> nonzero integer coefficient.
+    """
+    basis = [g for g in basis if not g.is_zero]
+    if not basis:
+        return {(0, 0): 1}
+    ring = basis[0].ring
+    if any(ring.aux_slot in g.support() for g in basis):
+        raise ValueError("a Hilbert numerator needs a t-free basis")
+    order = order or ring.grevlex
+    if order is ring.grevlex:
+        leads = [g.terms[0][1] for g in basis]
+    else:
+        key = order.key
+        leads = [max((e for _, e, _ in g.terms), key=key) for g in basis]
+    num = _numerator(leads, _packed_bidegree(ring), ring.guard,
+                     _fields(ring))
+    return {(k >> _SPLIT, k & _LOW): c for k, c in num.items()}
+
+
+class _HilbertDriver:
+    """The lead ideal's numerator during a run, against a target.
+
+    admit keeps the numerator current as leads join:
+    N(M + (u)) = N(M) - w(u) N(M : u), M : u generated by the
+    lcm(g, u) - u of the earlier leads g.  settled tells whether the
+    lead ideal is complete at the bidegree of a pair's lcm, where every
+    S-pair reduces to zero; pairs come off in nondecreasing degree, so
+    a bidegree's deficit, once read, falls only by one for each element
+    admitted in it.
+    """
+
+    __slots__ = ("target", "num", "deficit", "weight", "guard", "fields",
+                 "n")
+
+    def __init__(self, ring, hilbert):
+        self.target = {a << _SPLIT | b: c for (a, b), c in hilbert.items()
+                       if c}
+        self.num = {0: 1}
+        self.deficit = {}
+        self.weight = _packed_bidegree(ring)
+        self.guard = ring.guard
+        self.fields = _fields(ring)
+        self.n = ring.n
+
+    def admit(self, lead, earlier):
+        guard = self.guard
+        quotient = [_lcm(g, lead, guard) - lead for g in earlier]
+        w = self.weight(lead)
+        self.num = _combine(self.num, _numerator(
+            quotient, self.weight, guard, self.fields), w, -1)
+        if w in self.deficit:
+            self.deficit[w] -= 1
+
+    def settled(self, lcm):
+        w = self.weight(lcm)
+        left = self.deficit.get(w)
+        if left is None:
+            left = self.deficit[w] = (_hilbert_value(self.num, w, self.n)
+                                      - _hilbert_value(self.target, w,
+                                                       self.n))
+        return left == 0
+
+    def check(self, order):
+        if self.num != self.target:
+            raise AssertionError(
+                "Hilbert series of the leads differs from the target (%s)"
+                % order.name)
+
+
 def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
-                   known=0, within=None):
+                   known=0, within=None, hilbert=None):
     """Reduced monic Groebner basis of the ideal generated by gens.
 
     The output is a tuple of Polynomials sorted by increasing lead
@@ -215,6 +410,18 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     normal forms on it are exact for every polynomial of bidegree in
     the box (degree-truncated Buchberger).  The known claim stands only
     if no prefix generator is dropped.  The budget caps apply as before.
+
+    hilbert is the caller's claim that the numerator N(s, u) of the
+    bigraded Hilbert series of the ideal is the given map (a, b) -> coeff,
+    as hilbert_numerator returns it.  It needs t-free bihomogeneous gens,
+    a graded order (grevlex or a revlex_last order) and no within;
+    anything else raises ValueError.  Pairs then come off in
+    nondecreasing degree, and before a pair whose lcm has bidegree
+    (a, b) is reduced, dim (R/LT(G))_(a,b) is compared with the series:
+    where they agree LT(G) and LT(I) agree in that bidegree, the pair's
+    S-polynomial reduces to zero, and it is dropped.  So the run admits
+    exactly the elements of a plain run.  At the end the numerator of
+    the leads must equal the claim, or AssertionError is raised.
     """
     gens = list(gens)
     if known > len(gens) or not all(gens[:known]):
@@ -235,6 +442,15 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
         if not gens:
             return ()
     order = order or ring.grevlex
+    driver = None
+    if hilbert is not None:
+        if (within is not None or not ring.is_graded(order)
+                or any(g.bidegree() is None
+                       or ring.aux_slot in g.support() for g in gens)):
+            raise ValueError("a run driven by a Hilbert series needs t-free "
+                             "bihomogeneous input under a graded order, "
+                             "untruncated")
+        driver = _HilbertDriver(ring, hilbert)
     mod, guard = ring.p, ring.guard
     keyf = order.key
     cap_size = max_basis if max_basis is not None else DEFAULT_MAX_BASIS
@@ -256,6 +472,8 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
                                  % (cap_deg, order.name))
         G.append(terms)
         entries.append(_basis_entry(terms, mod))
+        if driver is not None:
+            driver.admit(terms[0][1], lead)
         lead.append(terms[0][1])
         _insert_sorted(red, entries[-1])
         return _update_pairs(pairs, lead, len(G) - 1, keyf, guard, inside)
@@ -276,14 +494,16 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
             if (cand[0], cand[3], cand[2]) < (bk[0], bk[3], bk[2]):
                 best = pos
                 bk = cand
-        _, _, i, j = pairs.pop(best)
-        if j < known:
+        _, lcm, i, j = pairs.pop(best)
+        if j < known or driver is not None and driver.settled(lcm):
             continue
         h = _reduce_terms((), red, mod, guard,
                           _spair_tails(entries[i], entries[j], keyf, guard))
         if h:
             pairs = admit(h)
 
+    if driver is not None:
+        driver.check(order)
     return tuple(_to_poly(ring, terms)
                  for terms in _autoreduce(G, mod, guard))
 

@@ -31,6 +31,14 @@ a reduced basis there as well, and the S-pairs inside it are not
 reduced (the known-basis criterion of groebner.groebner_basis).  The
 memos live on the Ideal objects of one verification, not in the module.
 
+The d+1 runs of Bayer's route on one ideal, one per variable, share its
+bigraded Hilbert series.  Once an ideal of t-free bihomogeneous
+generators holds a full basis under any order (its first run, or the
+basis an intersection hands over), it reads the series' numerator off
+that basis once, and every later run under a graded order is driven by
+it (groebner.groebner_basis, hilbert): the S-pairs of the bidegrees
+where the run's lead ideal is complete are not reduced.
+
 Membership is decided on a grevlex basis.  The ideals of the problem are
 bihomogeneous in (x, T), and for such an ideal and bihomogeneous queries
 a basis truncated at the box of the queries' bidegrees gives the same
@@ -49,7 +57,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 
-from .groebner import groebner_basis, normal_form
+from .groebner import groebner_basis, hilbert_numerator, normal_form
 
 
 class Ideal:
@@ -64,11 +72,13 @@ class Ideal:
 
     Beside them it keeps one grevlex basis truncated at a bidegree box,
     with the box (see basis_for): the membership basis of a bigraded
-    ideal whose full basis nobody has asked for.
+    ideal whose full basis nobody has asked for; and the numerator of
+    its bigraded Hilbert series, read off its first full basis, which
+    drives its later runs.
     """
 
     __slots__ = ("ring", "gens", "_bases", "_quotients", "_intersections",
-                 "_truncated")
+                 "_truncated", "_hilbert")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -82,15 +92,33 @@ class Ideal:
         self._quotients = {}
         self._intersections = {}
         self._truncated = None
+        self._hilbert = None
 
     def groebner(self, order=None):
-        """Reduced basis under order (default: grevlex)."""
+        """Reduced basis under order (default: grevlex).
+
+        Every run after the first full basis of a bigraded ideal, under a
+        graded order, is driven by the Hilbert series of that basis."""
         order = order or self.ring.grevlex
         gb = self._bases.get(order)
         if gb is None:
-            gb = groebner_basis(self.gens, order)
+            hilbert = None
+            if self._bases and self.ring.is_graded(order):
+                hilbert = self._numerator()
+            gb = groebner_basis(self.gens, order, hilbert=hilbert)
             self._bases[order] = gb
         return gb
+
+    def _numerator(self):
+        """The bigraded Hilbert numerator read off the first full basis,
+        once, or None unless every generator is t-free and
+        bihomogeneous."""
+        if self._hilbert is None:
+            self._hilbert = False
+            if _bigraded_box(self.gens) is not None:
+                order, basis = next(iter(self._bases.items()))
+                self._hilbert = hilbert_numerator(basis, order)
+        return None if self._hilbert is False else self._hilbert
 
     @property
     def is_zero(self):

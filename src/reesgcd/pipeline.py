@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import combinations
 
 from .ring import DEFAULT_PRIME, BiDegree, PolyRing
 from .matrices import (
@@ -41,6 +42,7 @@ from .matrices import (
     iteration_matrix,
     jacobian_dual,
     minors,
+    pfaffian,
     submaximal_pfaffians,
 )
 from .groebner import normal_form
@@ -782,16 +784,39 @@ def _check_square_law(mat, pfs):
                     "row %d and column %d" % (k + 1, j + 1))
 
 
+def _principal_pfaffians(mat, size):
+    """Pfaffians of the principal size x size submatrices of the
+    alternating mat, each checked against Cayley's identity
+    det(A_S) = Pf(A_S)^2 by the Bareiss route; a mismatch raises
+    IterationError naming the rows and columns S."""
+    ring = mat.ring
+    out = []
+    for rows in combinations(range(mat.rows), size):
+        sub = PolyMatrix.from_rows(
+            ring, [[mat.at(i, j) for j in rows] for i in rows])
+        pf = pfaffian(sub)
+        if det(sub) != pf * pf:
+            raise IterationError(
+                "Cayley: det = Pf^2 fails on the principal submatrix of "
+                "rows and columns %s" % ",".join(str(i + 1) for i in rows))
+        out.append(pf)
+    return out
+
+
 def _reduction_usable(mat, d):
     """Height conditions qualifying coordinates for the reduced checks:
     dropping the last variable must keep the pfaffian ideal at height 3
     and every size-j minor ideal at height at least d - j + 2.
 
-    The size-d minors need no Groebner run: once the Pfaffians p have
-    height 3, the square law adj = p . p^t, checked entry by entry, makes
-    their ideal (p)^2, whose radical is that of (p), so its height is 3,
-    above the 2 required.  Sizes 2..d-1 are spanned and their heights
-    computed.
+    An alternating matrix has even rank, so the minors of sizes 2k-1 and
+    2k vanish where its principal 2k-Pfaffians do, and the three ideals
+    share one height; the binding size is 2k-1.  So no minor ideal is
+    formed.  Size 2 needs height d: the reduced entries, linear forms in
+    d variables, must span all of them.  Sizes d-1 and d are the
+    submaximal Pfaffians p, of height 3; for size d the square law
+    adj = p . p^t is checked entry by entry as well.  Each size 2k
+    between takes the height of its principal Pfaffians, each checked
+    against Cayley's identity, and needs d - 2k + 3.
     """
     ring = mat.ring
     reduced = _substitute_linear(
@@ -801,9 +826,13 @@ def _reduction_usable(mat, d):
     if height(Ideal(ring, pfs), ambient) < 3:
         return False
     _check_square_law(reduced, pfs)
-    for size in range(2, d):
-        mins = _deduped_minors(reduced, size)
-        if height(Ideal(ring, mins), ambient) < d - size + 2:
+    entries = [reduced.at(i, j)
+               for i in range(d + 1) for j in range(i + 1, d + 1)]
+    if len(ring.span_basis(entries)) < d:
+        return False
+    for size in range(4, d, 2):
+        principal = ring.span_basis(_principal_pfaffians(reduced, size))
+        if height(Ideal(ring, principal), ambient) < d - size + 3:
             return False
     return True
 

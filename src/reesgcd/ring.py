@@ -340,6 +340,11 @@ class PolyRing:
             self._revlex[slot] = order
         return order
 
+    def is_graded(self, order):
+        """Whether order compares total degree first: grevlex and every
+        revlex_last order of this ring are, elim_aux is not."""
+        return order is self.grevlex or order in self._revlex.values()
+
     def from_dict(self, coeffs):
         """Polynomial from a map exponent tuple -> integer coefficient."""
         key = self.grevlex.key

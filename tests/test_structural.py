@@ -10,7 +10,12 @@ import pytest
 
 from reesgcd import pipeline
 from reesgcd.ideals import Ideal, height
-from reesgcd.matrices import iteration_matrix, jacobian_dual
+from reesgcd.matrices import (
+    PolyMatrix,
+    iteration_matrix,
+    jacobian_dual,
+    submaximal_pfaffians,
+)
 from reesgcd.pipeline import (
     IterationError,
     IterationStep,
@@ -20,6 +25,7 @@ from reesgcd.pipeline import (
     optional_structural_checks,
     random_instance,
 )
+from reesgcd.ring import PolyRing
 
 from structural_reference import (
     dual_minor_height_by_minors,
@@ -94,6 +100,97 @@ def test_reduction_usable_matches_reference_in_new_coordinates(case):
     mats.append(pipeline._substitute_linear(inst.presentation, swap))
     verdicts = [pipeline._reduction_usable(mat, d) for mat in mats]
     assert verdicts == [reduction_usable_by_minors(mat, d) for mat in mats]
+
+
+def linear_form(rng, ring, slots):
+    return ring.dot((rng.randrange(1, ring.p), ring.one, ring.x(v))
+                    for v in slots)
+
+
+def alternating(ring, entry):
+    """The alternating matrix with entry(i, j) above the diagonal."""
+    size = ring.n
+    rows = [[ring.zero] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            rows[i][j] = entry(i, j)
+            rows[j][i] = -rows[i][j]
+    return PolyMatrix.from_rows(ring, rows)
+
+
+def degenerate_matrices():
+    """d=4 alternating matrices of linear forms where few variables or a
+    zero row decide: entries in x1..x3 keep the reduced Pfaffians at
+    height 3 but span 3 < 4 forms; entries in x1, x2 or a zero row lower
+    the Pfaffian height."""
+    ring = PolyRing.get(32003, 4)
+    rng = random.Random("degenerate")
+    return [
+        alternating(ring, lambda i, j: linear_form(rng, ring, (1, 2, 3))),
+        alternating(ring, lambda i, j: linear_form(rng, ring, (1, 2))),
+        alternating(ring, lambda i, j: linear_form(rng, ring, (1, 2, 5))),
+        alternating(ring, lambda i, j: ring.zero if i == 0 else
+                    linear_form(rng, ring, range(1, 6))),
+        alternating(ring, lambda i, j: linear_form(rng, ring, range(1, 6))),
+    ]
+
+
+def test_reduction_usable_matches_reference_on_degenerate_matrices():
+    mats = degenerate_matrices()
+    verdicts = [pipeline._reduction_usable(mat, 4) for mat in mats]
+    assert verdicts == [reduction_usable_by_minors(mat, 4) for mat in mats]
+    assert verdicts == [False] * 4 + [True]
+
+
+def test_span_of_reduced_entries_decides_in_three_variables():
+    ring = PolyRing.get(32003, 4)
+    reduced = degenerate_matrices()[0]
+    pfs = submaximal_pfaffians(reduced)
+    assert height(Ideal(ring, pfs), ring.x_slots[:4]) == 3
+    assert len(ring.span_basis(reduced.entries)) == 3
+
+
+def d6_matrices():
+    """A generic d=6 alternating matrix of linear forms, and one whose
+    x5, x6 sit in the first row only: it has rank 2 on x1 = ... = x4 = 0,
+    so its 4 x 4 Pfaffians have height 4 < 5 while the submaximal ones
+    keep height 3 and the entries span all six forms."""
+    ring = PolyRing.get(32003, 6)
+    rng = random.Random("d6")
+    generic = alternating(ring, lambda i, j: linear_form(rng, ring,
+                                                         range(1, 8)))
+    low = alternating(ring, lambda i, j: linear_form(
+        rng, ring, (1, 2, 3, 4, 5, 6) if i == 0 else (1, 2, 3, 4)))
+    return generic, low
+
+
+def test_principal_pfaffians_decide_at_d6():
+    generic, low = d6_matrices()
+    assert pipeline._reduction_usable(generic, 6)
+    assert reduction_usable_by_minors(generic, 6)
+    assert not pipeline._reduction_usable(low, 6)
+    assert not reduction_usable_by_minors(low, 6)
+
+
+def test_principal_pfaffians_check_cayley(monkeypatch):
+    generic, _ = d6_matrices()
+    ring = generic.ring
+    reduced = pipeline._substitute_linear(
+        generic, [ring.x(k) for k in range(1, 7)] + [ring.zero])
+    rows = (1, 2, 4, 6)
+    target = PolyMatrix.from_rows(
+        ring, [[reduced.at(i, j) for j in rows] for i in rows])
+    original = pipeline.pfaffian
+
+    def perturbed(mat):
+        pf = original(mat)
+        return pf + ring.x(1) ** 2 if mat.entries == target.entries else pf
+
+    monkeypatch.setattr(pipeline, "pfaffian", perturbed)
+    with pytest.raises(IterationError,
+                       match="Cayley: det = Pf\\^2 fails on the principal "
+                             "submatrix of rows and columns 2,3,5,7$"):
+        pipeline._reduction_usable(generic, 6)
 
 
 def perturbed_minors(monkeypatch, k, j, delta):

@@ -10,7 +10,10 @@ optional and --prime overrides it.  All output polynomials use the
 canonical grammar (grevlex term order, explicit * and ^), so JSON
 output re-parses bit-exactly.
 
-Exit codes: 0 success, 1 usage or parse error, 2 hypothesis failure,
+Exit codes: 0 success, 1 usage or parse error, or an instance too large
+(its last gcd, of bidegree (0, m(d-1)), could have more than
+pipeline.MAX_FIBER_TERMS = 10^5 terms, C(m(d-1)+d, d); refused before
+any matrix is built, for random -d as well), 2 hypothesis failure,
 3 verification failure, 4 Groebner budget exceeded (stderr names the
 report section whose run hit the cap), 5 an exponent past
 ring.EXP_MAX = 32767, in the input or in any product formed on the way.

@@ -70,7 +70,12 @@ def _to_terms(poly, order):
                         reverse=True))
 
 
-def _to_poly(ring, terms):
+def _to_poly(ring, terms, order):
+    """The Polynomial of a term list under order.  Terms under grevlex
+    already carry grevlex keys in decreasing order and are kept as they
+    are; any other order's are rekeyed and sorted."""
+    if order is ring.grevlex:
+        return Polynomial(ring, tuple(terms))
     key = ring.grevlex.key
     return Polynomial(ring, tuple(
         sorted(((key(e), e, c) for _, e, c in terms), reverse=True)))
@@ -504,7 +509,7 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
 
     if driver is not None:
         driver.check(order)
-    return tuple(_to_poly(ring, terms)
+    return tuple(_to_poly(ring, terms, order)
                  for terms in _autoreduce(G, mod, guard))
 
 
@@ -536,7 +541,7 @@ def normal_form(poly, basis, order=None):
          for g in basis if not g.is_zero),
         key=lambda ent: ent[0])
     h = _reduce_terms(_to_terms(poly, order), entries, mod, ring.guard)
-    return _to_poly(ring, h)
+    return _to_poly(ring, h, order)
 
 
 def spolynomial(f, g, order=None):
@@ -547,7 +552,8 @@ def spolynomial(f, g, order=None):
     tails = _spair_tails(_basis_entry(_to_terms(f, order), mod),
                          _basis_entry(_to_terms(g, order), mod), order.key,
                          ring.guard)
-    return _to_poly(ring, _reduce_terms((), (), mod, ring.guard, tails))
+    return _to_poly(ring, _reduce_terms((), (), mod, ring.guard, tails),
+                    order)
 
 
 def is_groebner(basis, order=None):

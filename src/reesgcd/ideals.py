@@ -13,23 +13,33 @@ saturation of one ideal by the same variable share a single run.
 Colons and saturations by an ideal of variables intersect the
 per-variable results.
 
+Every quotient is kept under its reduced grevlex basis, its canonical
+form.  The leads of Bayer's quotient list give the quotient's bigraded
+Hilbert series, which drives the grevlex run that forms the basis
+(Traverso, J. Symb. Comp. 22, 1996); the run checks the series of its
+own leads against it at the end.  An ideal keeps one quotient Ideal per
+distinct basis, so quotients that are the same ideal (by different
+variables, or a colon and a saturation) are the same object, whose
+generators are that basis.
+
 Intersections are the only elimination constructions: the helper
 variable t is eliminated from t*I + (1-t)*J, and the output arrives as a
 reduced grevlex basis of the intersection, so downstream membership tests
-reuse it without recomputation.
+reuse it without recomputation.  Two ideals with the same reduced grevlex
+basis meet in that ideal with no run, so a fold of equal quotients (on
+the random m = 1 instances of the tests, every fold) eliminates nothing.
 
 Nothing derived from an ideal is computed twice while the ideal lives.
-An ideal keeps one quotient Ideal per distinct quotient list, so a colon
-and a saturation by x whose quotients agree are the same object, and it
-keeps its intersection with each generator tuple.  Hence, when the
-first colon step by every x_i equals the saturation by it, that step's
-fold of intersections is the saturation's fold, run once.  An
-intersection whose first argument is given by its reduced grevlex basis
-(every intersection is) passes known to its elimination run: on the
-monomials t*u with u t-free the elimination order is grevlex, so t*I is
-a reduced basis there as well, and the S-pairs inside it are not
-reduced (the known-basis criterion of groebner.groebner_basis).  The
-memos live on the Ideal objects of one verification, not in the module.
+Besides its quotients an ideal keeps its intersection with each
+generator tuple.  An intersection whose first argument is given by its
+reduced grevlex basis (every quotient and every intersection is) passes
+known to its elimination run: on the monomials t*u with u t-free the
+elimination order is grevlex, so t*I is a reduced basis there as well,
+and the S-pairs inside it are not reduced (the known-basis criterion of
+groebner.groebner_basis).  The (1-t) block of a quotient is its
+quotient list, kept beside its basis: with the basis there, golden's
+elimination runs grow past 33 basis elements.  The memos live on the
+Ideal objects of one verification, not in the module.
 
 The d+1 runs of Bayer's route on one ideal, one per variable, share its
 bigraded Hilbert series.  Once an ideal of t-free bihomogeneous
@@ -37,7 +47,8 @@ generators holds a full basis under any order (its first run, or the
 basis an intersection hands over), it reads the series' numerator off
 that basis once, and every later run under a graded order is driven by
 it (groebner.groebner_basis, hilbert): the S-pairs of the bidegrees
-where the run's lead ideal is complete are not reduced.
+where the run's lead ideal is complete are not reduced.  A quotient
+starts with the numerator its quotient list gave.
 
 Membership is decided on a grevlex basis.  The ideals of the problem are
 bihomogeneous in (x, T), and for such an ideal and bihomogeneous queries
@@ -66,19 +77,23 @@ class Ideal:
     Membership tests run under grevlex; gb, if given, is the reduced
     grevlex basis.  Bases under other orders are computed on request and
     kept, one per order, for the life of the ideal.  So are the ideals
-    derived from it: the quotient ideal of each quotient list that
-    _divide_out forms from its bases, and its intersection with each
-    generator tuple it has been intersected with.
+    derived from it: each distinct quotient ideal that _divide_out
+    forms from its bases, under the quotient's reduced grevlex basis
+    (and under the quotient list it came from), and its intersection
+    with each generator tuple it has been intersected with.
 
     Beside them it keeps one grevlex basis truncated at a bidegree box,
     with the box (see basis_for): the membership basis of a bigraded
     ideal whose full basis nobody has asked for; and the numerator of
     its bigraded Hilbert series, read off its first full basis, which
-    drives its later runs.
+    drives its later runs.  A quotient also keeps Bayer's quotient list
+    it was formed from (_divided), the (1-t) block of the intersections
+    it enters as second argument; its numerator comes from that list's
+    leads.
     """
 
     __slots__ = ("ring", "gens", "_bases", "_quotients", "_intersections",
-                 "_truncated", "_hilbert")
+                 "_truncated", "_hilbert", "_divided")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -93,6 +108,7 @@ class Ideal:
         self._intersections = {}
         self._truncated = None
         self._hilbert = None
+        self._divided = None
 
     def groebner(self, order=None):
         """Reduced basis under order (default: grevlex).
@@ -213,13 +229,17 @@ def _eliminate_aux(ring, gens, tag, known=0):
 
 
 def intersect(a, b):
-    """a ∩ b via elimination of t from t*a + (1-t)*b, kept on a by the
-    generators of b.
+    """a ∩ b, kept on a by the generators of b.
 
-    When a's generators are its reduced grevlex basis, as they are for
-    every intersection, the elimination run is told so: the elimination
-    order agrees with grevlex on the monomials t*u with u t-free, so t*a
-    is a reduced basis too and its pairs need no reduction.
+    Two ideals with the same reduced grevlex basis meet in that ideal,
+    returned under its basis with no elimination run.  Otherwise t is
+    eliminated from t*a + (1-t)*b, the (1-t) block taken over b's
+    quotient list when b is a quotient (_divide_out) and over its
+    generators otherwise.  When a's generators are its reduced grevlex
+    basis, as they are for every quotient and every intersection, the
+    elimination run is told so: the elimination order agrees with
+    grevlex on the monomials t*u with u t-free, so t*a is a reduced
+    basis too and its pairs need no reduction.
     """
     _check_aux_free(a)
     _check_aux_free(b)
@@ -227,13 +247,17 @@ def intersect(a, b):
     if found is not None:
         return found
     ring = a.ring
+    basis = a._bases.get(ring.grevlex)
     if a.is_zero or b.is_zero:
         found = Ideal(ring, ())
+    elif basis is not None and basis == b._bases.get(ring.grevlex):
+        found = a if a.gens == basis else Ideal(ring, basis, gb=basis)
     else:
         t = ring.aux
         one_minus_t = ring.one - t
-        gens = [t * g for g in a.gens] + [one_minus_t * h for h in b.gens]
-        known = len(a.gens) if a._bases.get(ring.grevlex) == a.gens else 0
+        gens = [t * g for g in a.gens] + [
+            one_minus_t * h for h in b._divided or b.gens]
+        known = len(a.gens) if basis == a.gens else 0
         kept = _eliminate_aux(ring, gens, "intersection", known)
         found = Ideal(ring, kept, gb=kept)
     a._intersections[b.gens] = found
@@ -260,21 +284,48 @@ def _bayer_slot(a, f):
 
 
 def _divide_out(a, slot, whole_power):
-    """Basis of a under the order with slot last, each element divided by
-    its full power of that variable (whole_power) or by the variable once
-    where it divides; one Ideal per distinct quotient list, kept on a."""
+    """The quotient of a by the variable in slot, under its reduced
+    grevlex basis; one Ideal per distinct basis, kept on a.
+
+    Each element of a's basis under the order with slot last is divided
+    by its full power of that variable (whole_power) or by the variable
+    once where it divides.  By Bayer's theorem the quotients form a
+    Groebner basis of the quotient ideal under that order, so their
+    leads, each the element's lead less the removed power, give the
+    ideal's bigraded Hilbert series, which drives the grevlex run that
+    makes the basis canonical (input that is not bihomogeneous takes a
+    plain run).  The quotient Ideal has that basis as its generators,
+    the series as its numerator, and the quotient list beside them for
+    the (1-t) block of the intersections it enters.  The memo is also
+    keyed by the quotient list, so a colon and a saturation by x with
+    the same quotients make one grevlex run.
+    """
     ring = a.ring
+    order = ring.revlex_last(slot)
     x = ring.variable(slot)
     quots = []
-    for g in a.groebner(order=ring.revlex_last(slot)):
-        v = min(e[slot] for e, _ in g.items())
-        if v > 1 and not whole_power:
-            v = 1
-        quots.append(g.exact_div(x ** v) if v else g)
+    leads = []
+    for g in a.groebner(order=order):
+        lead = list(g.lead_exp(order))
+        v = lead[slot] if whole_power else min(lead[slot], 1)
+        if v:
+            lead[slot] -= v
+            g = g.exact_div(x ** v)
+        quots.append(g)
+        leads.append(ring.monomial(lead))
     quots = tuple(quots)
     found = a._quotients.get(quots)
     if found is None:
-        found = a._quotients[quots] = Ideal(ring, quots)
+        hilbert = None
+        if _bigraded_box(quots) is not None:
+            hilbert = hilbert_numerator(leads)
+        basis = groebner_basis(quots, ring.grevlex, hilbert=hilbert)
+        found = a._quotients.get(basis)
+        if found is None:
+            found = a._quotients[basis] = Ideal(ring, basis, gb=basis)
+            found._hilbert = hilbert
+            found._divided = quots
+        a._quotients[quots] = found
     return found
 
 

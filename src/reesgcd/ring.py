@@ -597,11 +597,15 @@ class Polynomial:
     def __len__(self):
         return len(self.terms)
 
-    def lead_exp(self):
-        """Exponent tuple of the lead term."""
+    def lead_exp(self, order=None):
+        """Exponent tuple of the lead term under order (default: grevlex,
+        the order the terms are kept in)."""
         if not self.terms:
             raise ValueError("zero polynomial has no lead term")
-        return self.ring.unpack(self.terms[0][1])
+        if order is None or order is self.ring.grevlex:
+            return self.ring.unpack(self.terms[0][1])
+        return self.ring.unpack(max((e for _, e, _ in self.terms),
+                                    key=order.key))
 
     def items(self):
         """(exponent tuple, coefficient) of every term, in term order."""

@@ -20,7 +20,7 @@ def reduce_basis(polys, order=None):
     ring = polys[0].ring
     order = order or ring.grevlex
     terms = [_to_terms(g, order) for g in polys]
-    return tuple(_to_poly(ring, t)
+    return tuple(_to_poly(ring, t, order)
                  for t in _autoreduce(terms, ring.p, ring.guard))
 
 

@@ -1,0 +1,173 @@
+"""Canonical Bayer quotients: a colon or saturation by a variable is kept
+under its reduced grevlex basis, made by a run driven by the Hilbert series
+that Bayer's quotient list gives, so equal quotients are one Ideal and an
+ideal meets itself without an elimination run.
+
+The property tests run on random homogeneous and bihomogeneous ideals of
+the d=1 and d=2 rings at p=7 and p=32003, against plain Groebner runs on
+quotient lists formed here from the definition.
+"""
+
+import pytest
+
+from reesgcd import ideals
+from reesgcd.groebner import groebner_basis, hilbert_numerator, normal_form
+from reesgcd.ideals import Ideal, colon, intersect, saturate, saturate_poly
+from reesgcd.ring import PolyRing
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given = hypothesis.given
+settings = hypothesis.settings
+
+from test_bayer import homogeneous_polys  # noqa: E402
+
+RINGS = tuple(PolyRing.get(p, d) for p in (7, 32003) for d in (1, 2))
+
+
+def bihomogeneous_polys(ring, slots_x, slots_t, a, b):
+    """Nonzero polynomials of bidegree (a, b) over the given x and T
+    slots."""
+    def exponent(parts):
+        exp = [0] * ring.nvars
+        for slot in parts[0] + parts[1]:
+            exp[slot] += 1
+        return tuple(exp)
+
+    monomials = st.tuples(
+        st.lists(st.sampled_from(slots_x), min_size=a, max_size=a)
+        if a else st.just([]),
+        st.lists(st.sampled_from(slots_t), min_size=b, max_size=b)
+        if b else st.just([])).map(exponent)
+    coeffs = st.integers(1, ring.p - 1)
+    return st.dictionaries(monomials, coeffs, min_size=1,
+                           max_size=4).map(ring.from_dict).filter(bool)
+
+
+@st.composite
+def problems(draw):
+    """A homogeneous ideal, bigraded or not, and a variable slot."""
+    ring = draw(st.sampled_from(RINGS))
+    if draw(st.booleans()):
+        degree = st.integers(1, 3).flatmap(
+            lambda k: homogeneous_polys(ring, k))
+    else:
+        degree = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+            any).flatmap(lambda ab: bihomogeneous_polys(
+                ring, ring.x_slots, ring.t_slots, *ab))
+    gens = draw(st.lists(degree, min_size=1, max_size=3))
+    slot = draw(st.sampled_from(ring.x_slots + ring.t_slots))
+    return Ideal(ring, gens), slot
+
+
+def quotient_list(a, slot, whole_power):
+    """Bayer's quotient list from the definition: the basis with slot
+    last, each element divided by the least power of the variable over
+    its terms, or by the variable once where it divides."""
+    ring = a.ring
+    x = ring.variable(slot)
+    out = []
+    for g in groebner_basis(a.gens, ring.revlex_last(slot)):
+        v = min(e[slot] for e, _ in g.items())
+        if not whole_power:
+            v = min(v, 1)
+        out.append(g.exact_div(x ** v))
+    return tuple(out)
+
+
+@st.composite
+def products_by_two_variables(draw):
+    """a = b*(x1, x2) for b bigraded in the other variables: a : x1 and
+    a : x2, and both saturations, are b, from four quotient lists."""
+    ring = draw(st.sampled_from(RINGS))
+    other_x = [s for s in ring.x_slots if s > 1]
+    bidegrees = st.tuples(st.integers(0, 1 if other_x else 0),
+                          st.integers(1, 2))
+    b = draw(st.lists(bidegrees.flatmap(lambda ab: bihomogeneous_polys(
+        ring, other_x, ring.t_slots, *ab)), min_size=1, max_size=3))
+    x1, x2 = ring.x(1), ring.x(2)
+    return ring, b, Ideal(ring, [x * g for g in b for x in (x1, x2)])
+
+
+def elimination_runs(monkeypatch):
+    runs = []
+    original = ideals.groebner_basis
+
+    def counted(gens, order=None, *args, **kwargs):
+        if order is not None and order.name == "elim-aux":
+            runs.append(len(gens))
+        return original(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "groebner_basis", counted)
+    return runs
+
+
+class TestCanonicalBasis:
+    @settings(max_examples=60, deadline=None)
+    @given(problems(), st.booleans())
+    def test_plain_run_on_the_quotient_list(self, problem, whole_power):
+        a, slot = problem
+        x = a.ring.variable(slot)
+        got = saturate_poly(a, x) if whole_power else colon(a, x)
+        quots = quotient_list(a, slot, whole_power)
+        basis = groebner_basis(quots)
+        assert got.gens == basis
+        assert got.groebner() == got.gens
+        assert got._divided == quots
+        if ideals._bigraded_box(quots) is not None:
+            assert got._hilbert == hilbert_numerator(basis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(products_by_two_variables())
+    def test_equal_quotients_are_one_ideal(self, problem):
+        ring, b, a = problem
+        x1, x2 = ring.x(1), ring.x(2)
+        got = colon(a, x1)
+        assert got.gens == groebner_basis(b)
+        assert colon(a, x2) is got
+        assert saturate_poly(a, x1) is got
+        assert saturate_poly(a, x2) is got
+        assert saturate(a, Ideal(ring, [x1, x2])) is got
+
+    @settings(max_examples=40, deadline=None)
+    @given(products_by_two_variables())
+    def test_driven_run_rejects_a_larger_target(self, problem):
+        ring, b, a = problem
+        quots = colon(a, ring.x(1))._divided
+        extra = ring.x(1) * ring.x(2)
+        larger = groebner_basis(list(quots) + [extra])
+        assert not normal_form(extra, groebner_basis(quots)).is_zero
+        with pytest.raises(AssertionError, match="Hilbert series"):
+            groebner_basis(quots, hilbert=hilbert_numerator(larger))
+
+
+class TestSelfIntersection:
+    @settings(max_examples=60, deadline=None)
+    @given(problems(), st.randoms(use_true_random=False))
+    def test_returns_the_reduced_basis_without_a_run(self, problem, rng):
+        a, _ = problem
+        ring = a.ring
+        basis = groebner_basis(a.gens)
+        scaled = [g.scale(2) for g in a.gens]
+        rng.shuffle(scaled)
+        left = Ideal(ring, scaled, gb=basis)
+        right = Ideal(ring, a.gens, gb=basis)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = elimination_runs(mp)
+            meet = intersect(left, right)
+            assert intersect(meet, Ideal(ring, basis, gb=basis)) is meet
+            assert runs == []
+        assert meet.gens == basis
+        assert meet.groebner() == basis
+        assert intersect(Ideal(ring, basis, gb=basis), right).gens == basis
+
+    @settings(max_examples=40, deadline=None)
+    @given(problems())
+    def test_unknown_bases_take_the_run(self, problem):
+        a, _ = problem
+        ring = a.ring
+        with pytest.MonkeyPatch.context() as mp:
+            runs = elimination_runs(mp)
+            meet = intersect(Ideal(ring, a.gens), Ideal(ring, a.gens))
+            assert len(runs) == 1
+        assert meet.gens == groebner_basis(a.gens)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -273,6 +274,40 @@ class TestVerify:
         assert "basis size cap 3 exceeded" in capsys.readouterr().err
         assert groebner.DEFAULT_MAX_BASIS == cap
         assert main(["check", golden_file]) == 0
+
+
+class TestOversized:
+    """An instance whose last gcd could pass pipeline.MAX_FIBER_TERMS
+    terms exits 1 before any work: the work itself would fail."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started on an oversized instance")
+        monkeypatch.setattr(cli, "check_hypotheses", refuse)
+        monkeypatch.setattr(pipeline, "check_hypotheses", refuse)
+        monkeypatch.setattr(pipeline, "_random_linear", refuse)
+
+    @pytest.mark.parametrize("command", ["check", "run", "verify"])
+    def test_file(self, tmp_path, capsys, command):
+        path = write_instance(tmp_path, dict(GOLDEN_DOC, f="x5^1000"))
+        start = time.perf_counter()
+        assert main([command, path]) == 1
+        assert time.perf_counter() - start < 0.25
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: instance too large: at d=4, m=1000 the last "
+                       "gcd may have C(m(d-1)+d, d) = 3386263131251 terms, "
+                       "past the limit of 100000\n")
+
+    def test_random(self, capsys):
+        start = time.perf_counter()
+        assert main(["random", "-d", "40"]) == 1
+        assert time.perf_counter() - start < 0.25
+        assert capsys.readouterr().err == (
+            "error: instance too large: at d=40, m=1 the last gcd may have "
+            "C(m(d-1)+d, d) = 53753604366668088230810 terms, past the "
+            "limit of 100000\n")
 
 
 class TestExample:

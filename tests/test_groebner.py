@@ -109,6 +109,31 @@ class TestSPolynomial:
         assert is_groebner(list(groebner_basis([f, g])))
 
 
+class TestGrevlexResults:
+    def test_terms_are_the_rekeyed_conversion(self):
+        """Grevlex results keep the terms the run left; they equal the
+        grevlex rekeying and sort that results under any other order
+        take."""
+        key = R.grevlex.key
+
+        def rekeyed(g):
+            return tuple(sorted(((key(e), e, c) for _, e, c in g.terms),
+                                reverse=True))
+
+        forms = presented_forms(R, PRESENTATION_ROWS) + [R.parse("x5^3")]
+        basis = groebner_basis(forms)
+        probe = R.parse("x1^3*T2 - 7*x5^2*x2*T1 + x4^2*x3*T5 + 3*T4^4")
+        results = list(basis) + [
+            normal_form(probe, basis), normal_form(probe * forms[0], basis),
+            spolynomial(basis[-1], basis[-2])]
+        assert any(len(g) > 1 for g in results)
+        for g in results:
+            assert g.terms == rekeyed(g)
+        revlex = R.revlex_last(4)
+        for g in groebner_basis(forms, revlex):
+            assert g.terms == rekeyed(g)
+
+
 class TestEliminationProperty:
     def test_aux_free_leads_are_aux_free(self):
         t = R.aux

@@ -192,17 +192,19 @@ class TestMainTheoremRuns:
         inst = random_instance(4, 1, seed=0)
         trace = gcd_iterations(inst)
         assert verify_main_theorem(inst, trace).ok
-        # d+1 = 5 saturations folded by 4 intersections, reused by the
-        # colon step
-        assert len(elimination_runs) == 4
+        # the d+1 = 5 saturations are one ideal, which is every colon as
+        # well: each fold intersects it with itself, with no run
+        assert len(elimination_runs) == 0
         base, variables = trace.base_ideal, inst.x_ideal()
+        sat = saturate(base, variables)
         for x in variables.gens:
             assert colon(base, x) is saturate_poly(base, x)
-        assert saturate(base, variables) is saturate(base, variables)
-        assert len(elimination_runs) == 4
+            assert saturate_poly(base, x) is sat
+        assert saturate(base, variables) is sat
+        assert len(elimination_runs) == 0
 
     def test_golden_runs(self, elimination_runs):
         inst = builtin_example()
         assert verify_main_theorem(inst, gcd_iterations(inst)).ok
-        # no repeats at m = 3: 4 for the saturation, 4 per colon step
-        assert len(elimination_runs) == 16
+        # 4 for the saturation; each colon step's quotients are one ideal
+        assert len(elimination_runs) == 4

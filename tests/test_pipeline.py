@@ -2,6 +2,7 @@
 
 import pytest
 
+from reesgcd import pipeline
 from reesgcd.ring import PolyRing
 from reesgcd.matrices import delete_column, delete_row, det
 from reesgcd.ideals import Ideal
@@ -122,6 +123,31 @@ class TestInstanceSpec:
         rows[0][1] = "T1"
         with pytest.raises(ValueError):
             InstanceSpec(32003, 4, rows, "x5^3")
+
+    def test_size_limit(self):
+        # d=4: C(3m+4, 4) terms in the last gcd, 91,390 at m=12 and
+        # 123,410 at m=13
+        assert InstanceSpec(32003, 4, GOLDEN_MATRIX, "x5^12").degree == 12
+        with pytest.raises(ValueError, match=r"at d=4, m=13 the last gcd "
+                           r"may have C\(m\(d-1\)\+d, d\) = 123410 terms, "
+                           r"past the limit of 100000"):
+            InstanceSpec(32003, 4, GOLDEN_MATRIX, "x5^13")
+
+    def test_size_checked_before_the_matrix(self):
+        rows = [list(r) for r in GOLDEN_MATRIX]
+        rows[0][1] = "T1"
+        with pytest.raises(ValueError, match="instance too large"):
+            InstanceSpec(32003, 4, rows, "x5^13")
+
+    def test_random_size_checked_before_any_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a matrix entry was drawn")
+        monkeypatch.setattr(pipeline, "_random_linear", refuse)
+        with pytest.raises(ValueError, match=r"at d=6, m=4 .* = 230230 "):
+            random_instance(6, 4)
+        with pytest.raises(ValueError, match=r"at d=80, m=1 .* = at "
+                           r"least 2\^79 terms"):
+            random_instance(80, 1)
 
     def test_dict_round_trip(self, golden):
         again = InstanceSpec.from_dict(golden.to_dict())

@@ -531,17 +531,27 @@ def _autoreduce(basis_terms, mod, guard):
 
 def normal_form(poly, basis, order=None):
     """Remainder of poly on full division by an ordered basis."""
-    ring = poly.ring
-    order = order or ring.grevlex
     if poly.is_zero:
         return poly
-    mod = ring.p
+    return normal_forms((poly,), basis, order)[0]
+
+
+def normal_forms(polys, basis, order=None):
+    """Remainders of polys on full division by an ordered basis, whose
+    entries are sorted once for all of them."""
+    if not polys:
+        return ()
+    ring = polys[0].ring
+    order = order or ring.grevlex
+    mod, guard = ring.p, ring.guard
     entries = sorted(
         (_basis_entry(_to_terms(g, order), mod)
          for g in basis if not g.is_zero),
         key=lambda ent: ent[0])
-    h = _reduce_terms(_to_terms(poly, order), entries, mod, ring.guard)
-    return _to_poly(ring, h, order)
+    return tuple(
+        _to_poly(ring, _reduce_terms(_to_terms(f, order), entries, mod,
+                                     guard), order)
+        for f in polys)
 
 
 def spolynomial(f, g, order=None):

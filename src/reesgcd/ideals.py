@@ -15,12 +15,15 @@ per-variable results.
 
 Every quotient is kept under its reduced grevlex basis, its canonical
 form.  The leads of Bayer's quotient list give the quotient's bigraded
-Hilbert series, which drives the grevlex run that forms the basis
-(Traverso, J. Symb. Comp. 22, 1996); the run checks the series of its
-own leads against it at the end.  An ideal keeps one quotient Ideal per
-distinct basis, so quotients that are the same ideal (by different
-variables, or a colon and a saturation) are the same object, whose
-generators are that basis.
+Hilbert series.  A quotient the ideal already holds is recognized by
+containment plus equal series: a kept quotient with the same numerator
+whose basis reduces every element of the list to zero is that quotient,
+and no run is made for it.  Otherwise the series drives the grevlex run
+that forms the basis (Traverso, J. Symb. Comp. 22, 1996); the run checks
+the series of its own leads against it at the end.  An ideal keeps one
+quotient Ideal per distinct basis, so quotients that are the same ideal
+(by different variables, or a colon and a saturation) are the same
+object, whose generators are that basis.
 
 Intersections are the only elimination constructions: the helper
 variable t is eliminated from t*I + (1-t)*J, and the output arrives as a
@@ -68,7 +71,12 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 
-from .groebner import groebner_basis, hilbert_numerator, normal_form
+from .groebner import (
+    groebner_basis,
+    hilbert_numerator,
+    normal_form,
+    normal_forms,
+)
 
 
 class Ideal:
@@ -292,13 +300,17 @@ def _divide_out(a, slot, whole_power):
     once where it divides.  By Bayer's theorem the quotients form a
     Groebner basis of the quotient ideal under that order, so their
     leads, each the element's lead less the removed power, give the
-    ideal's bigraded Hilbert series, which drives the grevlex run that
-    makes the basis canonical (input that is not bihomogeneous takes a
-    plain run).  The quotient Ideal has that basis as its generators,
-    the series as its numerator, and the quotient list beside them for
-    the (1-t) block of the intersections it enters.  The memo is also
-    keyed by the quotient list, so a colon and a saturation by x with
-    the same quotients make one grevlex run.
+    ideal's bigraded Hilbert series.  A kept quotient with that series
+    that contains the list is the quotient (_held_quotient), returned
+    with no run.  Otherwise the series drives the grevlex run that makes
+    the basis canonical.  The quotient Ideal has that basis as its
+    generators, the series as its numerator, and the quotient list
+    beside them for the (1-t) block of the intersections it enters.  The
+    memo is also keyed by the quotient list, so a colon and a saturation
+    by x with the same quotients make no second comparison.
+
+    Input that is not bihomogeneous has no series: it takes a plain run,
+    and only for it is the kept quotient found afterwards by its basis.
     """
     ring = a.ring
     order = ring.revlex_last(slot)
@@ -319,14 +331,35 @@ def _divide_out(a, slot, whole_power):
         hilbert = None
         if _bigraded_box(quots) is not None:
             hilbert = hilbert_numerator(leads)
-        basis = groebner_basis(quots, ring.grevlex, hilbert=hilbert)
-        found = a._quotients.get(basis)
+            found = _held_quotient(a, quots, hilbert)
         if found is None:
-            found = a._quotients[basis] = Ideal(ring, basis, gb=basis)
-            found._hilbert = hilbert
-            found._divided = quots
+            basis = groebner_basis(quots, ring.grevlex, hilbert=hilbert)
+            if hilbert is None:
+                found = a._quotients.get(basis)
+            if found is None:
+                found = a._quotients[basis] = Ideal(ring, basis, gb=basis)
+                found._hilbert = hilbert
+                found._divided = quots
         a._quotients[quots] = found
     return found
+
+
+def _held_quotient(a, quots, hilbert):
+    """The quotient kept on a that is the ideal Q' of quots, or None.
+
+    A kept quotient Q is Q' when the numerator hilbert of the leads of
+    quots equals Q's and every element of quots reduces to zero on Q's
+    reduced grevlex basis.  Each lead is the lead of an element of Q', so
+    HF(R/Q') <= HF(R/(leads)) = HF(R/Q); Q' in Q gives HF(R/Q) <=
+    HF(R/Q'); so the series agree, and with Q' in Q that makes Q' = Q.
+    Kept quotients, each once under whichever keys it has, are tried in
+    the order they were made.
+    """
+    for held in dict.fromkeys(a._quotients.values()):
+        if held._hilbert == hilbert and not any(normal_forms(quots,
+                                                             held.gens)):
+            return held
+    return None
 
 
 def colon(a, f):

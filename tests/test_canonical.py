@@ -1,7 +1,9 @@
 """Canonical Bayer quotients: a colon or saturation by a variable is kept
 under its reduced grevlex basis, made by a run driven by the Hilbert series
 that Bayer's quotient list gives, so equal quotients are one Ideal and an
-ideal meets itself without an elimination run.
+ideal meets itself without an elimination run.  A quotient the ideal
+already holds is recognized, with no run, only by containment and an equal
+series together.
 
 The property tests run on random homogeneous and bihomogeneous ideals of
 the d=1 and d=2 rings at p=7 and p=32003, against plain Groebner runs on
@@ -13,6 +15,12 @@ import pytest
 from reesgcd import ideals
 from reesgcd.groebner import groebner_basis, hilbert_numerator, normal_form
 from reesgcd.ideals import Ideal, colon, intersect, saturate, saturate_poly
+from reesgcd.pipeline import (
+    builtin_example,
+    gcd_iterations,
+    random_instance,
+    verify_main_theorem,
+)
 from reesgcd.ring import PolyRing
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -171,3 +179,122 @@ class TestSelfIntersection:
             meet = intersect(Ideal(ring, a.gens), Ideal(ring, a.gens))
             assert len(runs) == 1
         assert meet.gens == groebner_basis(a.gens)
+
+
+@st.composite
+def swapped_products(draw):
+    """a = (x1*f, x2*g) for f, g in the T variables of one bidegree: the
+    swap of x1 and x2 takes a : x1 = (f, x2*g) to a : x2 = (x1*f, g),
+    so the two have one Hilbert series, and are one ideal only when f
+    and g are."""
+    ring = draw(st.sampled_from(RINGS))
+    b = draw(st.integers(1, 2))
+    f, g = draw(st.lists(bihomogeneous_polys(ring, [], ring.t_slots, 0, b),
+                         min_size=2, max_size=2))
+    return Ideal(ring, [ring.x(1) * f, ring.x(2) * g])
+
+
+@st.composite
+def quotient_sequences(draw):
+    """An ideal, from problems(), products_by_two_variables() or
+    swapped_products(), and a list of (slot, whole_power) colons and
+    saturations of it."""
+    source = draw(st.integers(0, 2))
+    if source == 0:
+        a, _ = draw(problems())
+    elif source == 1:
+        _, _, a = draw(products_by_two_variables())
+    else:
+        a = draw(swapped_products())
+    ring = a.ring
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(ring.x_slots + ring.t_slots), st.booleans()),
+        min_size=2, max_size=6))
+    return a, steps
+
+
+def recorded_runs(monkeypatch):
+    """The order names of the Groebner runs of ideals from now on."""
+    runs = []
+    original = ideals.groebner_basis
+
+    def counted(gens, order=None, *args, **kwargs):
+        runs.append("grevlex" if order is None else order.name)
+        return original(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "groebner_basis", counted)
+    return runs
+
+
+class TestHeldQuotients:
+    @settings(max_examples=60, deadline=None)
+    @given(quotient_sequences())
+    def test_several_quotients_of_one_ideal(self, problem):
+        a, steps = problem
+        got = []
+        for slot, whole_power in steps:
+            x = a.ring.variable(slot)
+            q = saturate_poly(a, x) if whole_power else colon(a, x)
+            assert q.gens == groebner_basis(
+                quotient_list(a, slot, whole_power))
+            got.append(q)
+        for p in got:
+            for q in got:
+                assert (p is q) == (p.gens == q.gens)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
+    def test_equal_series_without_containment_is_a_run(self, ring,
+                                                       monkeypatch):
+        x1, x2, t1, t2 = ring.x(1), ring.x(2), ring.T(1), ring.T(2)
+        a = Ideal(ring, [x1 * t1, x2 * t2])
+        first = colon(a, x1)
+        runs = recorded_runs(monkeypatch)
+        second = colon(a, x2)
+        assert first._hilbert == second._hilbert
+        assert not first.contains(t2)
+        assert second is not first
+        assert second.gens == groebner_basis([x1 * t1, t2])
+        assert runs.count("grevlex") == 1
+
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
+    def test_containment_with_another_series_is_a_run(self, ring,
+                                                      monkeypatch):
+        x1, x2 = ring.x(1), ring.x(2)
+        a = Ideal(ring, [x1 ** 2, x1 * x2])
+        first = colon(a, x1)
+        runs = recorded_runs(monkeypatch)
+        second = colon(a, x2)
+        assert first._hilbert != second._hilbert
+        assert first.contains_ideal(second)
+        assert second is not first
+        assert second.gens == (x1,)
+        assert runs.count("grevlex") == 1
+
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
+    def test_held_quotient_makes_no_run(self, ring, monkeypatch):
+        x1, x2, t1 = ring.x(1), ring.x(2), ring.T(1)
+        a = Ideal(ring, [x1 * t1, x2 * t1])
+        first = colon(a, x1)
+        runs = recorded_runs(monkeypatch)
+        assert colon(a, x2) is first
+        assert saturate_poly(a, x2) is first
+        assert "grevlex" not in runs
+
+
+def main_theorem_runs(inst, monkeypatch):
+    """Grevlex and elimination runs of one verify_main_theorem call."""
+    trace = gcd_iterations(inst)
+    runs = recorded_runs(monkeypatch)
+    assert verify_main_theorem(inst, trace).ok
+    return runs.count("grevlex"), runs.count("elim-aux")
+
+
+class TestMainTheoremRuns:
+    def test_golden(self, monkeypatch):
+        # 12 of the 21 grevlex runs rediscovered a held quotient
+        assert main_theorem_runs(builtin_example(), monkeypatch) == (9, 4)
+
+    def test_random_m1(self, monkeypatch):
+        # the d+1 quotients of the base ideal are one ideal
+        inst = random_instance(4, 1, seed=0)
+        assert main_theorem_runs(inst, monkeypatch) == (2, 0)

@@ -1,7 +1,8 @@
 """What the oracle keeps instead of recomputing: equal per-variable
 quotients share one Ideal, intersections are kept on their first argument
-by the generators of the second, and an elimination run whose first
-inputs are a reduced basis reduces no pair among them.
+by the generators of the second, an elimination run whose first
+inputs are a reduced basis reduces no pair among them, and the candidate
+is compared once with a colon power that has the saturation's basis.
 
 The property tests compare against runs without the memos or the
 known-basis criterion, on random homogeneous ideals of the d=1 and d=2
@@ -16,11 +17,15 @@ from reesgcd.ideals import (
     Ideal,
     _eliminate_aux,
     colon,
+    colon_power_chain,
     intersect,
     saturate,
     saturate_poly,
 )
 from reesgcd.pipeline import (
+    IterationStep,
+    IterationTrace,
+    _difference_witness,
     builtin_example,
     gcd_iterations,
     random_instance,
@@ -208,3 +213,44 @@ class TestMainTheoremRuns:
         assert verify_main_theorem(inst, gcd_iterations(inst)).ok
         # 4 for the saturation; each colon step's quotients are one ideal
         assert len(elimination_runs) == 4
+
+
+def with_last_gcd(trace, gcd):
+    """The trace with the gcd of its last step replaced."""
+    steps = list(trace.steps)
+    steps[-1] = IterationStep(steps[-1].matrix, gcd, gcd.bidegree())
+    return IterationTrace(trace.instance, trace.dual, trace.bilinear, steps)
+
+
+class TestCandidateComparedOnce:
+    @pytest.mark.parametrize("case", ["golden", (1, 0), (2, 0)], ids=str)
+    @pytest.mark.parametrize("perturbation", ["larger", "smaller"])
+    def test_perturbed_candidate_fails_both_checks(self, case,
+                                                   perturbation):
+        inst = builtin_example() if case == "golden" else \
+            random_instance(4, case[0], seed=case[1])
+        ring, m, d = inst.ring, inst.degree, inst.d
+        trace = gcd_iterations(inst)
+        last = trace.gcds[-1]
+        if perturbation == "larger":
+            # a form of the last gcd's bidegree outside the saturation
+            gcd = last + ring.T(1) ** (m * (d - 1))
+        else:
+            gcd = ring.x(1) * last
+        perturbed = with_last_gcd(trace, gcd)
+        rep = verify_main_theorem(inst, perturbed)
+
+        # each identity compared on its own, as by two equals calls
+        candidate = perturbed.defining_ideal
+        base, variables = perturbed.base_ideal, inst.x_ideal()
+        targets = {
+            "saturation-identity": saturate(base, variables),
+            "colon-power-identity": colon_power_chain(base, variables,
+                                                      m)[-1],
+        }
+        for check_id, target in targets.items():
+            assert not candidate.equals(target)
+            found = rep.find(check_id)
+            assert found.status == "fail"
+            assert found.witness == _difference_witness(candidate, target)
+            assert found.witness

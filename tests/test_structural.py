@@ -1,8 +1,9 @@
 """Heights the structural checks read off checked identities: the same
 reports as the minor-ideal route (structural_reference.py), the height of
 the minors of B against min(d+1, ht(lambda)), the guard on the Pfaffian
-square law, and the checked fallback of a trace rebuilt from saved
-output."""
+square law, the checked fallback of a trace rebuilt from saved output,
+and the reduced gcd from the one maximal minor of the reduced dual that
+it uses."""
 
 import random
 
@@ -263,3 +264,27 @@ def test_rebuilt_trace_checks_the_full_dual_minor(monkeypatch):
     with pytest.raises(IterationError,
                        match="full-dual minor does not vanish"):
         optional_structural_checks(trace)
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_reduced_gcd_from_the_one_minor_without_column_1(case,
+                                                         monkeypatch):
+    # the reference reads the reduced gcd off all d+1 maximal minors of
+    # the reduced dual; the check forms only the square one it uses
+    inst = instance(32003, case)
+    trace = gcd_iterations(inst)
+    formed = []
+    original = pipeline.minors
+
+    def recorded(mat, k):
+        formed.append((mat.rows, mat.cols, k))
+        return original(mat, k)
+
+    monkeypatch.setattr(pipeline, "minors", recorded)
+    got = optional_structural_checks(trace)
+    monkeypatch.undo()
+    want = structural_checks_by_minors(inst)
+    check = "reduced-cramer-containment"
+    assert got.find(check).data["reduced_gcd"] == \
+        want.find(check).data["reduced_gcd"]
+    assert formed == [(inst.d, inst.d, inst.d)]

@@ -105,8 +105,10 @@ def det(m):
     every interior division is exact.  The empty 0x0 matrix has
     determinant 1.
 
-    The pipeline takes its minors from the Laplace kernel in minors();
-    this is the independent second route that rechecks them.
+    The pipeline takes its minors from the Laplace kernel in minors()
+    and alternating_minors(); this is the independent second route that
+    rechecks det(B) = 0 for the Jacobian dual B, which B . [T]^t = 0
+    already implies, and Cayley's identity on principal Pfaffians.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a nonsquare matrix")
@@ -206,6 +208,28 @@ def submaximal_pfaffians(m):
     return out
 
 
+def _laplace_levels(m, top, pairs, fetch):
+    """The levels of minors of sizes 0..top, each a dict from (rows, cols)
+    to its minor, built bottom-up: pairs(j) lists the size-j pairs to
+    form, each a Laplace expansion along the first row of its row subset,
+    and fetch(smaller, rows, cols) returns (sign, minor) of a pair one
+    size smaller from that level's dict."""
+    ring = m.ring
+    smaller = {((), ()): ring.one}
+    yield smaller
+    for j in range(1, top + 1):
+        level = {}
+        for rows, cols in pairs(j):
+            first, rest = rows[0], rows[1:]
+            products = []
+            for pos, c in enumerate(cols):
+                sign, minor = fetch(smaller, rest, cols[:pos] + cols[pos + 1:])
+                products.append(((-1) ** pos * sign, m.at(first, c), minor))
+            level[rows, cols] = ring.dot(products)
+        yield level
+        smaller = level
+
+
 def minors(m, k):
     """All k x k minors, rows and columns in lexicographic order.
 
@@ -217,34 +241,49 @@ def minors(m, k):
     """
     if k < 0 or k > min(m.rows, m.cols):
         raise ValueError("minor size out of range")
-    ring = m.ring
-    smaller = {((), ()): ring.one}
-    for j in range(1, k + 1):
-        level = {}
-        for rows in combinations(range(k - j, m.rows), j):
-            top, rest = rows[0], rows[1:]
-            for cols in combinations(range(m.cols), j):
-                level[rows, cols] = ring.dot(
-                    ((-1) ** pos, m.at(top, c),
-                     smaller[rest, cols[:pos] + cols[pos + 1:]])
-                    for pos, c in enumerate(cols))
-        smaller = level
-    return list(smaller.values())
+
+    def pairs(j):
+        return [(rows, cols)
+                for rows in combinations(range(k - j, m.rows), j)
+                for cols in combinations(range(m.cols), j)]
+
+    def fetch(smaller, rows, cols):
+        return 1, smaller[rows, cols]
+
+    for level in _laplace_levels(m, k, pairs, fetch):
+        pass
+    return list(level.values())
 
 
-def deletion_minors(m):
-    """M[k][j], the minor of square m without row k+1 and column j+1.
+def alternating_minors(m, top):
+    """The minors of sizes 1..top of an alternating matrix, one list per
+    size (index size - 1), each holding the minors whose row subset is at
+    most its column subset, in lexicographic order of (rows, cols).
 
-    These are the (n-1) x (n-1) minors of minors(m, n-1): the row subset
-    that omits row k comes (n-1-k)-th in lexicographic order, and the
-    same holds for columns.
+    m^t = -m gives minor(C, R) = (-1)^j minor(R, C) at size j, so the
+    dropped minors are the kept ones up to sign, each after its kept
+    transpose in the order of minors(m, j).  All sizes come from one
+    bottom-up pass that forms each kept minor once, as a Laplace expansion
+    along its first row over the smaller kept minors or their transposes.
     """
-    if m.rows != m.cols:
-        raise ValueError("deletion minors of a nonsquare matrix")
-    n = m.rows
-    flat = minors(m, n - 1)
-    return [[flat[(n - 1 - k) * n + n - 1 - j] for j in range(n)]
-            for k in range(n)]
+    if not is_alternating(m):
+        raise ValueError("expected an alternating matrix")
+    if top < 0 or top > m.rows:
+        raise ValueError("minor size out of range")
+
+    def pairs(j):
+        subsets = list(combinations(range(m.rows), j))
+        return [(rows, cols) for i, rows in enumerate(subsets)
+                for cols in subsets[i:]]
+
+    def fetch(smaller, rows, cols):
+        if rows <= cols:
+            return 1, smaller[rows, cols]
+        return (-1) ** len(rows), smaller[cols, rows]
+
+    levels = _laplace_levels(m, top, pairs, fetch)
+    next(levels)
+    return [list(level.values()) for level in levels]
 
 
 def jacobian_dual(alt):

@@ -13,16 +13,19 @@ Every step matrix is the fixed Jacobian dual B plus one column C, so every
 maximal minor of a step is an expansion along C over the d x d minors of
 B.  Those factor once per run: adj(B) = [T]^t . lambda for one row lambda,
 and each step's gcd is then one sum of products, sum_k C_k lambda_k.  Every
-algebraic identity the algorithm relies on is re-verified at runtime: the
-vanishing of the full-dual minor det(B), by an independent Bareiss
-determinant, and the factorization of all (d+1)^2 minors of B through
-lambda, which carries the column factorization of the maximal minors to
-every step, both once per run; the reassembly of each appended column and
-the bidegree law at every step.  The structural checks read the height of
-the minors of B off lambda, and that of the size-d minors of the reduced
-presentation off the square law adj = p . p^t of its Pfaffians, checked
-entry by entry.  A violation raises IterationError since it can only mean
-a bug, not bad input.
+algebraic identity the algorithm relies on is re-verified at runtime.  Once
+per run: B . [T]^t = 0, the vanishing of the full-dual minor det(B) by an
+independent Bareiss determinant, lambda from the d+1 minors of B without
+column 1 by exact division by T1, and lambda . B = 0.  A rank argument
+turns these into the factorization of all (d+1)^2 minors of B, which
+carries the column factorization of the maximal minors to every step.  At
+every step: the reassembly of the appended column and the bidegree law.
+The hypothesis check spans the minors of the alternating presentation from
+one symmetric Laplace pass.  The structural checks read the height of the
+minors of B off lambda, and that of the size-d minors of the reduced
+presentation off the square law adj = p . p^t of its Pfaffians, proved
+from one column of minors the same way.  A violation raises IterationError
+since it can only mean a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from math import comb
 from .ring import DEFAULT_PRIME, BiDegree, PolyRing
 from .matrices import (
     PolyMatrix,
+    alternating_minors,
     delete_column,
     delete_row,
-    deletion_minors,
     det,
     has_linear_x_entries,
     is_alternating,
@@ -271,11 +274,6 @@ def builtin_example(prime=DEFAULT_PRIME):
 # ---------------------------------------------------------------------
 # hypothesis checks
 
-def _deduped_minors(mat, size):
-    """A spanning set for the nonzero size x size minors."""
-    return mat.ring.span_basis(minors(mat, size))
-
-
 _HYPOTHESIS_CLAIMS = (
     ("even-dimension", "d is even and at least 4"),
     ("alternating-linear",
@@ -338,12 +336,14 @@ def check_hypotheses(inst):
             "pfaffian ideal has height %d" % pf_height,
             {"height": pf_height})
 
+    # mat^t = -mat: the minors with rows <= cols span each size
+    levels = alternating_minors(mat, d)
     heights = {}
     minor_ok = True
     witness = ""
     for j in range(1, d):
         size = d + 1 - j
-        mins = _deduped_minors(mat, size)
+        mins = ring.span_basis(levels[size - 1])
         ht = height_in_hypersurface(
             Ideal(ring, mins), inst.equation, ring.x_slots)
         heights["size-%d" % size] = ht
@@ -374,10 +374,10 @@ class IterationTrace:
     index 0 is the base ideal itself and index m the candidate defining
     ideal.  Ideals are cached so repeated verification reuses Groebner
     bases.  A trace made by gcd_iterations also carries the row lambda
-    with adj(dual) = [T]^t . lambda (fixed), whose factorization law and
-    det(dual) it has checked, so that a rerun under the other column rule
-    can take it from it; a trace rebuilt from saved output has none, and
-    optional_structural_checks then forms it by the same checked route.
+    with adj(dual) = [T]^t . lambda (fixed), checked by _adjugate_row, so
+    that a rerun under the other column rule can take it from it; a trace
+    rebuilt from saved output has none, and optional_structural_checks
+    then forms it by the same checked route.
     """
 
     __slots__ = ("instance", "ring", "dual", "bilinear", "steps",
@@ -438,38 +438,49 @@ def _column_forms(mat):
 
 def _adjugate_row(dual):
     """The row lambda with adj(B) = [T]^t . lambda for the Jacobian dual
-    B = dual, checked entry by entry.
+    B = dual, from the d+1 minors of B without column 1.
 
-    B . [T]^t = 0 and det(B) = 0 put every column of adj(B) on the line
-    of [T]^t.  det(B) is checked to vanish by Bareiss elimination; then
-    with M the deletion minors of B, (-1)^(k+d) M[k][j-1] = s_j T_j
-    lambda_k for every row k and every column 1 <= j <= d+1, with s_j =
-    -1 for even j.  Column 1 defines lambda_k by exact division by T1;
-    every other entry is then compared with its product.  A nonzero
-    det(B), a failed division or a mismatch raises IterationError, the
-    last two naming the minor by the row and column of B it omits.
+    lambda_k = (-1)^(k+d) M[k][0] / T1, with M[k][0] the minor of B
+    without row k+1 and column 1, so T1 lambda is the first row of
+    adj(B).  The checks are B . [T]^t = 0 (d+1 sums), det(B) = 0 by
+    Bareiss elimination, the exact divisions by T1, and lambda . B = 0
+    (d+1 sums).  They prove the whole factorization.  As T != 0 lies in
+    the kernel of B, rank B <= d.  If rank B = d, adj(B) has rank 1 and
+    B . adj(B) = det(B) I = 0 puts every column of adj(B) on [T]^t, so
+    adj(B) = [T]^t . mu; its first row gives T1 mu = T1 lambda, so mu =
+    lambda.  If rank B < d, adj(B) = 0 and lambda = 0.  So a zero lambda
+    needs no special case, and by linearity in the appended column the
+    minors of every step factor through lambda.  lambda . B = 0 is then
+    implied; it is rechecked as a guard on the minors.  A failed check
+    raises IterationError naming the row of B . [T]^t, the row of the
+    minor whose division fails, or the column of lambda . B.
     """
     ring = dual.ring
     d = dual.rows - 1
+    ts = [ring.T(j) for j in range(1, d + 2)]
+    for k in range(d + 1):
+        if not ring.dot((1, dual.at(k, j), t)
+                        for j, t in enumerate(ts)).is_zero:
+            raise IterationError(
+                "adjugate: B . [T]^t is nonzero at row %d" % (k + 1))
     if not det(dual).is_zero:
         raise IterationError("full-dual minor does not vanish")
+    # the minor without row k+1 comes (d-k)-th in lexicographic order
+    col1 = minors(delete_column(dual, 1), d)
     row = []
-    for k, minors_k in enumerate(deletion_minors(dual)):
-        signed = [m if (k + d) % 2 == 0 else -m for m in minors_k]
-        lam = signed[0].exact_div(ring.T(1))
+    for k in range(d + 1):
+        minor = col1[d - k]
+        lam = (minor if (k + d) % 2 == 0 else -minor).exact_div(ts[0])
         if lam is None:
             raise IterationError(
                 "adjugate: the minor of B without row %d and column 1 is "
                 "not divisible by T1" % (k + 1))
-        for j in range(2, d + 2):
-            expected = ring.T(j) * lam
-            if j % 2 == 0:
-                expected = -expected
-            if signed[j - 1] != expected:
-                raise IterationError(
-                    "adjugate: factorization fails at the minor of B "
-                    "without row %d and column %d" % (k + 1, j))
         row.append(lam)
+    for j in range(d + 1):
+        if not ring.dot((1, lam_k, dual.at(k, j))
+                        for k, lam_k in enumerate(row)).is_zero:
+            raise IterationError(
+                "adjugate: lambda . B is nonzero at column %d" % (j + 1))
     return row
 
 
@@ -480,17 +491,18 @@ def gcd_iterations(inst, rule="min", prior=None):
     column C.  Expanding along C, the minor without column j <= d+1 is
     sum_k (-1)^(k+d) C_k M[k][j-1] over the d x d minors M of B, and the
     full-dual minor det(B) does not depend on the step.  Once per call
-    _adjugate_row checks that det(B) vanishes, by Bareiss elimination,
-    and factors M as adj(B) = [T]^t . lambda, checking all (d+1)^2
-    entries.  By linearity in C every step's minor without column j is
-    then s_j T_j sum_k C_k lambda_k, s_j = -1 for even j,
-    so step i takes g_i = monic(sum_k C_k lambda_k) and re-verifies the
-    reassembly of its column and the bidegree (m-i, i(d-1)).  A vanishing
-    sum means every maximal minor vanishes; its zero gcd then zeroes out
-    every later step by convention.  B, its column forms and lambda do
-    not depend on the rule; a prior trace of the same instance made by
-    this function lends them, so a rerun under the other rule skips that
-    work.
+    _adjugate_row factors M as adj(B) = [T]^t . lambda from the d+1
+    minors of B without column 1, and proves the factorization of all
+    (d+1)^2 entries from B . [T]^t = 0 and lambda . B = 0; it also checks
+    that det(B) vanishes, by Bareiss elimination.  By linearity in C
+    every step's minor without column j is then s_j T_j sum_k C_k
+    lambda_k, s_j = -1 for even j, so step i takes g_i = monic(sum_k
+    C_k lambda_k) and re-verifies the reassembly of its column and the
+    bidegree (m-i, i(d-1)).  A vanishing sum means every maximal minor
+    vanishes; its zero gcd then zeroes out every later step by
+    convention.  B, its column forms and lambda do not depend on the
+    rule; a prior trace of the same instance made by this function lends
+    them, so a rerun under the other rule skips that work.
     """
     ring = inst.ring
     d = inst.d
@@ -810,18 +822,40 @@ def _random_invertible(rng, ring, size):
 
 
 def _check_square_law(mat, pfs):
-    """adj(mat) = p . p^t for an alternating matrix mat of odd size and
-    its signed submaximal Pfaffians p = pfs (Buchsbaum & Eisenbud, Amer.
-    J. Math. 99, 1977): (-1)^(k+j) M[k][j] = p_k p_j for every entry of
-    the deletion minors M.  A mismatch raises IterationError naming the
-    minor by the row and column it omits."""
-    for k, minors_k in enumerate(deletion_minors(mat)):
-        for j, minor in enumerate(minors_k):
-            signed = minor if (k + j) % 2 == 0 else -minor
-            if signed != pfs[k] * pfs[j]:
-                raise IterationError(
-                    "square law: adj = p . p^t fails at the minor without "
-                    "row %d and column %d" % (k + 1, j + 1))
+    """adj(A) = p . p^t for an alternating matrix A = mat of odd size d+1
+    and its signed submaximal Pfaffians p = pfs (Buchsbaum & Eisenbud,
+    Amer. J. Math. 99, 1977), from one column of minors.
+
+    With j0 the first index with p_j0 != 0 (the first index if p = 0),
+    the checks are A . p = 0 (d+1 sums) and (-1)^(k+j0) M[k][j0] =
+    p_k p_j0 for the d+1 minors M[k][j0] of A without row k+1 and column
+    j0+1, the row j0 of adj(A).  They prove the law.  If p != 0, it lies
+    in the kernel of A, so rank A <= d.  If rank A = d, adj(A) has rank 1
+    and A . adj(A) = 0 puts every column of adj(A) on p, so adj(A) =
+    p . mu; its row j0 gives p_j0 mu = p_j0 p^t, so mu = p^t.  If rank
+    A < d, adj(A) = 0, and the checked row would give p_j0 p = 0, against
+    p_j0 != 0.  If p = 0, every principal d x d minor p_k^2 vanishes, so
+    the even rank of A is below d and adj(A) = 0 = p . p^t; the checked
+    row is then a guard.  A failed check raises IterationError naming the
+    row of A . p, or the minor by the row and column it omits.
+    """
+    ring = mat.ring
+    d = mat.rows - 1
+    for k in range(d + 1):
+        if not ring.dot((1, mat.at(k, j), p_j)
+                        for j, p_j in enumerate(pfs)).is_zero:
+            raise IterationError(
+                "square law: A . p is nonzero at row %d" % (k + 1))
+    j0 = next((j for j, p_j in enumerate(pfs) if not p_j.is_zero), 0)
+    # the minor without row k+1 comes (d-k)-th in lexicographic order
+    column = minors(delete_column(mat, j0 + 1), d)
+    for k in range(d + 1):
+        minor = column[d - k]
+        signed = minor if (k + j0) % 2 == 0 else -minor
+        if signed != pfs[k] * pfs[j0]:
+            raise IterationError(
+                "square law: adj = p . p^t fails at the minor without "
+                "row %d and column %d" % (k + 1, j0 + 1))
 
 
 def _principal_pfaffians(mat, size):
@@ -854,9 +888,10 @@ def _reduction_usable(mat, d):
     formed.  Size 2 needs height d: the reduced entries, linear forms in
     d variables, must span all of them.  Sizes d-1 and d are the
     submaximal Pfaffians p, of height 3; for size d the square law
-    adj = p . p^t is checked entry by entry as well.  Each size 2k
-    between takes the height of its principal Pfaffians, each checked
-    against Cayley's identity, and needs d - 2k + 3.
+    adj = p . p^t is checked as well, from one column of minors
+    (_check_square_law).  Each size 2k between takes the height of its
+    principal Pfaffians, each checked against Cayley's identity, and
+    needs d - 2k + 3.
     """
     ring = mat.ring
     reduced = _substitute_linear(

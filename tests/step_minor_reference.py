@@ -5,14 +5,16 @@ Every step expands its maximal minors along the new column over the
 d x d minors of the Jacobian dual B: it divides the minor without column
 1 by T1 and compares the d other minors with the signed factorization
 law, where the pipeline factors the minors of B once and forms one sum of
-products per step.
+products per step.  adjugate_row_by_all_minors factors all (d+1)^2 minors
+of B entry by entry, where pipeline._adjugate_row forms the d+1 without
+column 1 and checks B . [T]^t = 0 and lambda . B = 0.
 """
 
 from reesgcd.matrices import (
-    deletion_minors,
     det,
     iteration_matrix,
     jacobian_dual,
+    minors,
 )
 from reesgcd.pipeline import (
     IterationError,
@@ -22,6 +24,49 @@ from reesgcd.pipeline import (
     _column_forms,
 )
 from reesgcd.ring import BiDegree
+
+
+def deletion_minors(m):
+    """M[k][j], the minor of square m without row k+1 and column j+1.
+
+    These are the (n-1) x (n-1) minors of minors(m, n-1): the row subset
+    that omits row k comes (n-1-k)-th in lexicographic order, and the
+    same holds for columns.
+    """
+    if m.rows != m.cols:
+        raise ValueError("deletion minors of a nonsquare matrix")
+    n = m.rows
+    flat = minors(m, n - 1)
+    return [[flat[(n - 1 - k) * n + n - 1 - j] for j in range(n)]
+            for k in range(n)]
+
+
+def adjugate_row_by_all_minors(dual):
+    """The row lambda with adj(B) = [T]^t . lambda for B = dual: det(B)
+    must vanish, column 1 of the deletion minors gives lambda by exact
+    division by T1, and every other minor is compared with its product."""
+    ring = dual.ring
+    d = dual.rows - 1
+    if not det(dual).is_zero:
+        raise IterationError("full-dual minor does not vanish")
+    row = []
+    for k, minors_k in enumerate(deletion_minors(dual)):
+        signed = [m if (k + d) % 2 == 0 else -m for m in minors_k]
+        lam = signed[0].exact_div(ring.T(1))
+        if lam is None:
+            raise IterationError(
+                "adjugate: the minor of B without row %d and column 1 is "
+                "not divisible by T1" % (k + 1))
+        for j in range(2, d + 2):
+            expected = ring.T(j) * lam
+            if j % 2 == 0:
+                expected = -expected
+            if signed[j - 1] != expected:
+                raise IterationError(
+                    "adjugate: factorization fails at the minor of B "
+                    "without row %d and column %d" % (k + 1, j))
+        row.append(lam)
+    return row
 
 
 def gcd_iterations_by_step_minors(inst, rule="min"):

@@ -5,7 +5,8 @@ Here the height of the size-d minors of the Jacobian dual B is computed
 from their span, and _reduction_usable spans the size-d minors of the
 reduced presentation and runs Groebner on them like every other size,
 where the pipeline takes min(d+1, ht(lambda)) and the Pfaffian square law
-instead.
+instead.  square_law_by_all_minors checks adj = p . p^t on all (d+1)^2
+minors, where the pipeline checks one column and A . p = 0.
 """
 
 import random
@@ -19,13 +20,33 @@ from reesgcd.matrices import (
 )
 from reesgcd.pipeline import (
     _COORDINATE_ATTEMPTS,
+    IterationError,
     VerificationReport,
     _column_forms,
-    _deduped_minors,
     _random_invertible,
     _status,
     _substitute_linear,
 )
+
+from step_minor_reference import deletion_minors
+
+
+def _deduped_minors(mat, size):
+    """A spanning set for the nonzero size x size minors."""
+    return mat.ring.span_basis(minors(mat, size))
+
+
+def square_law_by_all_minors(mat, pfs):
+    """adj(mat) = p . p^t entry by entry: (-1)^(k+j) M[k][j] = p_k p_j
+    for every deletion minor M; a mismatch raises IterationError naming
+    the minor by the row and column it omits."""
+    for k, minors_k in enumerate(deletion_minors(mat)):
+        for j, minor in enumerate(minors_k):
+            signed = minor if (k + j) % 2 == 0 else -minor
+            if signed != pfs[k] * pfs[j]:
+                raise IterationError(
+                    "square law: adj = p . p^t fails at the minor without "
+                    "row %d and column %d" % (k + 1, j + 1))
 
 
 def dual_minor_height_by_minors(dual):

@@ -7,10 +7,12 @@ import pytest
 
 from reesgcd.ring import PolyRing
 from reesgcd.matrices import (
-    PolyMatrix, delete_row, delete_column, det, deletion_minors,
+    PolyMatrix, delete_row, delete_column, det,
     is_alternating, pfaffian, submaximal_pfaffians, minors,
     jacobian_dual, modified_jacobian_dual, iteration_matrix,
 )
+
+from step_minor_reference import deletion_minors
 
 R = PolyRing.get(32003, 4)
 

@@ -140,9 +140,9 @@ def test_recheck_makes_one_groebner_run(request):
 @pytest.fixture
 def dual_work(monkeypatch):
     """Counts the rule-independent work of a gcd run: det(B) and the
-    d x d minors of B."""
+    d x d minors of B without column 1."""
     calls = []
-    for name in ("det", "deletion_minors"):
+    for name in ("det", "minors"):
         original = getattr(pipeline, name)
 
         def counted(*args, _name=name, _original=original):
@@ -157,9 +157,9 @@ def dual_work(monkeypatch):
 def test_rerun_takes_the_dual_minors_from_the_trace(case, dual_work):
     inst = instance(case)
     trace = gcd_iterations(inst)
-    assert dual_work == ["det", "deletion_minors"]
+    assert dual_work == ["det", "minors"]
     rerun = gcd_iterations(inst, rule="max", prior=trace)
-    assert dual_work == ["det", "deletion_minors"]
+    assert dual_work == ["det", "minors"]
     assert rerun.gcds == gcd_iterations(inst, rule="max").gcds
     del dual_work[:]
     verify_well_definedness(inst, trace)
@@ -173,4 +173,4 @@ def test_rebuilt_trace_recomputes_the_dual_minors(dual_work):
     del dual_work[:]
     assert outcomes(verify_well_definedness(inst, rebuilt)) == \
         outcomes(verify_well_definedness(inst, trace))
-    assert dual_work == ["det", "deletion_minors"]
+    assert dual_work == ["det", "minors"]

@@ -1,9 +1,10 @@
 """Heights the structural checks read off checked identities: the same
 reports as the minor-ideal route (structural_reference.py), the height of
-the minors of B against min(d+1, ht(lambda)), the guard on the Pfaffian
-square law, the checked fallback of a trace rebuilt from saved output,
-and the reduced gcd from the one maximal minor of the reduced dual that
-it uses."""
+the minors of B against min(d+1, ht(lambda)), the Pfaffian square law
+against all minors, its guards on A . p and on its column of minors, and
+the matrices whose Pfaffians all vanish, the checked fallback of a trace
+rebuilt from saved output, and the reduced gcd from the one maximal minor
+of the reduced dual that it uses."""
 
 import random
 
@@ -31,6 +32,7 @@ from reesgcd.ring import PolyRing
 from structural_reference import (
     dual_minor_height_by_minors,
     reduction_usable_by_minors,
+    square_law_by_all_minors,
     structural_checks_by_minors,
 )
 
@@ -194,29 +196,93 @@ def test_principal_pfaffians_check_cayley(monkeypatch):
         pipeline._reduction_usable(generic, 6)
 
 
-def perturbed_minors(monkeypatch, k, j, delta):
-    """pipeline.deletion_minors with delta added to entry M[k][j]."""
-    original = pipeline.deletion_minors
+def perturbed_minors(monkeypatch, k, delta):
+    """pipeline.minors with delta added to the minor without row k+1 of
+    a (d+1) x d matrix, the (d-k)-th of its d x d minors: the entry of
+    row k+1 in the column of minors that the square law or lambda uses."""
+    original = pipeline.minors
 
-    def perturbed(mat):
-        fixed = original(mat)
-        fixed[k][j] = fixed[k][j] + delta(mat.ring)
-        return fixed
+    def perturbed(mat, size):
+        out = original(mat, size)
+        if mat.rows == mat.cols + 1:
+            out[mat.cols - k] = out[mat.cols - k] + delta(mat.ring)
+        return out
 
-    monkeypatch.setattr(pipeline, "deletion_minors", perturbed)
+    monkeypatch.setattr(pipeline, "minors", perturbed)
+
+
+def golden_reduced():
+    """The golden presentation without x5 and its signed Pfaffians."""
+    mat = builtin_example().presentation
+    ring = mat.ring
+    reduced = pipeline._substitute_linear(
+        mat, [ring.x(k) for k in range(1, 5)] + [ring.zero])
+    return reduced, submaximal_pfaffians(reduced)
 
 
 @pytest.mark.parametrize("k,j", [(0, 0), (0, 1), (3, 2), (4, 4)])
 def test_perturbed_reduced_minor_trips_the_square_law(k, j, monkeypatch):
     # the trace lends lambda, so only the reduced matrix's minors are
-    # formed under the patch
+    # formed under the patch; the square law forms the column without
+    # the first index j0 with p_j0 != 0, and x_{j+1}^4 moves its row k
     trace = gcd_iterations(builtin_example())
-    perturbed_minors(monkeypatch, k, j, lambda ring: ring.x(1) ** 4)
+    _, pfs = golden_reduced()
+    j0 = next(i for i, p in enumerate(pfs) if not p.is_zero)
+    perturbed_minors(monkeypatch, k, lambda ring: ring.x(j + 1) ** 4)
     with pytest.raises(IterationError,
                        match="square law: adj = p . p\\^t fails at the "
                              "minor without row %d and column %d$"
-                             % (k + 1, j + 1)):
+                             % (k + 1, j0 + 1)):
         optional_structural_checks(trace)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_square_law_checks_the_kernel(k):
+    # x1^2 added to p_k moves A . p by x1^2 times column k of A
+    reduced, pfs = golden_reduced()
+    ring = reduced.ring
+    row = next(i for i in range(5) if not reduced.at(i, k).is_zero)
+    pfs[k] = pfs[k] + ring.x(1) ** 2
+    with pytest.raises(IterationError,
+                       match="square law: A . p is nonzero at row %d$"
+                             % (row + 1)):
+        pipeline._check_square_law(reduced, pfs)
+
+
+def rank_two_matrices():
+    """d=4 alternating matrices of rank at most 2, whose submaximal
+    Pfaffians all vanish: zero, one nonzero row and column, and
+    u . w^t - w . u^t for columns u, w of linear forms."""
+    ring = PolyRing.get(32003, 4)
+    rng = random.Random("rank two")
+    u = [linear_form(rng, ring, range(1, 6)) for _ in range(5)]
+    w = [linear_form(rng, ring, range(1, 6)) for _ in range(5)]
+    return [
+        alternating(ring, lambda i, j: ring.zero),
+        alternating(ring, lambda i, j: ring.x(j) if i == 0 else ring.zero),
+        alternating(ring, lambda i, j: u[i] * w[j] - w[i] * u[j]),
+    ]
+
+
+def test_square_law_holds_where_the_pfaffians_vanish():
+    # rank < d: adj = 0 = p . p^t, with no special case for p = 0
+    for mat in rank_two_matrices():
+        pfs = submaximal_pfaffians(mat)
+        assert all(p.is_zero for p in pfs)
+        pipeline._check_square_law(mat, pfs)
+        square_law_by_all_minors(mat, pfs)
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_square_law_agrees_with_all_minors(case):
+    # in the given coordinates, with the last variable dropped
+    mat = instance(32003, case).presentation
+    ring = mat.ring
+    reduced = pipeline._substitute_linear(
+        mat, [ring.x(k) for k in range(1, 5)] + [ring.zero])
+    pfs = submaximal_pfaffians(reduced)
+    pipeline._check_square_law(reduced, pfs)
+    square_law_by_all_minors(reduced, pfs)
 
 
 @pytest.mark.parametrize("case", ["golden", (1, 2), (3, 0)], ids=str)
@@ -240,18 +306,22 @@ def test_lent_lambda_skips_the_adjugate_route(monkeypatch):
 
 @pytest.mark.parametrize("k,j", [(0, 1), (2, 4)])
 def test_rebuilt_trace_checks_the_adjugate_law(k, j, monkeypatch):
+    # lambda_k moves by +-T_{j+1}^3, caught by the lambda . B recheck at
+    # the first nonzero entry of row k of B
     trace = rebuilt(builtin_example())
-    perturbed_minors(monkeypatch, k, j, lambda ring: ring.T(1) ** 4)
+    column = next(i for i in range(5)
+                  if not trace.dual.at(k, i).is_zero) + 1
+    perturbed_minors(monkeypatch, k,
+                     lambda ring: ring.T(1) * ring.T(j + 1) ** 3)
     with pytest.raises(IterationError,
-                       match="factorization fails at the minor of B "
-                             "without row %d and column %d$"
-                             % (k + 1, j + 1)):
+                       match="adjugate: lambda . B is nonzero at column "
+                             "%d$" % column):
         optional_structural_checks(trace)
 
 
 def test_rebuilt_trace_checks_t1_divisibility(monkeypatch):
     trace = rebuilt(builtin_example())
-    perturbed_minors(monkeypatch, 1, 0, lambda ring: ring.x(1) ** 3)
+    perturbed_minors(monkeypatch, 1, lambda ring: ring.x(1) ** 3)
     with pytest.raises(IterationError,
                        match="minor of B without row 2 and column 1 is "
                              "not divisible by T1"):
@@ -270,21 +340,31 @@ def test_rebuilt_trace_checks_the_full_dual_minor(monkeypatch):
 def test_reduced_gcd_from_the_one_minor_without_column_1(case,
                                                          monkeypatch):
     # the reference reads the reduced gcd off all d+1 maximal minors of
-    # the reduced dual; the check forms only the square one it uses
+    # the reduced dual; the check forms only the square one it uses,
+    # after one column of the reduced presentation per square law
     inst = instance(32003, case)
     trace = gcd_iterations(inst)
     formed = []
     original = pipeline.minors
+    square_law = pipeline._check_square_law
 
     def recorded(mat, k):
         formed.append((mat.rows, mat.cols, k))
         return original(mat, k)
 
+    def counted(mat, pfs):
+        formed.append("square law")
+        return square_law(mat, pfs)
+
     monkeypatch.setattr(pipeline, "minors", recorded)
+    monkeypatch.setattr(pipeline, "_check_square_law", counted)
     got = optional_structural_checks(trace)
     monkeypatch.undo()
     want = structural_checks_by_minors(inst)
     check = "reduced-cramer-containment"
     assert got.find(check).data["reduced_gcd"] == \
         want.find(check).data["reduced_gcd"]
-    assert formed == [(inst.d, inst.d, inst.d)]
+    d = inst.d
+    laws = formed.count("square law")
+    assert laws >= 1
+    assert formed == ["square law", (d + 1, d, d)] * laws + [(d, d, d)]

@@ -126,3 +126,38 @@ def test_ring_clients_use_only_its_public_api():
             if used in TERM_FORMAT or used in private:
                 found.add((name, used))
     assert not found
+
+
+SOURCE = Path(reesgcd.__file__).resolve().parent
+
+
+def called_names(path):
+    """Names called in a module, as f(...) or as owner.f(...)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                names.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                names.add(func.attr)
+    return names
+
+
+def test_public_functions_have_a_program_caller():
+    # a helper only the tests use belongs in tests/
+    exported = set(reesgcd.__all__)
+    unused = set()
+    for name in ("matrices", "pipeline"):
+        module = importlib.import_module("reesgcd." + name)
+        called = set()
+        for path in SOURCE.glob("*.py"):
+            if path.stem != name:
+                called |= called_names(path)
+        for attr, value in vars(module).items():
+            if (inspect.isfunction(value)
+                    and value.__module__ == module.__name__
+                    and not attr.startswith("_")
+                    and attr not in exported and attr not in called):
+                unused.add((name, attr))
+    assert not unused

@@ -513,6 +513,22 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
                  for terms in _autoreduce(G, mod, guard))
 
 
+def interreduce(basis, order=None):
+    """The reduced monic basis, as groebner_basis returns it, of the
+    ideal of basis, which must be a Groebner basis under order.
+
+    Elements whose lead another element's lead divides are dropped and
+    the rest tail-reduced on one another; no S-pair is formed, so a
+    basis that is not a Groebner basis gives a wrong answer."""
+    basis = [g for g in basis if not g.is_zero]
+    if not basis:
+        return ()
+    ring = basis[0].ring
+    order = order or ring.grevlex
+    return tuple(_to_poly(ring, terms, order) for terms in _autoreduce(
+        [_to_terms(g, order) for g in basis], ring.p, ring.guard))
+
+
 def _autoreduce(basis_terms, mod, guard):
     """Minimalize and tail-reduce a basis known to be a Groebner basis."""
     items = sorted(basis_terms, key=lambda t: t[0][0])

@@ -18,12 +18,23 @@ form.  The leads of Bayer's quotient list give the quotient's bigraded
 Hilbert series.  A quotient the ideal already holds is recognized by
 containment plus equal series: a kept quotient with the same numerator
 whose basis reduces every element of the list to zero is that quotient,
-and no run is made for it.  Otherwise the series drives the grevlex run
-that forms the basis (Traverso, J. Symb. Comp. 22, 1996); the run checks
-the series of its own leads against it at the end.  An ideal keeps one
-quotient Ideal per distinct basis, so quotients that are the same ideal
-(by different variables, or a colon and a saturation) are the same
-object, whose generators are that basis.
+and no run is made for it.  A list whose grevlex leads have that series
+is a grevlex basis already, and its interreduction is the canonical
+basis.  Otherwise the series drives the grevlex run that forms the basis
+(Traverso, J. Symb. Comp. 22, 1996); the run checks the series of its
+own leads against it at the end.  An ideal keeps one quotient Ideal per
+distinct basis, so quotients that are the same ideal (by different
+variables, or a colon and a saturation) are the same object, whose
+generators are that basis.
+
+A quotient remembers its division.  The generators of its dividend a
+and its divided elements, from the division that formed it, decide
+containment: the undivided elements of the list lie in a, so an ideal
+whose generators include a's contains the quotient exactly when it
+contains the divided elements.  Each Bayer list that lands on the
+quotient is its Groebner basis under the order it was divided in, so
+the quotient's basis under that order is the list's interreduction, with
+no run.
 
 Intersections are the only elimination constructions: the helper
 variable t is eliminated from t*I + (1-t)*J, and the output arrives as a
@@ -31,14 +42,18 @@ reduced grevlex basis of the intersection, so downstream membership tests
 reuse it without recomputation.  Two ideals with the same reduced grevlex
 basis meet in that ideal with no run, so a fold of equal quotients (on
 the random m = 1 instances of the tests, every fold) eliminates nothing.
+An intersection whose elimination returns the first argument's own
+generators is that argument, returned as it is, so a quotient keeps its
+record through a fold of nested ideals.
 
 Nothing derived from an ideal is computed twice while the ideal lives.
 Besides its quotients an ideal keeps its intersection with each
-generator tuple.  An intersection whose first argument is given by its
-reduced grevlex basis (every quotient and every intersection is) passes
-known to its elimination run: on the monomials t*u with u t-free the
-elimination order is grevlex, so t*I is a reduced basis there as well,
-and the S-pairs inside it are not reduced (the known-basis criterion of
+generator tuple, unless that is the ideal itself.  An intersection
+whose first argument is given by its reduced grevlex basis (every
+quotient and every intersection is) passes known to its elimination
+run: on the monomials t*u with u t-free the elimination order is
+grevlex, so t*I is a reduced basis there as well, and the S-pairs inside
+it are not reduced (the known-basis criterion of
 groebner.groebner_basis).  The (1-t) block of a quotient is its
 quotient list, kept beside its basis: with the basis there, golden's
 elimination runs grow past 33 basis elements.  The memos live on the
@@ -74,6 +89,7 @@ from itertools import combinations
 from .groebner import (
     groebner_basis,
     hilbert_numerator,
+    interreduce,
     normal_form,
     normal_forms,
 )
@@ -97,11 +113,15 @@ class Ideal:
     drives its later runs.  A quotient also keeps Bayer's quotient list
     it was formed from (_divided), the (1-t) block of the intersections
     it enters as second argument; its numerator comes from that list's
-    leads.
+    leads.  And it keeps the record of that division (_division): the
+    generators of its dividend and the elements that were divided, which
+    contains_ideal tests in place of its generators; and every Bayer
+    list that landed on it, by order (_bayer), until groebner
+    interreduces the one of the order it is asked for.
     """
 
     __slots__ = ("ring", "gens", "_bases", "_quotients", "_intersections",
-                 "_truncated", "_hilbert", "_divided")
+                 "_truncated", "_hilbert", "_divided", "_division", "_bayer")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -117,19 +137,27 @@ class Ideal:
         self._truncated = None
         self._hilbert = None
         self._divided = None
+        self._division = None
+        self._bayer = None
 
     def groebner(self, order=None):
         """Reduced basis under order (default: grevlex).
 
-        Every run after the first full basis of a bigraded ideal, under a
-        graded order, is driven by the Hilbert series of that basis."""
+        A quotient holding a Bayer list of that order interreduces it.
+        Otherwise every run after the first full basis of a bigraded
+        ideal, under a graded order, is driven by the Hilbert series of
+        that basis."""
         order = order or self.ring.grevlex
         gb = self._bases.get(order)
         if gb is None:
-            hilbert = None
-            if self._bases and self.ring.is_graded(order):
-                hilbert = self._numerator()
-            gb = groebner_basis(self.gens, order, hilbert=hilbert)
+            bayer = self._bayer.pop(order, None) if self._bayer else None
+            if bayer is not None:
+                gb = interreduce(bayer, order)
+            else:
+                hilbert = None
+                if self._bases and self.ring.is_graded(order):
+                    hilbert = self._numerator()
+                gb = groebner_basis(self.gens, order, hilbert=hilbert)
             self._bases[order] = gb
         return gb
 
@@ -182,10 +210,23 @@ class Ideal:
 
     def contains_ideal(self, other):
         """Membership of every generator of other, on one basis sized
-        for all of them."""
-        if other.gens:
-            self.basis_for(other.gens)
-        return all(self.contains(g) for g in other.gens)
+        for all of them.
+
+        A quotient other = a : x or a : x^inf is generated by the Bayer
+        list of its first division, whose undivided elements are elements
+        of a's basis.  So when every generator of a is one of self's,
+        self contains other exactly when it contains the divided
+        elements, and only they are tested.  The proof rests only on
+        other being the ideal of that list, as _divide_out makes it, not
+        on Bayer's theorem."""
+        gens = other.gens
+        if other._division is not None:
+            dividend, divided = other._division
+            if set(dividend) <= set(self.gens):
+                gens = divided
+        if gens:
+            self.basis_for(gens)
+        return all(self.contains(g) for g in gens)
 
     def equals(self, other):
         """Mutual membership of generators."""
@@ -237,7 +278,7 @@ def _eliminate_aux(ring, gens, tag, known=0):
 
 
 def intersect(a, b):
-    """a ∩ b, kept on a by the generators of b.
+    """a ∩ b, kept on a by the generators of b unless it is a itself.
 
     Two ideals with the same reduced grevlex basis meet in that ideal,
     returned under its basis with no elimination run.  Otherwise t is
@@ -247,7 +288,10 @@ def intersect(a, b):
     basis, as they are for every quotient and every intersection, the
     elimination run is told so: the elimination order agrees with
     grevlex on the monomials t*u with u t-free, so t*a is a reduced
-    basis too and its pairs need no reduction.
+    basis too and its pairs need no reduction.  When the run then
+    returns those generators, a is contained in b and a itself is
+    returned, with whatever it keeps (a quotient's record of its
+    division among them); a does not keep itself as an intersection.
     """
     _check_aux_free(a)
     _check_aux_free(b)
@@ -267,8 +311,10 @@ def intersect(a, b):
             one_minus_t * h for h in b._divided or b.gens]
         known = len(a.gens) if basis == a.gens else 0
         kept = _eliminate_aux(ring, gens, "intersection", known)
-        found = Ideal(ring, kept, gb=kept)
-    a._intersections[b.gens] = found
+        found = a if known and kept == a.gens else \
+            Ideal(ring, kept, gb=kept)
+    if found is not a:
+        a._intersections[b.gens] = found
     return found
 
 
@@ -302,12 +348,19 @@ def _divide_out(a, slot, whole_power):
     leads, each the element's lead less the removed power, give the
     ideal's bigraded Hilbert series.  A kept quotient with that series
     that contains the list is the quotient (_held_quotient), returned
-    with no run.  Otherwise the series drives the grevlex run that makes
-    the basis canonical.  The quotient Ideal has that basis as its
-    generators, the series as its numerator, and the quotient list
-    beside them for the (1-t) block of the intersections it enters.  The
-    memo is also keyed by the quotient list, so a colon and a saturation
-    by x with the same quotients make no second comparison.
+    with no run.  Otherwise, when the list's grevlex leads have that
+    series too, the list is a grevlex basis (its grevlex lead ideal lies
+    in the quotient's and has its series) and its interreduction is the
+    canonical basis; failing that, the series drives the grevlex run
+    that makes it.  The quotient Ideal has that basis as its generators,
+    the series as its numerator, the quotient list beside them for the
+    (1-t) block of the intersections it enters, and the record of this
+    division: a's generators and the divided elements, for
+    contains_ideal.  Every list that lands on the quotient, by this
+    division or a later one, is kept under its order until the
+    quotient's basis under that order is asked for.  The memo is also
+    keyed by the quotient list, so a colon and a saturation by x with
+    the same quotients make no second comparison.
 
     Input that is not bihomogeneous has no series: it takes a plain run,
     and only for it is the kept quotient found afterwards by its basis.
@@ -317,12 +370,14 @@ def _divide_out(a, slot, whole_power):
     x = ring.variable(slot)
     quots = []
     leads = []
+    divided = []
     for g in a.groebner(order=order):
         lead = list(g.lead_exp(order))
         v = lead[slot] if whole_power else min(lead[slot], 1)
         if v:
             lead[slot] -= v
             g = g.exact_div(x ** v)
+            divided.append(g)
         quots.append(g)
         leads.append(ring.monomial(lead))
     quots = tuple(quots)
@@ -333,14 +388,21 @@ def _divide_out(a, slot, whole_power):
             hilbert = hilbert_numerator(leads)
             found = _held_quotient(a, quots, hilbert)
         if found is None:
-            basis = groebner_basis(quots, ring.grevlex, hilbert=hilbert)
+            if hilbert is not None and hilbert_numerator(quots) == hilbert:
+                basis = interreduce(quots)
+            else:
+                basis = groebner_basis(quots, ring.grevlex, hilbert=hilbert)
             if hilbert is None:
                 found = a._quotients.get(basis)
             if found is None:
                 found = a._quotients[basis] = Ideal(ring, basis, gb=basis)
                 found._hilbert = hilbert
                 found._divided = quots
+                found._division = (a.gens, tuple(divided))
+                found._bayer = {}
         a._quotients[quots] = found
+    if order not in found._bases:
+        found._bayer.setdefault(order, quots)
     return found
 
 

@@ -549,10 +549,18 @@ def gcd_iterations(inst, rule="min", prior=None):
 # oracle verification
 
 def _difference_witness(a, b):
-    """A generator separating two ideals, rendered as a string."""
+    """A generator separating two ideals, rendered as a string.
+
+    Each side's membership basis is sized once for all the generators
+    it is asked about: a containment test of a quotient sized it only
+    for the quotient's divided elements."""
+    if b.gens:
+        a.basis_for(b.gens)
     for g in b.gens:
         if not a.contains(g):
             return "not in left ideal: %s" % g
+    if a.gens:
+        b.basis_for(a.gens)
     for g in a.gens:
         if not b.contains(g):
             return "not in right ideal: %s" % g
@@ -574,7 +582,12 @@ def verify_main_theorem(inst, trace):
     is the same ideal (on the random m = 1 instances of the tests, every
     fold) the fold makes no elimination run.  A quotient the ideal
     already holds is recognized by containment and an equal Hilbert
-    series, with no grevlex run (ideals._divide_out).  The m-th colon
+    series, with no grevlex run (ideals._divide_out).  A fold of nested
+    ideals returns its smallest quotient, which remembers its division:
+    the saturation is then a quotient of the base ideal, and the
+    candidate, whose generators include the base ideal's, contains it
+    exactly when it contains the elements that division divided (one on
+    the random m = 1 instances, three on golden).  The m-th colon
     power is compared with the candidate only when its generators, a
     reduced grevlex basis like the saturation's, differ from the
     saturation's; otherwise it takes that check's verdict and witness.

@@ -13,7 +13,12 @@ quotient lists formed here from the definition.
 import pytest
 
 from reesgcd import ideals
-from reesgcd.groebner import groebner_basis, hilbert_numerator, normal_form
+from reesgcd.groebner import (
+    groebner_basis,
+    hilbert_numerator,
+    interreduce,
+    normal_form,
+)
 from reesgcd.ideals import Ideal, colon, intersect, saturate, saturate_poly
 from reesgcd.pipeline import (
     builtin_example,
@@ -214,15 +219,24 @@ def quotient_sequences(draw):
 
 
 def recorded_runs(monkeypatch):
-    """The order names of the Groebner runs of ideals from now on."""
+    """The order names of the Groebner runs of ideals from now on, and
+    "interreduce <order name>" for each basis interreduced from a list
+    known to be a Groebner basis."""
     runs = []
     original = ideals.groebner_basis
+    original_interreduce = ideals.interreduce
 
     def counted(gens, order=None, *args, **kwargs):
         runs.append("grevlex" if order is None else order.name)
         return original(gens, order, *args, **kwargs)
 
+    def counted_interreduce(basis, order=None):
+        runs.append("interreduce " + ("grevlex" if order is None
+                                      else order.name))
+        return original_interreduce(basis, order)
+
     monkeypatch.setattr(ideals, "groebner_basis", counted)
+    monkeypatch.setattr(ideals, "interreduce", counted_interreduce)
     return runs
 
 
@@ -254,7 +268,9 @@ class TestHeldQuotients:
         assert not first.contains(t2)
         assert second is not first
         assert second.gens == groebner_basis([x1 * t1, t2])
-        assert runs.count("grevlex") == 1
+        # the list (x1*t1, t2) is a grevlex basis already: its grevlex
+        # leads have the series of its revlex leads
+        assert runs == ["revlex-last-x2", "interreduce grevlex"]
 
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
     def test_containment_with_another_series_is_a_run(self, ring,
@@ -268,7 +284,8 @@ class TestHeldQuotients:
         assert first.contains_ideal(second)
         assert second is not first
         assert second.gens == (x1,)
-        assert runs.count("grevlex") == 1
+        # the list (x1^2, x1) is a grevlex basis already
+        assert runs == ["revlex-last-x2", "interreduce grevlex"]
 
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
     def test_held_quotient_makes_no_run(self, ring, monkeypatch):
@@ -281,20 +298,104 @@ class TestHeldQuotients:
         assert "grevlex" not in runs
 
 
+@st.composite
+def containers(draw):
+    """A quotient q of an ideal a, from problems(), and an ideal J: some
+    or all of a's generators, some of q's divided elements and up to two
+    polynomials of the kind a's generators are."""
+    a, slot = draw(problems())
+    ring = a.ring
+    x = ring.variable(slot)
+    q = saturate_poly(a, x) if draw(st.booleans()) else colon(a, x)
+    _, divided = q._division
+    if draw(st.booleans()):
+        kept = list(a.gens)
+    else:
+        kept = [g for g in a.gens if draw(st.booleans())]
+    kept += [g for g in divided if draw(st.booleans())]
+    variables = st.sampled_from(ring.x_slots + ring.t_slots).map(
+        ring.variable)
+    for _ in range(draw(st.integers(0, 2))):
+        f, g = draw(st.lists(st.sampled_from(a.gens), min_size=2,
+                             max_size=2))
+        kept.append(f * draw(variables) + g * draw(variables))
+    return q, Ideal(ring, kept)
+
+
+class TestQuotientRecord:
+    """A quotient remembers its division: the generators of its dividend,
+    its divided elements and Bayer's list under each order it was
+    formed in."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(containers())
+    def test_containment_agrees_with_every_generator(self, problem):
+        q, j = problem
+        plain = groebner_basis(j.gens)
+        expected = all(normal_form(g, plain).is_zero for g in q.gens)
+        assert j.contains_ideal(q) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(quotient_sequences())
+    def test_kept_lists_interreduce_to_the_basis(self, problem):
+        a, steps = problem
+        for slot, whole_power in steps:
+            x = a.ring.variable(slot)
+            q = saturate_poly(a, x) if whole_power else colon(a, x)
+            for order, quots in list(q._bayer.items()):
+                basis = groebner_basis(q.gens, order)
+                assert interreduce(quots, order) == basis
+                assert q.groebner(order) == basis
+                assert order not in q._bayer
+
+    def test_divided_elements_decide_the_main_theorem(self):
+        inst = random_instance(4, 1, seed=0)
+        trace = gcd_iterations(inst)
+        base = trace.base_ideal
+        sat = saturate(base, inst.x_ideal())
+        dividend, divided = sat._division
+        assert dividend == base.gens
+        assert len(divided) == 1 and divided[0].bidegree() == (0, 3)
+        assert trace.defining_ideal.contains_ideal(sat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problems(), st.booleans())
+    def test_nested_intersection_returns_its_first_argument(
+            self, problem, whole_power):
+        a, slot = problem
+        ring = a.ring
+        x = ring.variable(slot)
+        q = saturate_poly(a, x) if whole_power else colon(a, x)
+        record = q._division
+        larger = Ideal(ring, q.gens + (x,))
+        with pytest.MonkeyPatch.context() as mp:
+            runs = elimination_runs(mp)
+            assert intersect(q, larger) is q
+            assert len(runs) == 1
+        assert q._division is record
+        assert not q._intersections
+
+
 def main_theorem_runs(inst, monkeypatch):
-    """Grevlex and elimination runs of one verify_main_theorem call."""
+    """Grevlex, revlex-last and elimination runs of one
+    verify_main_theorem call."""
     trace = gcd_iterations(inst)
     runs = recorded_runs(monkeypatch)
     assert verify_main_theorem(inst, trace).ok
-    return runs.count("grevlex"), runs.count("elim-aux")
+    return (runs.count("grevlex"),
+            sum(r.startswith("revlex-last") for r in runs),
+            runs.count("elim-aux"))
 
 
 class TestMainTheoremRuns:
     def test_golden(self, monkeypatch):
-        # 12 of the 21 grevlex runs rediscovered a held quotient
-        assert main_theorem_runs(builtin_example(), monkeypatch) == (9, 4)
+        # 12 of 21 grevlex runs would rediscover a held quotient and 4
+        # form a quotient whose list is a grevlex basis already; 8 of 15
+        # revlex-last runs would recompute a kept Bayer list
+        assert main_theorem_runs(builtin_example(), monkeypatch) == (5, 7,
+                                                                     4)
 
     def test_random_m1(self, monkeypatch):
         # the d+1 quotients of the base ideal are one ideal
         inst = random_instance(4, 1, seed=0)
-        assert main_theorem_runs(inst, monkeypatch) == (2, 0)
+        assert main_theorem_runs(inst, monkeypatch) == (2, 5, 0)

@@ -14,7 +14,7 @@ import pytest
 
 from reesgcd import groebner, ideals
 from reesgcd.groebner import groebner_basis, hilbert_numerator
-from reesgcd.ideals import Ideal, colon_power_chain
+from reesgcd.ideals import colon, intersect, saturate_poly
 from reesgcd.pipeline import builtin_example, gcd_iterations, random_instance
 from reesgcd.ring import PolyRing
 
@@ -226,8 +226,12 @@ class TestCriterionFires:
             self, monkeypatch):
         base = base_ideal("golden")
         ring = base.ring
-        step = colon_power_chain(base, Ideal(ring, [ring.x(1), ring.x(2)]),
-                                 1)[0]
+        # on golden base : x1^inf and base : x5 are incomparable, so they
+        # meet in a new ideal known only by its grevlex basis
+        left = saturate_poly(base, ring.x(1))
+        right = colon(base, ring.x(5))
+        step = intersect(left, right)
+        assert not step.equals(left) and not step.equals(right)
         calls = record_targets(monkeypatch)
         step.groebner(ring.revlex_last(0))
         assert calls == [hilbert_numerator(step.groebner())]

@@ -211,7 +211,9 @@ class TestMainTheoremRuns:
     def test_golden_runs(self, elimination_runs):
         inst = builtin_example()
         assert verify_main_theorem(inst, gcd_iterations(inst)).ok
-        # 4 for the saturation; each colon step's quotients are one ideal
+        # one in the saturation and one per colon step: in each fold the
+        # quotients by x1..x4 are one ideal, met once with the larger
+        # quotient by x5
         assert len(elimination_runs) == 4
 
 

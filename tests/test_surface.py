@@ -6,7 +6,8 @@ operation failing, so the names are resolved here.  The algebra modules
 also keep no mutable container at module or class level, where it would
 be shared by every caller in the process.  The term format and the
 packed exponents stay inside the ring module: the modules above it use
-its public API only.
+its public API only, and the pipeline and the command line use only the
+public API of the ideals module.
 """
 
 import ast
@@ -17,7 +18,7 @@ from collections.abc import MutableMapping, MutableSequence, MutableSet
 from pathlib import Path
 
 import reesgcd
-from reesgcd import ring
+from reesgcd import ideals, ring
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -124,6 +125,38 @@ def test_ring_clients_use_only_its_public_api():
             else:
                 continue
             if used in TERM_FORMAT or used in private:
+                found.add((name, used))
+    assert not found
+
+
+IDEAL_CLIENTS = ("pipeline", "cli")
+
+
+def ideals_private_names():
+    """Private names of the ideals module and of its Ideal class, slots
+    included."""
+    names = set(vars(ideals)) | set(vars(ideals.Ideal))
+    names.update(ideals.Ideal.__slots__)
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_ideal_clients_use_only_its_public_api():
+    # a quotient's record of its division, its kept bases and memos stay
+    # inside the ideals module
+    private = ideals_private_names()
+    assert {"_divide_out", "_bases", "_division", "_bayer"} <= private
+    found = set()
+    for name in IDEAL_CLIENTS:
+        module = importlib.import_module("reesgcd." + name)
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Attribute):
+                used = node.attr
+            elif isinstance(node, ast.alias):
+                used = node.name
+            else:
+                continue
+            if used in private:
                 found.add((name, used))
     assert not found
 

@@ -386,7 +386,7 @@ class _HilbertDriver:
 
 
 def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
-                   known=0, within=None, hilbert=None):
+                   within=None, hilbert=None):
     """Reduced monic Groebner basis of the ideal generated by gens.
 
     The output is a tuple of Polynomials sorted by increasing lead
@@ -394,16 +394,6 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     (1,) for the unit ideal.  Raises BudgetExceeded when the basis grows
     past max_basis elements or any basis element's total degree passes
     max_degree; its message names the cap and the term order of the run.
-
-    known is the caller's claim that the first known gens form a reduced
-    Groebner basis under order.  The S-polynomial of two of them then has
-    a standard representation over them, which is all Buchberger's
-    criterion asks of a pair (Becker & Weispfenning, Groebner Bases, GTM
-    141, ch. 5), so their pairs still take part in the Gebauer-Moeller
-    pruning but are never reduced.  The claim is checked as far as it
-    is cheap: the first known gens must be nonzero and admitted
-    unchanged, each fully reduced against the ones before it; otherwise
-    every pair is reduced as usual.
 
     within = (x_max, T_max) truncates the run at that bidegree box, for
     gens bihomogeneous in (x, T) (t has bidegree (0, 0)); a generator
@@ -413,8 +403,8 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     reduce only against elements of componentwise smaller bidegree, so
     the result is the reduced basis's elements inside the box, and
     normal forms on it are exact for every polynomial of bidegree in
-    the box (degree-truncated Buchberger).  The known claim stands only
-    if no prefix generator is dropped.  The budget caps apply as before.
+    the box (degree-truncated Buchberger).  The budget caps apply as
+    before.
 
     hilbert is the caller's claim that the numerator N(s, u) of the
     bigraded Hilbert series of the ideal is the given map (a, b) -> coeff,
@@ -428,9 +418,6 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     exactly the elements of a plain run.  At the end the numerator of
     the leads must equal the claim, or AssertionError is raised.
     """
-    gens = list(gens)
-    if known > len(gens) or not all(gens[:known]):
-        known = 0
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return ()
@@ -440,10 +427,7 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
         inside = _inside_box(ring, within)
         if any(g.bidegree() is None for g in gens):
             raise ValueError("a truncated run needs bihomogeneous input")
-        kept = [inside(g.terms[0][1]) for g in gens]
-        if not all(kept[:known]):
-            known = 0
-        gens = [g for g, keep in zip(gens, kept) if keep]
+        gens = [g for g in gens if inside(g.terms[0][1])]
         if not gens:
             return ()
     order = order or ring.grevlex
@@ -483,11 +467,8 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
         _insert_sorted(red, entries[-1])
         return _update_pairs(pairs, lead, len(G) - 1, keyf, guard, inside)
 
-    for pos, f in enumerate(gens):
-        terms = _to_terms(f, order)
-        h = _reduce_terms(terms, red, mod, guard)
-        if pos < known and h != terms:
-            known = 0
+    for f in gens:
+        h = _reduce_terms(_to_terms(f, order), red, mod, guard)
         if h:
             pairs = admit(h)
 
@@ -500,7 +481,7 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
                 best = pos
                 bk = cand
         _, lcm, i, j = pairs.pop(best)
-        if j < known or driver is not None and driver.settled(lcm):
+        if driver is not None and driver.settled(lcm):
             continue
         h = _reduce_terms((), red, mod, guard,
                           _spair_tails(entries[i], entries[j], keyf, guard))

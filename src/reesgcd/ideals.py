@@ -22,10 +22,10 @@ and no run is made for it.  A list whose grevlex leads have that series
 is a grevlex basis already, and its interreduction is the canonical
 basis.  Otherwise the series drives the grevlex run that forms the basis
 (Traverso, J. Symb. Comp. 22, 1996); the run checks the series of its
-own leads against it at the end.  An ideal keeps one quotient Ideal per
-distinct basis, so quotients that are the same ideal (by different
-variables, or a colon and a saturation) are the same object, whose
-generators are that basis.
+own leads against it at the end.  An ideal keeps its quotient Ideals,
+each under the quotient lists that formed it, so bigraded quotients
+that are the same ideal (by different variables, or a colon and a
+saturation) are the same object, whose generators are its basis.
 
 A quotient remembers its division.  The generators of its dividend a
 and its divided elements, from the division that formed it, decide
@@ -44,20 +44,10 @@ basis meet in that ideal with no run, so a fold of equal quotients (on
 the random m = 1 instances of the tests, every fold) eliminates nothing.
 An intersection whose elimination returns the first argument's own
 generators is that argument, returned as it is, so a quotient keeps its
-record through a fold of nested ideals.
-
-Nothing derived from an ideal is computed twice while the ideal lives.
-Besides its quotients an ideal keeps its intersection with each
-generator tuple, unless that is the ideal itself.  An intersection
-whose first argument is given by its reduced grevlex basis (every
-quotient and every intersection is) passes known to its elimination
-run: on the monomials t*u with u t-free the elimination order is
-grevlex, so t*I is a reduced basis there as well, and the S-pairs inside
-it are not reduced (the known-basis criterion of
-groebner.groebner_basis).  The (1-t) block of a quotient is its
-quotient list, kept beside its basis: with the basis there, golden's
-elimination runs grow past 33 basis elements.  The memos live on the
-Ideal objects of one verification, not in the module.
+record through a fold of nested ideals.  The (1-t) block of a quotient
+is its quotient list, kept beside its basis: with the basis there,
+golden's elimination runs grow past 33 basis elements.  The quotient
+memo lives on the Ideal objects of one verification, not in the module.
 
 The d+1 runs of Bayer's route on one ideal, one per variable, share its
 bigraded Hilbert series.  Once an ideal of t-free bihomogeneous
@@ -100,11 +90,9 @@ class Ideal:
 
     Membership tests run under grevlex; gb, if given, is the reduced
     grevlex basis.  Bases under other orders are computed on request and
-    kept, one per order, for the life of the ideal.  So are the ideals
-    derived from it: each distinct quotient ideal that _divide_out
-    forms from its bases, under the quotient's reduced grevlex basis
-    (and under the quotient list it came from), and its intersection
-    with each generator tuple it has been intersected with.
+    kept, one per order, for the life of the ideal.  So are the quotient
+    ideals that _divide_out forms from its bases, each under the
+    quotient lists that formed it.
 
     Beside them it keeps one grevlex basis truncated at a bidegree box,
     with the box (see basis_for): the membership basis of a bigraded
@@ -120,8 +108,8 @@ class Ideal:
     interreduces the one of the order it is asked for.
     """
 
-    __slots__ = ("ring", "gens", "_bases", "_quotients", "_intersections",
-                 "_truncated", "_hilbert", "_divided", "_division", "_bayer")
+    __slots__ = ("ring", "gens", "_bases", "_quotients", "_truncated",
+                 "_hilbert", "_divided", "_division", "_bayer")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -133,7 +121,6 @@ class Ideal:
         self.gens = tuple(seen)
         self._bases = {} if gb is None else {ring.grevlex: gb}
         self._quotients = {}
-        self._intersections = {}
         self._truncated = None
         self._hilbert = None
         self._divided = None
@@ -259,17 +246,16 @@ def _check_aux_free(ideal):
                 "ideal operations need t-free input ideals")
 
 
-def _eliminate_aux(ring, gens, tag, known=0):
+def _eliminate_aux(ring, gens, tag):
     """Reduced grevlex basis of (gens) intersected with the t-free subring.
 
     The elimination order puts every monomial with t above every t-free
     one, so an element survives exactly when it is t-free, and the
     survivors lead the basis, which is sorted by increasing lead.  On
     t-free monomials the elimination order restricts to grevlex, which
-    makes the surviving subset a reduced grevlex basis.  known is passed
-    on to groebner_basis: the first known gens form a reduced basis.
+    makes the surviving subset a reduced grevlex basis.
     """
-    gb = groebner_basis(gens, ring.elim_aux, known=known)
+    gb = groebner_basis(gens, ring.elim_aux)
     aux = ring.aux_slot
     kept = tuple(g for g in gb if aux not in g.support())
     if gb[:len(kept)] != kept:
@@ -278,44 +264,30 @@ def _eliminate_aux(ring, gens, tag, known=0):
 
 
 def intersect(a, b):
-    """a ∩ b, kept on a by the generators of b unless it is a itself.
+    """a ∩ b, under its reduced grevlex basis.
 
     Two ideals with the same reduced grevlex basis meet in that ideal,
-    returned under its basis with no elimination run.  Otherwise t is
-    eliminated from t*a + (1-t)*b, the (1-t) block taken over b's
-    quotient list when b is a quotient (_divide_out) and over its
-    generators otherwise.  When a's generators are its reduced grevlex
-    basis, as they are for every quotient and every intersection, the
-    elimination run is told so: the elimination order agrees with
-    grevlex on the monomials t*u with u t-free, so t*a is a reduced
-    basis too and its pairs need no reduction.  When the run then
-    returns those generators, a is contained in b and a itself is
-    returned, with whatever it keeps (a quotient's record of its
-    division among them); a does not keep itself as an intersection.
+    returned with no elimination run.  Otherwise t is eliminated from
+    t*a + (1-t)*b, the (1-t) block taken over b's quotient list when b
+    is a quotient (_divide_out) and over its generators otherwise.  When
+    the run returns a's own generators, a is contained in b and a itself
+    is returned, with whatever it keeps (a quotient's record of its
+    division among them).
     """
     _check_aux_free(a)
     _check_aux_free(b)
-    found = a._intersections.get(b.gens)
-    if found is not None:
-        return found
     ring = a.ring
-    basis = a._bases.get(ring.grevlex)
     if a.is_zero or b.is_zero:
-        found = Ideal(ring, ())
-    elif basis is not None and basis == b._bases.get(ring.grevlex):
-        found = a if a.gens == basis else Ideal(ring, basis, gb=basis)
-    else:
-        t = ring.aux
-        one_minus_t = ring.one - t
-        gens = [t * g for g in a.gens] + [
-            one_minus_t * h for h in b._divided or b.gens]
-        known = len(a.gens) if basis == a.gens else 0
-        kept = _eliminate_aux(ring, gens, "intersection", known)
-        found = a if known and kept == a.gens else \
-            Ideal(ring, kept, gb=kept)
-    if found is not a:
-        a._intersections[b.gens] = found
-    return found
+        return Ideal(ring, ())
+    basis = a._bases.get(ring.grevlex)
+    if basis is not None and basis == b._bases.get(ring.grevlex):
+        return a if a.gens == basis else Ideal(ring, basis, gb=basis)
+    t = ring.aux
+    one_minus_t = ring.one - t
+    gens = [t * g for g in a.gens] + [
+        one_minus_t * h for h in b._divided or b.gens]
+    kept = _eliminate_aux(ring, gens, "intersection")
+    return a if kept == a.gens else Ideal(ring, kept, gb=kept)
 
 
 def _bayer_slot(a, f):
@@ -339,7 +311,7 @@ def _bayer_slot(a, f):
 
 def _divide_out(a, slot, whole_power):
     """The quotient of a by the variable in slot, under its reduced
-    grevlex basis; one Ideal per distinct basis, kept on a.
+    grevlex basis, kept on a under its quotient list.
 
     Each element of a's basis under the order with slot last is divided
     by its full power of that variable (whole_power) or by the variable
@@ -358,12 +330,12 @@ def _divide_out(a, slot, whole_power):
     division: a's generators and the divided elements, for
     contains_ideal.  Every list that lands on the quotient, by this
     division or a later one, is kept under its order until the
-    quotient's basis under that order is asked for.  The memo is also
-    keyed by the quotient list, so a colon and a saturation by x with
-    the same quotients make no second comparison.
+    quotient's basis under that order is asked for.  The memo is keyed
+    by the quotient list, so a colon and a saturation by x with the same
+    quotients make no second comparison.
 
-    Input that is not bihomogeneous has no series: it takes a plain run,
-    and only for it is the kept quotient found afterwards by its basis.
+    Input that is not bihomogeneous has no series: it takes a plain run
+    and makes a new quotient.
     """
     ring = a.ring
     order = ring.revlex_last(slot)
@@ -392,14 +364,11 @@ def _divide_out(a, slot, whole_power):
                 basis = interreduce(quots)
             else:
                 basis = groebner_basis(quots, ring.grevlex, hilbert=hilbert)
-            if hilbert is None:
-                found = a._quotients.get(basis)
-            if found is None:
-                found = a._quotients[basis] = Ideal(ring, basis, gb=basis)
-                found._hilbert = hilbert
-                found._divided = quots
-                found._division = (a.gens, tuple(divided))
-                found._bayer = {}
+            found = Ideal(ring, basis, gb=basis)
+            found._hilbert = hilbert
+            found._divided = quots
+            found._division = (a.gens, tuple(divided))
+            found._bayer = {}
         a._quotients[quots] = found
     if order not in found._bases:
         found._bayer.setdefault(order, quots)

@@ -252,8 +252,11 @@ class TestHeldQuotients:
             assert q.gens == groebner_basis(
                 quotient_list(a, slot, whole_power))
             got.append(q)
-        for p in got:
-            for q in got:
+        # only a bigraded list has the series a held quotient is found by
+        bigraded = [q for q in got
+                    if ideals._bigraded_box(q._divided) is not None]
+        for p in bigraded:
+            for q in bigraded:
                 assert (p is q) == (p.gens == q.gens)
 
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
@@ -268,8 +271,9 @@ class TestHeldQuotients:
         assert not first.contains(t2)
         assert second is not first
         assert second.gens == groebner_basis([x1 * t1, t2])
-        # the list (x1*t1, t2) is a grevlex basis already: its grevlex
-        # leads have the series of its revlex leads
+        # the run is an interreduction: the list (x1*t1, t2) is a grevlex
+        # basis already, its grevlex leads have the series of its revlex
+        # leads
         assert runs == ["revlex-last-x2", "interreduce grevlex"]
 
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
@@ -284,7 +288,8 @@ class TestHeldQuotients:
         assert first.contains_ideal(second)
         assert second is not first
         assert second.gens == (x1,)
-        # the list (x1^2, x1) is a grevlex basis already
+        # the run is an interreduction: the list (x1^2, x1) is a grevlex
+        # basis already
         assert runs == ["revlex-last-x2", "interreduce grevlex"]
 
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
@@ -373,7 +378,6 @@ class TestQuotientRecord:
             assert intersect(q, larger) is q
             assert len(runs) == 1
         assert q._division is record
-        assert not q._intersections
 
 
 def main_theorem_runs(inst, monkeypatch):
@@ -399,3 +403,9 @@ class TestMainTheoremRuns:
         # the d+1 quotients of the base ideal are one ideal
         inst = random_instance(4, 1, seed=0)
         assert main_theorem_runs(inst, monkeypatch) == (2, 5, 0)
+
+    def test_random_m2k2(self, monkeypatch):
+        # the only random d=4 instance whose main theorem eliminates: its
+        # intersections are of nested ideals
+        inst = random_instance(4, 2, seed=2)
+        assert main_theorem_runs(inst, monkeypatch) == (7, 6, 3)

@@ -1,6 +1,7 @@
 """`run --json` and `verify --json` pinned byte for byte: stdout and exit
-code on the golden instance and on random d=4, m=1 and m=2 instances
-(seed 0) at p=32003, against the committed tests/cli_fixture.json.
+code on the golden instance and on random d=4 instances m=1 (seed 0)
+and m=2 (seeds 0 and 2) at p=32003, against the committed
+tests/cli_fixture.json.
 
 The fixture holds each instance file as well, and random_instance must
 still draw it.  A change that alters any of these outputs on purpose
@@ -24,7 +25,7 @@ from reesgcd.pipeline import builtin_example, random_instance
 
 FIXTURE = Path(__file__).resolve().parent / "cli_fixture.json"
 PRIME = 32003
-CASES = {"golden": None, "m1k0": (1, 0), "m2k0": (2, 0)}
+CASES = {"golden": None, "m1k0": (1, 0), "m2k0": (2, 0), "m2k2": (2, 2)}
 COMMANDS = ("run", "verify")
 
 

@@ -1,12 +1,10 @@
 """What the oracle keeps instead of recomputing: equal per-variable
-quotients share one Ideal, intersections are kept on their first argument
-by the generators of the second, an elimination run whose first
-inputs are a reduced basis reduces no pair among them, and the candidate
-is compared once with a colon power that has the saturation's basis.
+quotients share one Ideal, and the candidate is compared once with a
+colon power that has the saturation's basis.
 
-The property tests compare against runs without the memos or the
-known-basis criterion, on random homogeneous ideals of the d=1 and d=2
-rings at p=7 and p=32003.
+The property tests compare intersections against one plain elimination
+run, on random homogeneous ideals of the d=1 and d=2 rings at p=7 and
+p=32003.
 """
 
 import pytest
@@ -57,8 +55,7 @@ def ideal_pairs(draw):
 
 
 def plain_intersection(ring, a_gens, b_gens):
-    """Reduced grevlex basis of (a) ∩ (b): one elimination run, no memo
-    and no known-basis criterion."""
+    """Reduced grevlex basis of (a) ∩ (b): one elimination run."""
     t = ring.aux
     gens = [t * g for g in a_gens] + [(ring.one - t) * h for h in b_gens]
     return _eliminate_aux(ring, gens, "reference")
@@ -66,50 +63,6 @@ def plain_intersection(ring, a_gens, b_gens):
 
 def ideal(ring, *srcs):
     return Ideal(ring, [ring.parse(s) for s in srcs])
-
-
-class TestKnownBasis:
-    @settings(max_examples=60, deadline=None)
-    @given(ideal_pairs())
-    def test_grevlex_prefix(self, problem):
-        ring, a_gens, extra = problem
-        prefix = list(groebner_basis(a_gens))
-        gens = prefix + extra
-        assert groebner_basis(gens, known=len(prefix)) == \
-            groebner_basis(gens)
-
-    @settings(max_examples=60, deadline=None)
-    @given(ideal_pairs())
-    def test_elimination_prefix(self, problem):
-        """The intersection's case: t times a reduced grevlex basis leads
-        an elimination run."""
-        ring, a_gens, b_gens = problem
-        t = ring.aux
-        prefix = [t * g for g in groebner_basis(a_gens)]
-        gens = prefix + [(ring.one - t) * h for h in b_gens]
-        assert groebner_basis(gens, ring.elim_aux, known=len(prefix)) == \
-            groebner_basis(gens, ring.elim_aux)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_prefix_changed_on_admission_is_not_trusted(self, data):
-        """A prefix entry that reduces against an earlier one shows the
-        prefix is no reduced basis, and every pair is reduced."""
-        ring = data.draw(st.sampled_from(RINGS))
-        f = data.draw(homogeneous_polys(ring, 2))
-        v = data.draw(homogeneous_polys(ring, 1).map(
-            lambda g: ring.term(1, g.lead_exp())))
-        lower = data.draw(homogeneous_polys(ring, 2))
-        rest = data.draw(generator_lists(ring))
-        # the lead of f*v + lower is lead(f)*v, divisible by lead(f)
-        gens = [f, f * v + lower] + rest
-        assert groebner_basis(gens, known=2) == groebner_basis(gens)
-
-    def test_zero_or_overlong_prefix_is_not_trusted(self):
-        a, b = S.parse("x1^2 - x2*T1"), S.parse("x1*x2 - T1^2")
-        plain = groebner_basis([a, b])
-        assert groebner_basis([a, S.zero, b], known=2) == plain
-        assert groebner_basis([a, b], known=3) == plain
 
 
 class TestIntersection:
@@ -128,38 +81,10 @@ class TestIntersection:
         rng.shuffle(b_perm)
         assert intersect(Ideal(ring, a_perm), Ideal(ring, b_perm)).gens \
             == expected
-        # a basis first takes the known-basis criterion
+        # a first argument given by its reduced grevlex basis
         basis = groebner_basis(a_gens)
         assert intersect(Ideal(ring, basis, gb=basis),
                          Ideal(ring, b_perm)).gens == expected
-
-    def test_kept_per_generators_of_the_second_argument(self):
-        a = ideal(S, "x1")
-        first = intersect(a, ideal(S, "x2"))
-        second = intersect(a, ideal(S, "x1 + x2"))
-        assert [str(g) for g in first.gens] == ["x1*x2"]
-        assert [str(g) for g in second.gens] == ["x1^2 + x1*x2"]
-        assert intersect(a, ideal(S, "x2")) is first
-        assert intersect(ideal(S, "x1"), ideal(S, "x2")) is not first
-
-    def test_known_only_for_a_basis(self, monkeypatch):
-        # x1^2 - x2*T1 and x1*x2 - T1^2: interreduced, but no basis
-        a = ideal(S, "x1^2 - x2*T1", "x1*x2 - T1^2")
-        b = ideal(S, "x2^3", "T1")
-        expected = plain_intersection(S, a.gens, b.gens)
-        claims = []
-        original = ideals.groebner_basis
-
-        def recorded(gens, order=None, *args, known=0, **kwargs):
-            claims.append(known)
-            return original(gens, order, *args, known=known, **kwargs)
-
-        monkeypatch.setattr(ideals, "groebner_basis", recorded)
-        meet = intersect(a, b)
-        assert meet.gens == expected
-        assert claims == [0]
-        intersect(meet, ideal(S, "x1 + T2"))
-        assert claims == [0, len(meet.gens)]
 
 
 class TestQuotients:

@@ -180,34 +180,6 @@ class TestIdealBox:
         assert runs == [(2, 2)]
 
 
-class TestKnownWithin:
-    @settings(max_examples=60, deadline=None)
-    @given(problems(), st.data())
-    def test_reduced_prefix(self, problem, data):
-        ring, gens, box, _ = problem
-        prefix = list(groebner_basis(gens))
-        gens = prefix + data.draw(bigraded_lists(ring, 2))
-        assert groebner_basis(gens, known=len(prefix), within=box) == \
-            groebner_basis(gens, within=box)
-
-    def test_claim_honoured_when_nothing_is_dropped(self):
-        """An interreduced prefix that is no Groebner basis: the skipped
-        pair shows that the claim was taken."""
-        ring = RINGS[0]
-        prefix = [ring.parse("x1*T1 + x2*T2"), ring.parse("x1*T2")]
-        true = groebner_basis(prefix, within=(1, 2))
-        assert ring.parse("x2*T2^2") in true
-        trusted = groebner_basis(prefix, known=2, within=(1, 2))
-        assert trusted != true
-
-    def test_claim_dropped_when_a_prefix_generator_is(self):
-        ring = RINGS[0]
-        prefix = [ring.parse("x1*T1 + x2*T2"), ring.parse("x1*T2"),
-                  ring.parse("x2^3")]
-        assert groebner_basis(prefix, known=3, within=(1, 2)) == \
-            groebner_basis(prefix[:2], within=(1, 2))
-
-
 class TestGeneratorOrder:
     @settings(max_examples=60, deadline=None)
     @given(problems(), st.data())

@@ -136,15 +136,14 @@ def _sections_ok(sections):
     return all(rep.ok for rep in sections.values())
 
 
-def _statuses(sections):
-    """Flat check-id to status map, for cross-prime comparison."""
-    out = {}
-    for key, _ in _SECTIONS:
-        rep = sections.get(key)
-        if rep is not None:
-            for c in rep.checks:
-                out["%s/%s" % (key, c.check_id)] = c.status
-    return out
+def _at_second_prime(inst, prime, sections):
+    """The sections of inst verified again at prime, and whether every
+    check there has the status it has in sections."""
+    _, second = _full_verification(inst.with_prime(prime))
+    statuses = [{(key, c.check_id): c.status
+                 for key, rep in run.items() for c in rep.checks}
+                for run in (sections, second)]
+    return second, statuses[0] == statuses[1]
 
 
 def _section_dicts(sections):
@@ -208,9 +207,8 @@ def cmd_verify(args):
 
     consistent = None
     if args.second_prime is not None and code != EXIT_HYPOTHESES:
-        other = inst.with_prime(args.second_prime)
-        _, second = _full_verification(other)
-        consistent = _statuses(sections) == _statuses(second)
+        second, consistent = _at_second_prime(inst, args.second_prime,
+                                              sections)
         doc["second_prime"] = {"prime": args.second_prime,
                                "ok": _sections_ok(second),
                                "consistent": consistent}
@@ -278,9 +276,8 @@ def cmd_random(args):
         if trace is not None:
             entry["gcds"] = [str(g) for g in trace.gcds]
         if args.second_prime is not None:
-            other = inst.with_prime(args.second_prime)
-            _, second = _full_verification(other)
-            consistent = _statuses(sections) == _statuses(second)
+            _, consistent = _at_second_prime(inst, args.second_prime,
+                                             sections)
             entry["second_prime"] = {"prime": args.second_prime,
                                      "consistent": consistent}
             ok = ok and consistent

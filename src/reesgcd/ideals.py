@@ -64,7 +64,8 @@ a basis truncated at the box of the queries' bidegrees gives the same
 normal forms as the full one (groebner.groebner_basis, within): an Ideal
 keeps one such basis, with its box, until its full basis is computed.
 A generator or query that is not bihomogeneous, or holds t, takes the
-full basis, so the grading never decides soundness.
+full basis, so the grading never decides soundness.  Many polynomials
+are asked about at once, on one basis sized for all (Ideal.outside).
 
 Krull dimension is the maximal number of variables supporting no lead
 monomial of the ideal, found by exhaustive search over variable subsets;
@@ -195,9 +196,17 @@ class Ideal:
             return True
         return normal_form(poly, self.basis_for((poly,))).is_zero
 
+    def outside(self, polys):
+        """The nonzero polys that contains rejects, lazily and in order,
+        on a membership basis sized once for all of them."""
+        polys = [g for g in polys if not g.is_zero]
+        if polys:
+            self.basis_for(polys)
+        return (g for g in polys if not self.contains(g))
+
     def contains_ideal(self, other):
         """Membership of every generator of other, on one basis sized
-        for all of them.
+        for all of them (outside), stopping at the first non-member.
 
         A quotient other = a : x or a : x^inf is generated by the Bayer
         list of its first division, whose undivided elements are elements
@@ -211,9 +220,7 @@ class Ideal:
             dividend, divided = other._division
             if set(dividend) <= set(self.gens):
                 gens = divided
-        if gens:
-            self.basis_for(gens)
-        return all(self.contains(g) for g in gens)
+        return next(self.outside(gens), None) is None
 
     def equals(self, other):
         """Mutual membership of generators."""

@@ -549,21 +549,17 @@ def gcd_iterations(inst, rule="min", prior=None):
 # oracle verification
 
 def _difference_witness(a, b):
-    """A generator separating two ideals, rendered as a string.
+    """The comparison of two ideals: "" when they are equal, else the
+    first generator of one outside the other, rendered as a string.
 
-    Each side's membership basis is sized once for all the generators
-    it is asked about: a containment test of a quotient sized it only
-    for the quotient's divided elements."""
-    if b.gens:
-        a.basis_for(b.gens)
-    for g in b.gens:
-        if not a.contains(g):
-            return "not in left ideal: %s" % g
-    if a.gens:
-        b.basis_for(a.gens)
-    for g in a.gens:
-        if not b.contains(g):
-            return "not in right ideal: %s" % g
+    Each side is decided by contains_ideal, which tests only the divided
+    elements of a quotient; only a side that fails is scanned over all
+    the generators for its witness (Ideal.outside), so a comparison that
+    fails on the right side makes no run beyond its verdict."""
+    for left, right, side in ((a, b, "left"), (b, a, "right")):
+        if not left.contains_ideal(right):
+            return "not in %s ideal: %s" % (side,
+                                             next(left.outside(right.gens)))
     return ""
 
 
@@ -587,10 +583,12 @@ def verify_main_theorem(inst, trace):
     the saturation is then a quotient of the base ideal, and the
     candidate, whose generators include the base ideal's, contains it
     exactly when it contains the elements that division divided (one on
-    the random m = 1 instances, three on golden).  The m-th colon
-    power is compared with the candidate only when its generators, a
-    reduced grevlex basis like the saturation's, differ from the
-    saturation's; otherwise it takes that check's verdict and witness.
+    the random m = 1 instances, three on golden).  Each identity is one
+    _difference_witness, which gives its verdict and witness in one
+    pass.  The m-th colon power is compared with the candidate only when
+    its generators, a reduced grevlex basis like the saturation's,
+    differ from the saturation's; otherwise it takes that check's verdict
+    and witness.
     """
     rep = VerificationReport()
     m = inst.degree
@@ -599,23 +597,20 @@ def verify_main_theorem(inst, trace):
     candidate = trace.defining_ideal
 
     sat = saturate(base, variables)
-    sat_ok = candidate.equals(sat)
-    sat_witness = "" if sat_ok else _difference_witness(candidate, sat)
+    sat_witness = _difference_witness(candidate, sat)
     rep.add("saturation-identity",
             "assembled ideal equals the saturation of the base ideal",
-            _status(sat_ok), sat_witness,
+            _status(not sat_witness), sat_witness,
             {"saturation_basis": len(sat.groebner())})
 
     chain = colon_power_chain(base, variables, m)
     # the same generators are the same ideal: nothing to compare again
-    colon_ok, colon_witness = sat_ok, sat_witness
+    colon_witness = sat_witness
     if chain[-1].gens != sat.gens:
-        colon_ok = candidate.equals(chain[-1])
-        colon_witness = "" if colon_ok else \
-            _difference_witness(candidate, chain[-1])
+        colon_witness = _difference_witness(candidate, chain[-1])
     rep.add("colon-power-identity",
             "assembled ideal equals the m-th colon power of the base ideal",
-            _status(colon_ok), colon_witness)
+            _status(not colon_witness), colon_witness)
 
     if m >= 2:
         strict = not chain[m - 2].equals(candidate)
@@ -681,10 +676,9 @@ def verify_well_definedness(inst, trace=None):
         equal = same or (agreed and _agree_up_to_scalar(g, h, basis))
         witness = ""
         if not equal:
-            left, right = first.partial_ideal(i), second.partial_ideal(i)
-            equal = left.equals(right)
-            if not equal:
-                witness = _difference_witness(left, right)
+            witness = _difference_witness(first.partial_ideal(i),
+                                          second.partial_ideal(i))
+            equal = not witness
         if not same:
             agreed = equal
         rep.add("column-rule-step-%d" % i,
@@ -707,8 +701,8 @@ def _trace_redundancies(trace):
     and strictly smaller T-degree than the later ones, so only the
     bilinear forms remain, and membership there is one normal form
     against the base ideal, whose every generator beyond them is again
-    ruled out by bidegree.  The base ideal's basis is sized once for all
-    intermediate gcds, truncated at their bidegree box; after
+    ruled out by bidegree.  The intermediate gcds go to the base ideal in
+    one outside call, on a basis truncated at their bidegree box; after
     verify_well_definedness the basis it left covers them already.
     """
     ring = trace.ring
@@ -728,12 +722,10 @@ def _trace_redundancies(trace):
         if normal_form(bilinear[i], basis).is_zero:
             redundant.add(i)
 
-    base = trace.base_ideal
-    if any(trace.gcds[:-1]):
-        base.basis_for(trace.gcds[:-1])
-    for i, g in enumerate(trace.gcds[:-1], 1):
-        if not g.is_zero and base.contains(g):
-            redundant.add(len(bilinear) + 1 + i - 1)
+    gcds = trace.gcds[:-1]
+    outside = set(trace.base_ideal.outside(gcds))
+    redundant.update(len(bilinear) + i for i, g in enumerate(gcds, 1)
+                     if not g.is_zero and g not in outside)
     return sorted(redundant)
 
 
@@ -746,9 +738,10 @@ def minimality_and_invariants(trace):
     generators equals (x) plus the last gcd.  The right side lies in the
     left, and a generator every term of which has positive x-degree lies
     in the monomial ideal (x); by the bidegree law that holds for every
-    generator but the last, so no Groebner run is needed.  Only a
-    generator with a pure-T term is tested for membership in (x) plus
-    the last gcd, on a basis of that ideal.
+    generator but the last, so no Groebner run is needed.  Only the
+    generators with a pure-T term are tested for membership in (x) plus
+    the last gcd, in one outside call, which stops at the first that is
+    not a member.
     """
     rep = VerificationReport()
     inst = trace.instance
@@ -791,14 +784,11 @@ def minimality_and_invariants(trace):
         n = ring.n
         stray = [g for g in gens if g != last and any(
             not any(e[:n]) for e, _ in g.items())]
-        if stray:
-            xs = [ring.x(i) for i in range(1, d + 2)]
-            with_last = Ideal(ring, xs + [last])
-            with_last.basis_for(stray)
-            stray = [g for g in stray if not with_last.contains(g)]
-        fiber_ok = not stray
+        xs = [ring.x(i) for i in range(1, d + 2)]
+        outsider = next(Ideal(ring, xs + [last]).outside(stray), None)
+        fiber_ok = outsider is None
         witness = "" if fiber_ok else \
-            "not in the variables plus the fiber equation: %s" % stray[0]
+            "not in the variables plus the fiber equation: %s" % outsider
     else:
         witness = "pure-T generators: %s" % [str(g) for g in pure]
     rep.add("fiber-equation",
@@ -998,24 +988,24 @@ def optional_structural_checks(trace):
     reduced_gcd = reduced_gcd.monic()
 
     reduced_forms = _column_forms(reduced_dual)
-    reduced_ideal = Ideal(ring, reduced_forms)
-    missing = [k for k in range(1, d + 1)
-               if not reduced_ideal.contains(ring.x(k) * reduced_gcd)]
+    retained = {ring.x(k) * reduced_gcd: k for k in range(1, d + 1)}
+    missing = next(Ideal(ring, reduced_forms).outside(retained), None)
     rep.add("reduced-cramer-containment", claim_b,
-            _status(not missing),
-            "fails for x%d" % missing[0] if missing else "",
+            _status(missing is None),
+            "fails for x%d" % retained[missing] if missing else "",
             {"attempt": attempt, "reduced_gcd": str(reduced_gcd)})
 
     last_var = ring.x(d + 1)
     target = Ideal(ring, [last_var] + list(_column_forms(full_dual)))
     combined = list(reduced_forms) + [reduced_gcd, last_var]
-    products = [(i, g, ring.x(i) * g)
-                for i in range(1, d + 2) for g in combined]
-    target.basis_for([p for _, _, p in products])
-    bad = next(((i, g) for i, g, p in products if not target.contains(p)),
-               None)
+    # each product keeps the first factors that form it
+    products = {}
+    for i in range(1, d + 2):
+        for g in combined:
+            products.setdefault(ring.x(i) * g, (i, g))
+    bad = next(target.outside(products), None)
     rep.add("product-containment", claim_c, _status(bad is None),
-            "fails for x%d times %s" % (bad[0], bad[1]) if bad else "",
+            "fails for x%d times %s" % products[bad] if bad else "",
             {"attempt": attempt})
     return rep
 

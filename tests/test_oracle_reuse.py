@@ -181,3 +181,33 @@ class TestCandidateComparedOnce:
             assert found.status == "fail"
             assert found.witness == _difference_witness(candidate, target)
             assert found.witness
+
+    @pytest.mark.parametrize("case, top", [("golden", "T1^9"),
+                                           ((1, 0), "T1^3"),
+                                           ((2, 0), "T1^6")], ids=str)
+    def test_enlarged_candidate_fails_on_the_right_in_one_run(
+            self, case, top, monkeypatch):
+        # the verdict's run, on the saturation's divided elements, is the
+        # candidate's only one: the witness comes from the saturation's
+        # own basis
+        inst = builtin_example() if case == "golden" else \
+            random_instance(4, case[0], seed=case[1])
+        ring, m, d = inst.ring, inst.degree, inst.d
+        trace = gcd_iterations(inst)
+        enlarged = Ideal(ring, trace.generators()
+                         + (ring.T(1) ** (m * (d - 1)),))
+        trace._partials[m] = enlarged  # the trace's candidate
+        runs = []
+        original = ideals.groebner_basis
+
+        def counted(gens, order=None, *args, **kwargs):
+            if tuple(gens) == enlarged.gens:
+                runs.append(kwargs.get("within"))
+            return original(gens, order, *args, **kwargs)
+
+        monkeypatch.setattr(ideals, "groebner_basis", counted)
+        rep = verify_main_theorem(inst, trace)
+        for check_id in ("saturation-identity", "colon-power-identity"):
+            assert rep.find(check_id).witness == \
+                "not in right ideal: %s" % top
+        assert len(runs) == 1 and runs[0] is not None

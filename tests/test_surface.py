@@ -7,7 +7,9 @@ also keep no mutable container at module or class level, where it would
 be shared by every caller in the process.  The term format and the
 packed exponents stay inside the ring module: the modules above it use
 its public API only, and the pipeline and the command line use only the
-public API of the ideals module.
+public API of the ideals module.  The pipeline asks its membership
+questions of the ideals (Ideal.outside, contains_ideal) and sizes no
+membership basis itself.
 """
 
 import ast
@@ -194,3 +196,18 @@ def test_public_functions_have_a_program_caller():
                     and attr not in exported and attr not in called):
                 unused.add((name, attr))
     assert not unused
+
+
+def test_pipeline_sizes_a_basis_only_for_normal_forms():
+    # verify_well_definedness compares normal forms on the base ideal's
+    # basis; every membership test sizes its own basis in the ideal
+    callers = set()
+    tree = ast.parse((SOURCE / "pipeline.py").read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "basis_for"):
+                    callers.add(fn.name)
+    assert callers == {"verify_well_definedness"}

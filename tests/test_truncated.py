@@ -4,8 +4,9 @@ For bihomogeneous generators, groebner_basis(..., within=box) must be the
 full reduced basis restricted to the box, string for string, and give the
 same normal forms on every bihomogeneous polynomial inside the box.
 Ideal.basis_for takes that route only for bihomogeneous, t-free
-generators and queries.  The property tests draw bigraded ideals of the
-d=1 and d=2 rings at p=7 and p=32003.
+generators and queries; Ideal.outside sizes it once for a batch of
+queries and yields the non-members in order.  The property tests draw
+bigraded ideals of the d=1 and d=2 rings at p=7 and p=32003.
 """
 
 import pytest
@@ -149,6 +150,21 @@ class TestFallback:
         assert ideal.contains(query) == normal_form(query, full).is_zero
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """The box of every Groebner run the ideals module makes, None for a
+    full run."""
+    boxes = []
+    original = groebner.groebner_basis
+
+    def counted(gens, order=None, *args, **kwargs):
+        boxes.append(kwargs.get("within"))
+        return original(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr("reesgcd.ideals.groebner_basis", counted)
+    return boxes
+
+
 class TestIdealBox:
     def test_box_grows_to_the_join_and_full_basis_wins(self):
         ring = RINGS[1]
@@ -162,22 +178,41 @@ class TestIdealBox:
         full = ideal.groebner()
         assert ideal.basis_for([ring.parse("x1*T1")]) is full
 
-    def test_contains_ideal_sizes_the_box_once(self, monkeypatch):
+    def test_contains_ideal_sizes_the_box_once(self, runs):
         ring = RINGS[1]
         ideal = Ideal(ring, [ring.parse("x1*T1 - x2*T2"),
                              ring.parse("x1*T2")])
         other = Ideal(ring, [ring.parse("x2*T2^2"), ring.parse("x1^2*T1"),
                              ring.parse("x2^2")])
-        runs = []
-        original = groebner.groebner_basis
-
-        def counted(gens, order=None, *args, **kwargs):
-            runs.append(kwargs.get("within"))
-            return original(gens, order, *args, **kwargs)
-
-        monkeypatch.setattr("reesgcd.ideals.groebner_basis", counted)
         assert not ideal.contains_ideal(other)
         assert runs == [(2, 2)]
+
+    def test_outside_yields_the_non_members_in_order(self, runs):
+        ring = RINGS[1]
+        ideal = Ideal(ring, [ring.parse("x1*T1 - x2*T2"),
+                             ring.parse("x1*T2")])
+        queries = [ring.parse(q) for q in ("x2^2", "x2*T2^2", "x2*T1",
+                                           "x1^2*T1", "x1*x2")]
+        assert [str(g) for g in ideal.outside(queries)] == \
+            ["x2^2", "x2*T1", "x1*x2"]
+        assert runs == [(2, 2)]
+
+    def test_outside_of_zeros_makes_no_run(self, runs):
+        # basis_for has no box for them and would run on the full basis
+        ring = RINGS[1]
+        ideal = Ideal(ring, [ring.parse("x1*T1 - x2*T2")])
+        assert list(ideal.outside([ring.zero, ring.zero])) == []
+        assert runs == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_outside_is_the_nonzero_normal_forms(self, data):
+        ring = data.draw(st.sampled_from(RINGS))
+        gens = data.draw(bigraded_lists(ring))
+        queries = data.draw(bigraded_lists(ring, max_size=6)) + [ring.zero]
+        full = groebner_basis(gens)
+        assert list(Ideal(ring, gens).outside(queries)) == \
+            [q for q in queries if not normal_form(q, full).is_zero]
 
 
 class TestGeneratorOrder:

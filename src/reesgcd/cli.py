@@ -16,7 +16,8 @@ pipeline.MAX_FIBER_TERMS = 10^5 terms, C(m(d-1)+d, d); refused before
 any matrix is built, for random -d as well), 2 hypothesis failure,
 3 verification failure, 4 Groebner budget exceeded (stderr names the
 report section whose run hit the cap), 5 an exponent past
-ring.EXP_MAX = 32767, in the input or in any product formed on the way.
+ring.EXP_MAX = 32767, in the input (one too long for int() included) or
+in any product formed on the way.
 """
 
 from __future__ import annotations

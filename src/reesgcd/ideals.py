@@ -65,7 +65,11 @@ normal forms as the full one (groebner.groebner_basis, within): an Ideal
 keeps one such basis, with its box, until its full basis is computed.
 A generator or query that is not bihomogeneous, or holds t, takes the
 full basis, so the grading never decides soundness.  Many polynomials
-are asked about at once, on one basis sized for all (Ideal.outside).
+are asked about at once, on one basis sized for all (Ideal.outside,
+Ideal.remainders).  An Ideal keeps the remainder of every polynomial it
+reduces: the normal form modulo any basis that covers the polynomial's
+bidegree, truncated or full, is the unique one, so a polynomial asked
+about twice, as a member or for its normal form, is reduced once.
 
 Krull dimension is the maximal number of variables supporting no lead
 monomial of the ideal, found by exhaustive search over variable subsets;
@@ -106,11 +110,13 @@ class Ideal:
     generators of its dividend and the elements that were divided, which
     contains_ideal tests in place of its generators; and every Bayer
     list that landed on it, by order (_bayer), until groebner
-    interreduces the one of the order it is asked for.
+    interreduces the one of the order it is asked for.  And the normal
+    form of every polynomial it has reduced (_remainders).
     """
 
     __slots__ = ("ring", "gens", "_bases", "_quotients", "_truncated",
-                 "_hilbert", "_divided", "_division", "_bayer")
+                 "_hilbert", "_divided", "_division", "_bayer",
+                 "_remainders")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -127,6 +133,7 @@ class Ideal:
         self._divided = None
         self._division = None
         self._bayer = None
+        self._remainders = {}
 
     def groebner(self, order=None):
         """Reduced basis under order (default: grevlex).
@@ -191,10 +198,29 @@ class Ideal:
         self._truncated = (box, basis)
         return basis
 
-    def contains(self, poly):
+    def _remainder(self, poly):
+        """The normal form of poly modulo self, kept for the life of the
+        ideal: modulo any basis that covers poly's bidegree, truncated
+        or full, it is the unique one."""
         if poly.is_zero:
-            return True
-        return normal_form(poly, self.basis_for((poly,))).is_zero
+            return poly
+        rem = self._remainders.get(poly)
+        if rem is None:
+            rem = normal_form(poly, self.basis_for((poly,)))
+            self._remainders[poly] = rem
+        return rem
+
+    def remainders(self, polys):
+        """The normal forms modulo self of polys, lazily and in order, on
+        a membership basis sized once for all of them."""
+        polys = tuple(polys)
+        nonzero = [g for g in polys if not g.is_zero]
+        if nonzero:
+            self.basis_for(nonzero)
+        return (self._remainder(g) for g in polys)
+
+    def contains(self, poly):
+        return self._remainder(poly).is_zero
 
     def outside(self, polys):
         """The nonzero polys that contains rejects, lazily and in order,

@@ -415,12 +415,16 @@ class IterationTrace:
         return self.bilinear + (self.instance.equation,) + self.gcds
 
     def to_dict(self):
+        """The gcds, their bidegrees and the nonzero generators as
+        strings; each gcd is formatted once, for both lists."""
+        gcds = [str(g) for g in self.gcds]
+        fixed = self.bilinear + (self.instance.equation,)
         return {
-            "gcds": [str(g) for g in self.gcds],
+            "gcds": gcds,
             "bidegrees": [list(s.bidegree) if s.bidegree else None
                           for s in self.steps],
-            "generators": [str(g) for g in self.generators()
-                           if not g.is_zero],
+            "generators": [str(g) for g in fixed if not g.is_zero]
+            + [src for g, src in zip(self.gcds, gcds) if not g.is_zero],
         }
 
 
@@ -631,11 +635,9 @@ def verify_main_theorem(inst, trace):
     return rep
 
 
-def _agree_up_to_scalar(g, h, basis):
-    """Whether the normal forms of g and h modulo basis both vanish or
-    are nonzero multiples of each other."""
-    a = normal_form(g, basis)
-    b = normal_form(h, basis)
+def _agree_up_to_scalar(a, b):
+    """Whether the normal forms a and b both vanish or are nonzero
+    multiples of each other."""
     if a.is_zero or b.is_zero:
         return a.is_zero and b.is_zero
     return a.monic() == b.monic()
@@ -656,24 +658,28 @@ def verify_well_definedness(inst, trace=None):
     (m-i, i(d-1)), whose x-degree is below that of the equation and of
     every earlier gcd, so in that bidegree B_{i-1} agrees with B_0 and
     B_i is B_0 plus the multiples of g, and B_i = B'_i puts g' - c*g in
-    B_0.  The normal forms are taken on one basis of B_0, truncated at
-    the box of the bidegrees of all gcds of both traces, which the
-    minimality check reuses.  Any other step falls back to comparing the
-    two partial ideals, each on a Groebner basis of its own.
+    B_0.  The base ideal gives the normal forms of the differing gcds,
+    on one basis truncated at the box of their bidegrees, and keeps
+    them: the minimality check asks it about the same gcds and reduces
+    none of them again.  Any other step falls back to comparing the two
+    partial ideals, each on a Groebner basis of its own.
     """
     first = trace if trace is not None else gcd_iterations(inst, "min")
     second = gcd_iterations(inst, rule="max", prior=first)
     rep = VerificationReport()
     base = first.base_ideal
-    basis = None
     # B_{i-1} = B'_{i-1} is proven; at i = 1 by equal generators
     agreed = base.gens == second.base_ideal.gens
+    pairs = [f for g, h in zip(first.gcds, second.gcds) if g != h
+             for f in (g, h)]
+    # taken two at a time in step order while agreed holds; once false,
+    # agreed stays false
+    forms = base.remainders(pairs) if agreed and pairs else None
     for i in range(1, inst.degree + 1):
         g, h = first.gcds[i - 1], second.gcds[i - 1]
         same = g == h
-        if not same and agreed and basis is None:
-            basis = base.basis_for(first.gcds + second.gcds)
-        equal = same or (agreed and _agree_up_to_scalar(g, h, basis))
+        equal = same or (agreed and _agree_up_to_scalar(next(forms),
+                                                        next(forms)))
         witness = ""
         if not equal:
             witness = _difference_witness(first.partial_ideal(i),
@@ -703,7 +709,8 @@ def _trace_redundancies(trace):
     against the base ideal, whose every generator beyond them is again
     ruled out by bidegree.  The intermediate gcds go to the base ideal in
     one outside call, on a basis truncated at their bidegree box; after
-    verify_well_definedness the basis it left covers them already.
+    verify_well_definedness the base ideal holds that basis and the
+    remainders of the gcds it compared, so none is reduced twice.
     """
     ring = trace.ring
     inst = trace.instance

@@ -19,13 +19,23 @@ at most EXP_MAX = 32767 and no field ever carries into the next.  Hence
 the exponent of a product is the sum of the exponents, a divides b exactly
 when b - a borrows in no field, i.e. (b - a) & guard == 0, and the lcm is
 a field-wise maximum taken by a few mask operations (_lcm).  Exponent
-tuples appear only at the edges: parse, from_dict, term and formatting
-take or print them, and Polynomial.items() and lead_exp() are the public
-tuple view; PolyRing.bidegree_of and degree_of read the bidegree and the
-total degree of a packed exponent.  Outside this module only the groebner
-reduction loop reads term tuples.  An exponent past EXP_MAX raises ExponentOverflow, whether
-it comes from input or from a product or shift that would set a guard
-bit; it never wraps.
+tuples appear only at the edges: from_dict, term and formatting take or
+print them, and Polynomial.items() and lead_exp() are the public tuple
+view; PolyRing.bidegree_of and degree_of read the bidegree and the total
+degree of a packed exponent.  Outside this module only the groebner
+reduction loop reads term tuples.  An exponent past EXP_MAX raises
+ExponentOverflow, whether it comes from input or from a product or shift
+that would set a guard bit; it never wraps.
+
+Parsing builds packed terms directly, in one pass.  A compiled grammar
+over the ring's variable names checks the string term by term; each
+term then starts from key 0 and exponent 0, and a factor v^e adds e
+times the grevlex weight of v to the key and e << 16*slot(v) to the
+exponent, from a table keyed by variable name.  Keys add under
+multiplication, so the sum is the term's key, and no exponent tuple is
+formed.  A factor that sets a guard bit sends its term to exponent
+tuples, which report the overflow; like terms merge on the packed
+exponent, and the terms are sorted once.
 
 One reduction accumulator, a dict from key to pending coefficient and
 exponent plus a max-heap of the pending keys, serves every sum and every
@@ -184,6 +194,57 @@ class ParseError(ValueError):
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[*^+\-]|\S")
 
 
+def _grammar(names):
+    """The polynomial grammar over the variable names, whitespace allowed
+    between tokens, as two patterns: one unsigned term, which fullmatch
+    checks between two signs, and a whole sum, whose match is the
+    longest valid prefix of a string.  A whole string is not checked at
+    once, as a long one would grow the regex engine's backtracking
+    stack by megabytes.  Only syntax that Python 3.10 has."""
+    name = r"(?:%s)(?![A-Za-z0-9_])" % "|".join(names)
+    factor = r"(?:\d+|%s(?:\s*\^\s*\d+)?)" % name
+    term = r"%s(?:\s*\*\s*%s)*" % (factor, factor)
+    return (re.compile(r"\s*%s\s*" % term),
+            re.compile(r"\s*[+-]?\s*%s(?:\s*[+-]\s*%s)*\s*" % (term, term)))
+
+
+def _number(digits, src):
+    """int(digits) for a number of src.  Leading zeros do not count
+    toward int()'s digit limit; past it, raises _long_number's error."""
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    try:
+        return int(digits.lstrip("0") or "0")
+    except ValueError:
+        raise _long_number(src) from None
+
+
+def _long_number(src):
+    """The error for the first number of src too long for int():
+    ExponentOverflow naming the variable for an exponent, ParseError at
+    its offset for a coefficient.  Leading zeros do not count toward the
+    length."""
+    tokens = [(mo.group(0), mo.start()) for mo in _TOKEN_RE.finditer(src)]
+    for i, (tok, pos) in enumerate(tokens):
+        digits = tok.lstrip("0")
+        if not digits.isdigit():
+            continue
+        try:
+            int(digits)
+            continue
+        except ValueError:
+            pass
+        if i >= 2 and tokens[i - 1][0] == "^":
+            return ExponentOverflow(
+                "exponent of %s with %d digits exceeds %d"
+                % (tokens[i - 2][0], len(digits), EXP_MAX))
+        return ParseError("coefficient of %d digits is too long"
+                          % len(digits), pos)
+    raise AssertionError("no number of the input is too long")
+
+
 class PolyRing:
     """F_p[x1..x{d+1}, T1..T{d+1}, t] for a fixed prime p and integer d >= 0."""
 
@@ -191,7 +252,7 @@ class PolyRing:
         "p", "d", "n", "nvars", "names", "slot_of", "x_slots", "t_slots",
         "aux_slot", "grevlex", "elim_aux", "zero", "one", "guard",
         "_half", "_revlex", "_fields", "_nbytes", "_block", "_wide",
-        "_wide_total",
+        "_wide_total", "_term", "_grammar", "_factors",
     )
 
     _cache = {}
@@ -232,6 +293,13 @@ class PolyRing:
         self.elim_aux = MonomialOrder(
             "elim-aux", _block_weights([[self.aux_slot], all_slots[:-1]],
                                        self.nvars))
+        # parse looks up each variable by name: its grevlex weight and its
+        # packed unit exponent, which a power v^e adds e times to the
+        # key and the exponent of its term
+        self._term, self._grammar = _grammar(self.names)
+        self._factors = {
+            name: (self.grevlex.weights[slot], 1 << (EXP_BITS * slot))
+            for slot, name in enumerate(self.names)}
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, ((0, 0, 1),))
         self._half = p // 2
@@ -372,63 +440,124 @@ class PolyRing:
     def parse(self, src):
         """Parse a signed sum of terms ``c*v1^e1*...*vk^ek``.
 
-        Whitespace is insignificant; '^' takes a nonnegative integer
-        exponent; unknown variable names are rejected.
+        Whitespace between tokens is insignificant; '^' takes a
+        nonnegative integer exponent; unknown variable names are
+        rejected.  The ring's grammar checks every term first, and a
+        string it rejects raises ParseError at the first token that
+        cannot continue it.  Each term's key and packed exponent then add
+        up factor by factor, like terms merge, and the terms are sorted
+        once.  An exponent past EXP_MAX raises ExponentOverflow with the
+        variable's total exponent in its term, unless the term's merged
+        coefficient vanishes mod p; a number too long for int() raises
+        at once, as ParseError for a coefficient and ExponentOverflow for
+        an exponent.
         """
-        tokens = []
-        for mo in _TOKEN_RE.finditer(src):
-            tokens.append((mo.group(0), mo.start()))
-        if not tokens:
-            raise ParseError("empty input", 0)
-        coeffs = {}
-        i = 0
-        ntok = len(tokens)
-        while i < ntok:
+        # valid when every piece between two signs is a term, but for a
+        # blank one before a leading sign
+        is_term = self._term.fullmatch
+        lead, *rest = src.replace("-", "+").split("+")
+        if not (all(map(is_term, rest))
+                and (is_term(lead) or (rest and not lead.strip()))):
+            raise self._syntax_error(src)
+        factors, guard = self._factors, self.guard
+        merged = {}
+        wide = {}
+        for term in "".join(src.split()).replace("-", "+-").split("+"):
+            if not term:
+                continue
             sign = 1
-            tok, pos = tokens[i]
-            if tok in "+-":
-                if tok == "-":
-                    sign = -1
-                i += 1
-                if i >= ntok:
-                    raise ParseError("dangling sign", pos)
+            if term[0] == "-":
+                sign = -1
+                term = term[1:]
             coeff = sign
-            exp = [0] * self.nvars
-            while True:
-                tok, pos = tokens[i]
-                if tok.isdigit():
-                    coeff *= int(tok)
-                    i += 1
-                elif tok in self.slot_of:
-                    slot = self.slot_of[tok]
-                    i += 1
-                    e = 1
-                    if i < ntok and tokens[i][0] == "^":
-                        i += 1
-                        if i >= ntok or not tokens[i][0].isdigit():
-                            raise ParseError("malformed exponent", pos)
-                        e = int(tokens[i][0])
-                        i += 1
-                    exp[slot] += e
-                elif tok[0].isalpha() or tok[0] == "_":
-                    raise ParseError("unknown variable %r" % tok, pos)
-                elif tok == "^":
-                    raise ParseError(
-                        "exponent allowed only on a variable", pos)
+            key = exp = 0
+            for factor in term.split("*"):
+                unit = factors.get(factor)
+                if unit is None:
+                    name, _, e = factor.partition("^")
+                    unit = factors.get(name)
+                    if unit is None:
+                        coeff *= _number(factor, src)
+                        continue
+                    e = _number(e, src)
+                    if e > EXP_MAX:
+                        exp |= guard
+                        break
+                    key += e * unit[0]
+                    exp += e * unit[1]
                 else:
-                    raise ParseError("unexpected token %r" % tok, pos)
-                if i < ntok and tokens[i][0] == "*":
-                    i += 1
-                    if i >= ntok:
-                        raise ParseError("dangling '*'", pos)
-                    continue
-                break
-            if i < ntok and tokens[i][0] not in "+-":
-                raise ParseError(
-                    "unexpected token %r" % tokens[i][0], tokens[i][1])
-            exp = tuple(exp)
-            coeffs[exp] = coeffs.get(exp, 0) + coeff
-        return self.from_dict(coeffs)
+                    key += unit[0]
+                    exp += unit[1]
+                if exp & guard:
+                    break
+            if exp & guard:
+                # the fields may have carried: recount the term
+                coeff, fields = self._term_fields(term, sign, src)
+                wide[fields] = wide.get(fields, 0) + coeff
+                continue
+            pending = merged.get(exp)
+            if pending is None:
+                merged[exp] = [key, coeff]
+            else:
+                pending[1] += coeff
+        for fields, coeff in wide.items():
+            if coeff % self.p:
+                self.pack(fields)
+        mod = self.p
+        terms = []
+        for exp, (key, coeff) in merged.items():
+            coeff %= mod
+            if coeff:
+                terms.append((key, exp, coeff))
+        terms.sort(reverse=True)
+        return Polynomial(self, tuple(terms))
+
+    def _term_fields(self, term, sign, src):
+        """Coefficient and exponent tuple of a term whose exponents pass
+        EXP_MAX; sign is the term's sign."""
+        coeff, fields = sign, [0] * self.nvars
+        for factor in term.split("*"):
+            name, _, e = factor.partition("^")
+            slot = self.slot_of.get(name)
+            if slot is None:
+                coeff *= _number(factor, src)
+            else:
+                fields[slot] += _number(e, src) if e else 1
+        return coeff, tuple(fields)
+
+    def _syntax_error(self, src):
+        """The ParseError of a string the grammar rejects, at the first
+        token that cannot continue its longest valid prefix."""
+        tokens = [(mo.group(0), mo.start())
+                  for mo in _TOKEN_RE.finditer(src)]
+        if not tokens:
+            return ParseError("empty input", 0)
+        valid = self._grammar.match(src)
+        end = valid.end() if valid else 0
+        i = next(k for k, (_, pos) in enumerate(tokens) if pos >= end)
+        tok, pos = tokens[i]
+        after = tokens[i + 1] if i + 1 < len(tokens) else None
+        if tok == "^" and valid:
+            before = tokens[i - 1][0]
+            if before in self.slot_of:
+                return ParseError("malformed exponent",
+                                  after[1] if after else pos)
+            if i >= 2 and tokens[i - 2][0] == "^":
+                return ParseError("unexpected token '^'", pos)
+            return ParseError("exponent allowed only on a variable", pos)
+        if tok in ("+", "-") or (tok == "*" and valid):
+            if after is None:
+                return ParseError("dangling sign" if tok != "*"
+                                  else "dangling '*'", pos)
+            tok, pos = after
+        elif valid:
+            return ParseError("unexpected token %r" % tok, pos)
+        # a factor was expected at tok
+        if tok[0].isalpha() or tok[0] == "_":
+            return ParseError("unknown variable %r" % tok, pos)
+        if tok == "^":
+            return ParseError("exponent allowed only on a variable", pos)
+        return ParseError("unexpected token %r" % tok, pos)
 
     def format_exp(self, exp):
         """The packed exponent exp as a product of variable powers."""

@@ -115,6 +115,19 @@ class TestParseFailures:
         assert "exponent 70000 of x1 exceeds 32767" in \
             capsys.readouterr().err
 
+    def test_exponent_too_long_for_int_exits_5(self, tmp_path, capsys):
+        doc = dict(GOLDEN_DOC, f="x1^" + "9" * 5000)
+        assert main(["check", write_instance(tmp_path, doc)]) == 5
+        assert "exponent overflow: exponent of x1 with 5000 digits " \
+            "exceeds 32767" in capsys.readouterr().err
+
+    def test_coefficient_too_long_for_int_exits_1(self, tmp_path, capsys):
+        doc = dict(GOLDEN_DOC, f="x5^2 + " + "9" * 5000 + "*x5^2")
+        assert main(["check", write_instance(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert "coefficient of 5000 digits is too long (at offset 7)" \
+            in err
+
 
 class TestUsage:
     def test_no_command(self):

@@ -1,10 +1,13 @@
 """The recheck on the base ideal's one basis: the column-rule and
 fiber-equation checks against their ideal-equality references
-(welldefinedness_reference.py), and the Groebner runs they save."""
+(welldefinedness_reference.py), and the Groebner runs and normal forms
+they save."""
+
+import json
 
 import pytest
 
-from reesgcd import ideals, pipeline
+from reesgcd import groebner, ideals, matrices, pipeline
 from reesgcd.pipeline import (
     IterationStep,
     IterationTrace,
@@ -135,6 +138,51 @@ def test_recheck_makes_one_groebner_run(request):
     assert minimality_and_invariants(trace).ok
     # the base ideal's grevlex basis, shared by both reports
     assert groebner_runs == [inst.ring.grevlex]
+
+
+def rebuilt_from_json(inst, trace):
+    """The trace as a recheck of a saved run rebuilds it: gcds and
+    bilinear forms parsed from to_dict, step matrices formed again, and
+    no row lambda carried over."""
+    saved = json.loads(json.dumps(trace.to_dict()))
+    ring = inst.ring
+    gcds = [ring.parse(src) for src in saved["gcds"]]
+    bilinear = [ring.parse(src)
+                for src in saved["generators"][:inst.d + 1]]
+    dual = matrices.jacobian_dual(inst.presentation)
+    steps, carried = [], inst.equation
+    for i, gcd in enumerate(gcds, 1):
+        mat = (matrices.modified_jacobian_dual(inst.presentation,
+                                               inst.equation) if i == 1
+               else matrices.iteration_matrix(dual, carried))
+        steps.append(IterationStep(mat, gcd, gcd.bidegree()))
+        carried = gcd
+    return IterationTrace(inst, dual, bilinear, steps)
+
+
+def test_recheck_reduces_each_gcd_once(monkeypatch):
+    inst = instance((3, 1))
+    trace = gcd_iterations(inst)
+    rebuilt = rebuilt_from_json(inst, trace)
+    assert rebuilt.gcds == trace.gcds
+    reduced = []
+    original = groebner.normal_forms
+
+    def counted(polys, *args, **kwargs):
+        reduced.extend(polys)
+        return original(polys, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "normal_forms", counted)
+    monkeypatch.setattr(ideals, "normal_forms", counted)
+    assert verify_well_definedness(inst, rebuilt).ok
+    assert minimality_and_invariants(rebuilt).ok
+    second = gcd_iterations(inst, rule="max")
+    gcds = set(trace.gcds + second.gcds)
+    counts = {g: reduced.count(g) for g in gcds}
+    assert max(counts.values()) == 1
+    # the gcds of the steps where the two rules differ, and nothing else
+    # of theirs: g_1, g'_1, g_2, g'_2
+    assert sum(counts.values()) == 4
 
 
 @pytest.fixture

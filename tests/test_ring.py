@@ -5,8 +5,8 @@ import random
 import pytest
 
 from reesgcd.ring import (
-    MonomialOrder, PolyRing, ParseError, ZERO_BIDEGREE, _block_weights,
-    partial_column, is_prime,
+    EXP_MAX, ExponentOverflow, MonomialOrder, PolyRing, ParseError,
+    ZERO_BIDEGREE, _block_weights, partial_column, is_prime,
 )
 
 R = PolyRing.get(32003, 4)
@@ -88,6 +88,68 @@ class TestParse:
             R.parse("")
         with pytest.raises(ParseError):
             R.parse("   ")
+
+    @pytest.mark.parametrize("src, message, pos", [
+        ("-", "dangling sign", 0),
+        ("x1 +", "dangling sign", 3),
+        ("x1*", "dangling '*'", 2),
+        ("2*x1 * ", "dangling '*'", 5),
+        ("x1^", "malformed exponent", 2),
+        ("x1^x2", "malformed exponent", 3),
+        ("x1 ^ -2", "malformed exponent", 5),
+        ("2^3", "exponent allowed only on a variable", 1),
+        ("x1*^2", "exponent allowed only on a variable", 3),
+        ("x1^2^3", "unexpected token '^'", 4),
+        ("x1 + y2", "unknown variable 'y2'", 5),
+        ("x1*x10", "unknown variable 'x10'", 3),
+        ("2 3", "unexpected token '3'", 2),
+        ("x1 x2", "unexpected token 'x2'", 3),
+        ("x1 + $", "unexpected token '$'", 5),
+        ("", "empty input", 0),
+    ])
+    def test_error_offset_names_the_offending_token(self, src, message,
+                                                    pos):
+        with pytest.raises(ParseError) as exc:
+            R.parse(src)
+        assert exc.value.pos == pos
+        assert str(exc.value) == "%s (at offset %d)" % (message, pos)
+
+    @pytest.mark.parametrize("src, message", [
+        ("x1^32768", "exponent 32768 of x1 exceeds 32767"),
+        ("x1^20000*x1^20000", "exponent 40000 of x1 exceeds 32767"),
+        # a third factor would carry into the field of x2 unchecked
+        ("x1^30000*x1^30000*x1^30000",
+         "exponent 90000 of x1 exceeds 32767"),
+        ("x2*T1^40000*x1^40000", "exponent 40000 of x1 exceeds 32767"),
+        ("x1 + x1^65536", "exponent 65536 of x1 exceeds 32767"),
+    ])
+    def test_exponent_past_the_field(self, src, message):
+        with pytest.raises(ExponentOverflow) as exc:
+            R.parse(src)
+        assert str(exc.value) == message
+
+    def test_boundary_exponents(self):
+        assert R.parse("x1^32767") == R.x(1) ** EXP_MAX
+        assert R.parse("x1^16384*x1^16383*T5^32767") == \
+            R.x(1) ** EXP_MAX * R.T(5) ** EXP_MAX
+        # a term whose coefficient vanishes mod p is never packed
+        assert R.parse("x1^40000 - x1^40000").is_zero
+        assert R.parse("%d*x1^40000" % R.p).is_zero
+
+    def test_number_too_long_for_int(self):
+        with pytest.raises(ExponentOverflow) as exc:
+            R.parse("x2 + x1^" + "9" * 5000)
+        assert str(exc.value) == \
+            "exponent of x1 with 5000 digits exceeds 32767"
+        with pytest.raises(ParseError) as exc:
+            R.parse("x2 - " + "9" * 5000 + "*x1")
+        assert exc.value.pos == 5
+        assert "coefficient of 5000 digits" in str(exc.value)
+
+    def test_leading_zeros_do_not_count_toward_the_length(self):
+        zeros = "0" * 5000
+        assert R.parse("x1^" + zeros + "7") == R.x(1) ** 7
+        assert R.parse(zeros + "3*x1") == 3 * R.x(1)
 
     def test_roundtrip_fixed(self):
         for src in ("0", "1", "-1", "x5^3", FIBER_SRC,

@@ -8,8 +8,8 @@ be shared by every caller in the process.  The term format and the
 packed exponents stay inside the ring module: the modules above it use
 its public API only, and the pipeline and the command line use only the
 public API of the ideals module.  The pipeline asks its membership
-questions of the ideals (Ideal.outside, contains_ideal) and sizes no
-membership basis itself.
+questions and the normal forms it compares of the ideals (Ideal.outside,
+contains_ideal, remainders) and sizes no membership basis itself.
 """
 
 import ast
@@ -198,16 +198,25 @@ def test_public_functions_have_a_program_caller():
     assert not unused
 
 
-def test_pipeline_sizes_a_basis_only_for_normal_forms():
-    # verify_well_definedness compares normal forms on the base ideal's
-    # basis; every membership test sizes its own basis in the ideal
+def pipeline_callers(name):
+    """Functions of the pipeline module that call name, as name(...) or
+    as owner.name(...)."""
     callers = set()
     tree = ast.parse((SOURCE / "pipeline.py").read_text())
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
             for node in ast.walk(fn):
                 if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "basis_for"):
+                        and name in (getattr(node.func, "attr", None),
+                                     getattr(node.func, "id", None))):
                     callers.add(fn.name)
-    assert callers == {"verify_well_definedness"}
+    return callers
+
+
+def test_pipeline_sizes_no_membership_basis():
+    # the base ideal sizes the basis for the normal forms that
+    # verify_well_definedness compares and keeps them; the pipeline
+    # reduces only modulo the span bases of the bilinear forms
+    assert pipeline_callers("basis_for") == set()
+    assert pipeline_callers("normal_form") == {"_trace_redundancies"}
+    assert pipeline_callers("remainders") == {"verify_well_definedness"}

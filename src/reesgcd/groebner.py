@@ -20,7 +20,13 @@ packed exponent vectors", CASC 2007): the largest pending term is popped,
 the first basis entry whose lead divides it contributes its shifted tail,
 and the lead itself is never formed.  An S-polynomial is never built as a
 term tuple: the two shifted tails of its pair seed the accumulator and
-are reduced in the same pass.
+are reduced in the same pass.  The loop yields the remainder's terms
+lazily, each once no basis lead divides it, in decreasing order: a
+full normal form takes all of them, and normal_form_lead takes only the
+first, the remainder's lead term, which top reduction alone finds (Cox,
+Little & O'Shea, "Ideals, Varieties, and Algorithms", 2.3 and 2.6).
+So a polynomial outside the ideal is reduced only as far as its first
+irreducible term.
 
 Exponents are the ring's packed integers, so every monomial operation of
 the run is integer arithmetic on them: a shift is an addition, "a divides
@@ -81,34 +87,43 @@ def _to_poly(ring, terms, order):
         sorted(((key(e), e, c) for _, e, c in terms), reverse=True)))
 
 
-def _reduce_terms(terms, basis, mod, guard, shifted=()):
-    """Full normal form of a term list against basis entries.
+def _remainder_terms(terms, basis, mod, guard, shifted=()):
+    """The terms of the normal form of a term list against basis
+    entries, yielded lazily in decreasing order.
 
     basis entries are (lead_key, lead_exp, inv_lead_coeff, tail) sorted
     by increasing lead_key, tail being the entry's terms after the lead;
     a divisor's key never exceeds the key of the term it divides, so the
     scan stops early.  shifted holds (tail, dkey, dexp, coeff) summands
-    added to terms before reduction, as _add_shifted takes them.
+    added to terms before reduction, as _add_shifted takes them.  Each
+    term is yielded once no basis lead divides it, before any smaller
+    pending term is reduced: the first is the normal form's lead, found
+    by top reduction alone.
     """
     acc, heap = _accumulator(terms)
     for part in shifted:
         _add_shifted(acc, heap, *part)
-    out = []
     while True:
         lead = _pop_lead(acc, heap, mod, guard)
         if lead is None:
-            return tuple(out)
+            return
         k, e, c = lead
         for lk, le, linv, tail in basis:
             if lk > k:
-                out.append(lead)
+                yield lead
                 break
             if not (e - le) & guard:
                 _add_shifted(acc, heap, tail, k - lk, e - le,
                              -(c * linv % mod))
                 break
         else:
-            out.append(lead)
+            yield lead
+
+
+def _reduce_terms(terms, basis, mod, guard, shifted=()):
+    """Full normal form of a term list against basis entries: every term
+    _remainder_terms yields."""
+    return tuple(_remainder_terms(terms, basis, mod, guard, shifted))
 
 
 def _monic_terms(terms, mod):
@@ -526,6 +541,14 @@ def _autoreduce(basis_terms, mod, guard):
     return out
 
 
+def _entries(basis, order, mod):
+    """Reduction entries of the nonzero elements of basis under order,
+    sorted by increasing lead key."""
+    return sorted((_basis_entry(_to_terms(g, order), mod)
+                   for g in basis if not g.is_zero),
+                  key=lambda ent: ent[0])
+
+
 def normal_form(poly, basis, order=None):
     """Remainder of poly on full division by an ordered basis."""
     if poly.is_zero:
@@ -541,14 +564,32 @@ def normal_forms(polys, basis, order=None):
     ring = polys[0].ring
     order = order or ring.grevlex
     mod, guard = ring.p, ring.guard
-    entries = sorted(
-        (_basis_entry(_to_terms(g, order), mod)
-         for g in basis if not g.is_zero),
-        key=lambda ent: ent[0])
+    entries = _entries(basis, order, mod)
     return tuple(
         _to_poly(ring, _reduce_terms(_to_terms(f, order), entries, mod,
                                      guard), order)
         for f in polys)
+
+
+def normal_form_lead(poly, basis, minus=None):
+    """The lead term of the remainder of poly on full division by a
+    grevlex basis, as a one-term Polynomial, or zero when poly reduces
+    to zero.  With minus = (c, g) it is the remainder of poly - c*g, and
+    c*g enters the reduction as a shifted summand, as an S-pair's tails
+    do, so the difference is never formed.
+
+    The reduction stops at the first term no basis lead divides: only
+    a member is reduced to the end."""
+    ring = poly.ring
+    mod = ring.p
+    shifted = ()
+    if minus is not None:
+        c, g = minus
+        shifted = ((g.terms, 0, 0, -c),)
+    lead = next(_remainder_terms(poly.terms,
+                                 _entries(basis, ring.grevlex, mod), mod,
+                                 ring.guard, shifted), None)
+    return Polynomial(ring, () if lead is None else (lead,))
 
 
 def spolynomial(f, g, order=None):

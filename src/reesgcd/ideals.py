@@ -66,10 +66,18 @@ keeps one such basis, with its box, until its full basis is computed.
 A generator or query that is not bihomogeneous, or holds t, takes the
 full basis, so the grading never decides soundness.  Many polynomials
 are asked about at once, on one basis sized for all (Ideal.outside,
-Ideal.remainders).  An Ideal keeps the remainder of every polynomial it
-reduces: the normal form modulo any basis that covers the polynomial's
-bidegree, truncated or full, is the unique one, so a polynomial asked
-about twice, as a member or for its normal form, is reduced once.
+Ideal.proportional).  Membership needs only the lead term of the normal
+form, which top reduction finds (groebner.normal_form_lead): a
+non-member is reduced only up to its first irreducible term.  The normal
+form modulo any basis that covers the polynomial's bidegree, truncated
+or full, is the unique one, so an Ideal keeps that lead term for every
+polynomial it reduces, and a polynomial asked about twice is reduced
+once.  Normal forms are also linear, so two polynomials g and h have
+normal forms that both vanish or are nonzero multiples of each other
+exactly when their kept lead terms both vanish, or share a monomial and
+h - c*g reduces to zero for c the ratio of their coefficients.  A pair
+then costs at most one reduction to the end, that of h - c*g, and
+neither g nor h is reduced in full.
 
 Krull dimension is the maximal number of variables supporting no lead
 monomial of the ideal, found by exhaustive search over variable subsets;
@@ -85,7 +93,7 @@ from .groebner import (
     groebner_basis,
     hilbert_numerator,
     interreduce,
-    normal_form,
+    normal_form_lead,
     normal_forms,
 )
 
@@ -110,13 +118,13 @@ class Ideal:
     generators of its dividend and the elements that were divided, which
     contains_ideal tests in place of its generators; and every Bayer
     list that landed on it, by order (_bayer), until groebner
-    interreduces the one of the order it is asked for.  And the normal
-    form of every polynomial it has reduced (_remainders).
+    interreduces the one of the order it is asked for.  And the lead
+    term of the normal form of every polynomial it has reduced, zero for
+    a member (_leads).
     """
 
     __slots__ = ("ring", "gens", "_bases", "_quotients", "_truncated",
-                 "_hilbert", "_divided", "_division", "_bayer",
-                 "_remainders")
+                 "_hilbert", "_divided", "_division", "_bayer", "_leads")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -133,7 +141,7 @@ class Ideal:
         self._divided = None
         self._division = None
         self._bayer = None
-        self._remainders = {}
+        self._leads = {}
 
     def groebner(self, order=None):
         """Reduced basis under order (default: grevlex).
@@ -198,29 +206,21 @@ class Ideal:
         self._truncated = (box, basis)
         return basis
 
-    def _remainder(self, poly):
-        """The normal form of poly modulo self, kept for the life of the
-        ideal: modulo any basis that covers poly's bidegree, truncated
-        or full, it is the unique one."""
+    def _lead(self, poly):
+        """The lead term of the normal form of poly modulo self, zero for
+        a member, kept for the life of the ideal: modulo any basis that
+        covers poly's bidegree, truncated or full, it is the unique
+        one."""
         if poly.is_zero:
             return poly
-        rem = self._remainders.get(poly)
-        if rem is None:
-            rem = normal_form(poly, self.basis_for((poly,)))
-            self._remainders[poly] = rem
-        return rem
-
-    def remainders(self, polys):
-        """The normal forms modulo self of polys, lazily and in order, on
-        a membership basis sized once for all of them."""
-        polys = tuple(polys)
-        nonzero = [g for g in polys if not g.is_zero]
-        if nonzero:
-            self.basis_for(nonzero)
-        return (self._remainder(g) for g in polys)
+        lead = self._leads.get(poly)
+        if lead is None:
+            lead = normal_form_lead(poly, self.basis_for((poly,)))
+            self._leads[poly] = lead
+        return lead
 
     def contains(self, poly):
-        return self._remainder(poly).is_zero
+        return self._lead(poly).is_zero
 
     def outside(self, polys):
         """The nonzero polys that contains rejects, lazily and in order,
@@ -229,6 +229,36 @@ class Ideal:
         if polys:
             self.basis_for(polys)
         return (g for g in polys if not self.contains(g))
+
+    def proportional(self, pairs):
+        """For each pair (g, h), lazily and in order, whether the normal
+        forms of g and h modulo self both vanish or are nonzero multiples
+        of each other, on a membership basis sized once for all pairs.
+
+        Their kept lead terms decide unless both are nonzero with the
+        same monomial.  Then, c the ratio of their coefficients, the
+        normal forms are multiples exactly when h - c*g reduces to zero,
+        since the normal form is linear.  That reduction runs on the
+        basis that serves g and h: each term of h - c*g has the bidegree
+        of a term of g or h, or the basis is the full one."""
+        pairs = tuple(pairs)
+        nonzero = [f for pair in pairs for f in pair if not f.is_zero]
+        if nonzero:
+            self.basis_for(nonzero)
+        return (self._proportional(g, h) for g, h in pairs)
+
+    def _proportional(self, g, h):
+        a, b = self._lead(g), self._lead(h)
+        if a.is_zero or b.is_zero:
+            return a.is_zero and b.is_zero
+        (exp_a, coeff_a), = a.items()
+        (exp_b, coeff_b), = b.items()
+        if exp_a != exp_b:
+            return False
+        p = self.ring.p
+        c = coeff_b * pow(coeff_a, p - 2, p) % p
+        return normal_form_lead(h, self.basis_for((g, h)),
+                                minus=(c, g)).is_zero
 
     def contains_ideal(self, other):
         """Membership of every generator of other, on one basis sized

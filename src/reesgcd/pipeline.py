@@ -635,14 +635,6 @@ def verify_main_theorem(inst, trace):
     return rep
 
 
-def _agree_up_to_scalar(a, b):
-    """Whether the normal forms a and b both vanish or are nonzero
-    multiples of each other."""
-    if a.is_zero or b.is_zero:
-        return a.is_zero and b.is_zero
-    return a.monic() == b.monic()
-
-
 def verify_well_definedness(inst, trace=None):
     """Rerun with the alternate column rule, on the Jacobian dual and
     minors of trace when it has them; the per-step ideals must agree
@@ -658,11 +650,15 @@ def verify_well_definedness(inst, trace=None):
     (m-i, i(d-1)), whose x-degree is below that of the equation and of
     every earlier gcd, so in that bidegree B_{i-1} agrees with B_0 and
     B_i is B_0 plus the multiples of g, and B_i = B'_i puts g' - c*g in
-    B_0.  The base ideal gives the normal forms of the differing gcds,
-    on one basis truncated at the box of their bidegrees, and keeps
-    them: the minimality check asks it about the same gcds and reduces
-    none of them again.  Any other step falls back to comparing the two
-    partial ideals, each on a Groebner basis of its own.
+    B_0.  The base ideal answers for the differing pairs in step order
+    (Ideal.proportional), on one basis truncated at the box of their
+    bidegrees: it top-reduces each gcd to the lead term of its normal
+    form, and keeps it, and reduces g' - c*g, c the ratio of the lead
+    coefficients, to zero.  So no gcd is reduced in full, each
+    differing step makes one full reduction, and the minimality check,
+    which asks the base ideal about the same gcds, reduces none of them
+    again.  Any other step falls back to comparing the two partial
+    ideals, each on a Groebner basis of its own.
     """
     first = trace if trace is not None else gcd_iterations(inst, "min")
     second = gcd_iterations(inst, rule="max", prior=first)
@@ -670,16 +666,14 @@ def verify_well_definedness(inst, trace=None):
     base = first.base_ideal
     # B_{i-1} = B'_{i-1} is proven; at i = 1 by equal generators
     agreed = base.gens == second.base_ideal.gens
-    pairs = [f for g, h in zip(first.gcds, second.gcds) if g != h
-             for f in (g, h)]
-    # taken two at a time in step order while agreed holds; once false,
-    # agreed stays false
-    forms = base.remainders(pairs) if agreed and pairs else None
+    pairs = [(g, h) for g, h in zip(first.gcds, second.gcds) if g != h]
+    # taken in step order while agreed holds; once false, agreed stays
+    # false
+    verdicts = base.proportional(pairs) if agreed and pairs else None
     for i in range(1, inst.degree + 1):
         g, h = first.gcds[i - 1], second.gcds[i - 1]
         same = g == h
-        equal = same or (agreed and _agree_up_to_scalar(next(forms),
-                                                        next(forms)))
+        equal = same or (agreed and next(verdicts))
         witness = ""
         if not equal:
             witness = _difference_witness(first.partial_ideal(i),
@@ -708,9 +702,10 @@ def _trace_redundancies(trace):
     bilinear forms remain, and membership there is one normal form
     against the base ideal, whose every generator beyond them is again
     ruled out by bidegree.  The intermediate gcds go to the base ideal in
-    one outside call, on a basis truncated at their bidegree box; after
-    verify_well_definedness the base ideal holds that basis and the
-    remainders of the gcds it compared, so none is reduced twice.
+    one outside call, on a basis truncated at their bidegree box, which
+    top-reduces each only to the lead term of its normal form; after
+    verify_well_definedness the base ideal holds that basis and the lead
+    terms of the gcds it compared, so none is reduced twice.
     """
     ring = trace.ring
     inst = trace.instance
@@ -787,10 +782,12 @@ def minimality_and_invariants(trace):
     fiber_ok = (len(pure) == 1 and pure[0] == last
                 and last.t_degree() == m * (d - 1))
     if fiber_ok:
-        # a generator without a term of x-degree 0 lies in (x)
+        # a generator without a term of x-degree 0 lies in (x); all the
+        # terms of a bihomogeneous one share its kept x-degree
         n = ring.n
-        stray = [g for g in gens if g != last and any(
-            not any(e[:n]) for e, _ in g.items())]
+        stray = [g for g in gens if g != last and (
+            g.x_degree() == 0 if g.bidegree() is not None
+            else any(not any(e[:n]) for e, _ in g.items()))]
         xs = [ring.x(i) for i in range(1, d + 2)]
         outsider = next(Ideal(ring, xs + [last]).outside(stray), None)
         fiber_ok = outsider is None

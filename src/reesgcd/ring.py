@@ -706,9 +706,12 @@ def _scale(terms, c, mod):
 
 
 class Polynomial:
-    """Immutable element of a PolyRing."""
+    """Immutable element of a PolyRing.
 
-    __slots__ = ("ring", "terms")
+    The bidegree is read off the terms on the first call of bidegree()
+    and kept in the _bidegree slot, which stays unset until then."""
+
+    __slots__ = ("ring", "terms", "_bidegree")
 
     def __init__(self, ring, terms):
         self.ring = ring
@@ -753,19 +756,37 @@ class Polynomial:
 
         Returns ZERO_BIDEGREE for the zero polynomial and None when the
         terms do not share a single bidegree.  The helper variable t is
-        ignored by the bigrading.
+        ignored by the bigrading.  The terms are scanned once, on the
+        first call.
         """
+        try:
+            return self._bidegree
+        except AttributeError:
+            pass
         if not self.terms:
-            return ZERO_BIDEGREE
-        read = self.ring.bidegree_of
-        degs = {read(e) for _, e, _ in self.terms}
-        return BiDegree(*degs.pop()) if len(degs) == 1 else None
+            bd = ZERO_BIDEGREE
+        else:
+            read = self.ring.bidegree_of
+            degs = {read(e) for _, e, _ in self.terms}
+            bd = BiDegree(*degs.pop()) if len(degs) == 1 else None
+        self._bidegree = bd
+        return bd
 
     def x_degree(self):
+        """Largest x-degree of a term, -1 for zero; the kept bidegree's
+        when the polynomial is bihomogeneous."""
+        bd = self.bidegree()
+        if isinstance(bd, BiDegree):
+            return bd.x
         read = self.ring.bidegree_of
         return max((read(e)[0] for _, e, _ in self.terms), default=-1)
 
     def t_degree(self):
+        """Largest T-degree of a term, -1 for zero; the kept bidegree's
+        when the polynomial is bihomogeneous."""
+        bd = self.bidegree()
+        if isinstance(bd, BiDegree):
+            return bd.t
         read = self.ring.bidegree_of
         return max((read(e)[1] for _, e, _ in self.terms), default=-1)
 

@@ -1,7 +1,7 @@
 """The recheck on the base ideal's one basis: the column-rule and
 fiber-equation checks against their ideal-equality references
-(welldefinedness_reference.py), and the Groebner runs and normal forms
-they save."""
+(welldefinedness_reference.py), also with one step's gcds replaced, and
+the Groebner runs and reductions they save."""
 
 import json
 
@@ -161,28 +161,118 @@ def rebuilt_from_json(inst, trace):
 
 
 def test_recheck_reduces_each_gcd_once(monkeypatch):
+    """No gcd is reduced in full: each is top-reduced at most once, to
+    the nonzero lead term of its normal form, across both reports, and
+    each step whose gcds differ makes one reduction to the end, of
+    g'_i - c*g_i."""
     inst = instance((3, 1))
+    ring = inst.ring
     trace = gcd_iterations(inst)
     rebuilt = rebuilt_from_json(inst, trace)
     assert rebuilt.gcds == trace.gcds
-    reduced = []
-    original = groebner.normal_forms
+    second = gcd_iterations(inst, rule="max")
+    # c is the ratio of the lead coefficients of the normal forms
+    full = groebner.groebner_basis(trace.base_ideal.gens)
+    differences = []
+    for g, h in zip(trace.gcds, second.gcds):
+        if g != h:
+            a = groebner.normal_form(g, full).items()[0][1]
+            b = groebner.normal_form(h, full).items()[0][1]
+            differences.append(h - g.scale(b * pow(a, ring.p - 2, ring.p)))
+    assert len(differences) == 2
+    reduced, tops = [], []
+    normal_forms, normal_form_lead = groebner.normal_forms, \
+        groebner.normal_form_lead
 
     def counted(polys, *args, **kwargs):
         reduced.extend(polys)
-        return original(polys, *args, **kwargs)
+        return normal_forms(polys, *args, **kwargs)
+
+    def top_reduced(poly, basis, minus=None):
+        lead = normal_form_lead(poly, basis, minus=minus)
+        if minus is not None:
+            c, g = minus
+            poly = poly - g.scale(c)
+        tops.append((poly, lead))
+        return lead
 
     monkeypatch.setattr(groebner, "normal_forms", counted)
     monkeypatch.setattr(ideals, "normal_forms", counted)
+    monkeypatch.setattr(ideals, "normal_form_lead", top_reduced)
     assert verify_well_definedness(inst, rebuilt).ok
     assert minimality_and_invariants(rebuilt).ok
-    second = gcd_iterations(inst, rule="max")
     gcds = set(trace.gcds + second.gcds)
-    counts = {g: reduced.count(g) for g in gcds}
-    assert max(counts.values()) == 1
-    # the gcds of the steps where the two rules differ, and nothing else
-    # of theirs: g_1, g'_1, g_2, g'_2
-    assert sum(counts.values()) == 4
+    assert not gcds & set(reduced)
+    top_gcds = [f for f, _ in tops if f in gcds]
+    # g_1, g'_1, g_2, g'_2, each once and each outside B_0
+    assert len(top_gcds) == len(set(top_gcds)) == 4
+    assert all(not lead.is_zero for f, lead in tops if f in gcds)
+    # the only other reductions of the base ideal run to zero
+    assert [f for f, _ in tops if f not in gcds] == differences
+    assert all(lead.is_zero for f, lead in tops if f not in gcds)
+
+
+def standard_monomial(g, basis):
+    """A monomial of the normal form of g below its lead: no lead of
+    basis divides it, so it is its own normal form, outside the ideal."""
+    exp, _ = groebner.normal_form(g, basis).items()[-1]
+    return g.ring.monomial(exp)
+
+
+def perturbations(trace, i):
+    """The (min-rule gcd, max-rule gcd) replacements of step i, by what
+    the comparison modulo B_0 must find, with g the min-rule gcd."""
+    ring = trace.ring
+    d, m = trace.instance.d, trace.instance.degree
+    g = trace.gcds[i - 1]
+    basis = groebner.groebner_basis(trace.base_ideal.gens)
+    # members of B_0 of the step's bidegree (m-i, i(d-1))
+    members = [ring.x(k) ** (m - i - 1) * ring.T(k) ** (i * (d - 1) - 1)
+               * trace.bilinear[k - 1] for k in (1, 2)]
+    q = standard_monomial(g, basis)
+    assert not any(groebner.normal_form(f, basis).is_zero for f in (g, q))
+    assert all(groebner.normal_form(f, basis).is_zero for f in members)
+    lead = groebner.normal_form(g, basis).lead_exp()
+    assert q.lead_exp() != lead
+    assert groebner.normal_form(3 * g + q, basis).lead_exp() == lead
+    return {
+        "multiple-plus-member": (g, 3 * g + members[0]),
+        "same-lead-non-member": (g, 3 * g + q),
+        "different-lead": (g, q),
+        "member-against-non-member": (g, members[0]),
+        "non-member-against-member": (members[0], g),
+        "both-members": (members[0], members[1]),
+    }
+
+
+PASSING = {"multiple-plus-member", "both-members"}
+PERTURBED = [(case, i) for case in ["golden", (2, 0), (2, 1), (3, 1)]
+             for i in range(1, (3 if case == "golden" else case[0]))]
+
+
+@pytest.mark.parametrize("case, step", PERTURBED, ids=str)
+def test_perturbed_pairs_match_reference(case, step, monkeypatch,
+                                         groebner_runs):
+    inst = instance(case)
+    first = rebuilt_from_json(inst, gcd_iterations(inst))
+    second = gcd_iterations(inst, rule="max")
+    for kind, (g, h) in perturbations(first, step).items():
+        left = with_step_gcd(first, step, g)
+        right = with_step_gcd(second, step, h)
+        monkeypatch.setattr(
+            pipeline, "gcd_iterations",
+            lambda inst, rule="min", prior=None, right=right: right)
+        del groebner_runs[:]
+        rep = verify_well_definedness(inst, left)
+        found = rep.find("column-rule-step-%d" % step)
+        if kind in PASSING:
+            # decided modulo B_0 alone, on its one truncated basis
+            assert found.status == "pass", kind
+            assert groebner_runs == [inst.ring.grevlex], kind
+        else:
+            assert found.status == "fail", kind
+        assert outcomes(rep) == outcomes(column_rule_report(left, right)), \
+            kind
 
 
 @pytest.fixture

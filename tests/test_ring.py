@@ -248,6 +248,20 @@ class TestBidegree:
     def test_aux_ignored(self):
         assert (R.aux * R.x(1)).bidegree() == (1, 0)
 
+    def test_terms_read_once(self, monkeypatch):
+        f = R.x(1) * R.parse(FIBER_SRC)
+        reads = []
+        original = PolyRing.bidegree_of
+
+        def counted(ring, exp):
+            reads.append(exp)
+            return original(ring, exp)
+
+        monkeypatch.setattr(PolyRing, "bidegree_of", counted)
+        assert (f.x_degree(), f.t_degree(), f.bidegree()) == (1, 3, (1, 3))
+        assert f.bidegree() == (1, 3)
+        assert len(reads) == len(f)
+
 
 class TestPartialColumn:
     def test_pure_power(self):

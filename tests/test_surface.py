@@ -8,8 +8,9 @@ be shared by every caller in the process.  The term format and the
 packed exponents stay inside the ring module: the modules above it use
 its public API only, and the pipeline and the command line use only the
 public API of the ideals module.  The pipeline asks its membership
-questions and the normal forms it compares of the ideals (Ideal.outside,
-contains_ideal, remainders) and sizes no membership basis itself.
+questions, and whether the normal forms of two gcds agree up to a
+scalar, of the ideals (Ideal.outside, contains_ideal, proportional) and
+sizes no membership basis itself.
 """
 
 import ast
@@ -214,9 +215,9 @@ def pipeline_callers(name):
 
 
 def test_pipeline_sizes_no_membership_basis():
-    # the base ideal sizes the basis for the normal forms that
-    # verify_well_definedness compares and keeps them; the pipeline
-    # reduces only modulo the span bases of the bilinear forms
+    # the base ideal sizes the basis for the gcd pairs that
+    # verify_well_definedness compares and keeps their lead terms; the
+    # pipeline reduces only modulo the span bases of the bilinear forms
     assert pipeline_callers("basis_for") == set()
     assert pipeline_callers("normal_form") == {"_trace_redundancies"}
-    assert pipeline_callers("remainders") == {"verify_well_definedness"}
+    assert pipeline_callers("proportional") == {"verify_well_definedness"}

@@ -5,14 +5,22 @@ full reduced basis restricted to the box, string for string, and give the
 same normal forms on every bihomogeneous polynomial inside the box.
 Ideal.basis_for takes that route only for bihomogeneous, t-free
 generators and queries; Ideal.outside sizes it once for a batch of
-queries and yields the non-members in order.  The property tests draw
-bigraded ideals of the d=1 and d=2 rings at p=7 and p=32003.
+queries and yields the non-members in order.  Top reduction
+(normal_form_lead) must give the lead term of the normal form on either
+basis, and Ideal.proportional the verdict of comparing full normal
+forms up to a scalar.  The property tests draw bigraded ideals of the
+d=1 and d=2 rings at p=7 and p=32003.
 """
 
 import pytest
 
 from reesgcd import groebner
-from reesgcd.groebner import BudgetExceeded, groebner_basis, normal_form
+from reesgcd.groebner import (
+    BudgetExceeded,
+    groebner_basis,
+    normal_form,
+    normal_form_lead,
+)
 from reesgcd.ideals import Ideal
 from reesgcd.pipeline import (
     gcd_iterations,
@@ -213,6 +221,62 @@ class TestIdealBox:
         full = groebner_basis(gens)
         assert list(Ideal(ring, gens).outside(queries)) == \
             [q for q in queries if not normal_form(q, full).is_zero]
+
+
+def lead_term(form):
+    """The (exponent, coefficient) of the lead term, or None for zero."""
+    return form.items()[0] if form else None
+
+
+class TestNormalFormLead:
+    """Top reduction against the truncated and the full basis: the lead
+    term of the normal form, and membership, from the first term no lead
+    divides."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(problems(), st.data())
+    def test_is_the_lead_term_of_the_normal_form(self, problem, data):
+        ring, gens, box, query = problem
+        other = data.draw(bihomogeneous_polys(ring, *query.bidegree()))
+        c = data.draw(st.integers(0, ring.p - 1))
+        for basis in (groebner_basis(gens, within=box),
+                      groebner_basis(gens)):
+            lead = normal_form_lead(query, basis)
+            form = normal_form(query, basis)
+            assert lead.is_zero == form.is_zero
+            assert lead_term(lead) == lead_term(form)
+            assert len(lead) <= 1
+            # minus = (c, g) reduces query - c*g without forming it
+            lead = normal_form_lead(query, basis, minus=(c, other))
+            assert lead_term(lead) == \
+                lead_term(normal_form(query - other.scale(c), basis))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_proportional_compares_normal_forms(self, data):
+        ring = data.draw(st.sampled_from(RINGS))
+        gens = data.draw(bigraded_lists(ring))
+        bd = data.draw(bidegrees())
+        g = data.draw(bihomogeneous_polys(ring, *bd))
+        # h is c*g plus a member, or plus a random form, of bidegree bd
+        shift = ring.zero
+        for f in gens:
+            fx, ft = f.bidegree()
+            if fx <= bd[0] and ft <= bd[1]:
+                shift += f * ring.x(1) ** (bd[0] - fx) * \
+                    ring.T(1) ** (bd[1] - ft)
+        if data.draw(st.booleans()):
+            shift = data.draw(bihomogeneous_polys(ring, *bd))
+        h = g.scale(data.draw(st.integers(0, ring.p - 1))) + shift
+        pairs = [(g, h), (h, g), (g, g), (g, ring.zero), (shift, shift)]
+        full = groebner_basis(gens)
+
+        def reference(a, b):
+            a, b = normal_form(a, full), normal_form(b, full)
+            return a.monic() == b.monic()
+
+        assert list(Ideal(ring, gens).proportional(pairs)) == \
+            [reference(a, b) for a, b in pairs]
 
 
 class TestGeneratorOrder:

@@ -22,10 +22,10 @@ carries the column factorization of the maximal minors to every step.  At
 every step: the reassembly of the appended column and the bidegree law.
 The hypothesis check spans the minors of the alternating presentation from
 one symmetric Laplace pass.  The structural checks read the height of the
-minors of B off lambda, and that of the size-d minors of the reduced
-presentation off the square law adj = p . p^t of its Pfaffians, proved
-from one column of minors the same way.  A violation raises IterationError
-since it can only mean a bug, not bad input.
+minors of B and the reduced gcd off lambda, and the height of the size-d
+minors of the reduced presentation off the square law adj = p . p^t of its
+Pfaffians, proved from one column of minors the same way.  A violation
+raises IterationError since it can only mean a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -446,9 +446,9 @@ def _adjugate_row(dual):
 
     lambda_k = (-1)^(k+d) M[k][0] / T1, with M[k][0] the minor of B
     without row k+1 and column 1, so T1 lambda is the first row of
-    adj(B).  The checks are B . [T]^t = 0 (d+1 sums), det(B) = 0 by
-    Bareiss elimination, the exact divisions by T1, and lambda . B = 0
-    (d+1 sums).  They prove the whole factorization.  As T != 0 lies in
+    adj(B) (d even).  The checks are B . [T]^t = 0 (d+1 sums), det(B) =
+    0 by Bareiss elimination, the exact divisions by T1, and lambda . B
+    = 0 (d+1 sums).  They prove the whole factorization.  As T != 0 lies in
     the kernel of B, rank B <= d.  If rank B = d, adj(B) has rank 1 and
     B . adj(B) = det(B) I = 0 puts every column of adj(B) on [T]^t, so
     adj(B) = [T]^t . mu; its first row gives T1 mu = T1 lambda, so mu =
@@ -941,6 +941,12 @@ def optional_structural_checks(trace):
     Groebner run on the d+1 entries of lambda.  The row comes from the
     trace when gcd_iterations made it; a trace rebuilt from saved output
     gets it by the same checked route (_adjugate_row).
+
+    For (b), the reduced dual's minor without column 1 is M[d][0] =
+    T1 lambda_{d+1}, so the reduced gcd is monic(lambda_{d+1}); a dual
+    other than the trace's forms its own lambda.  For (c), x_{d+1} and
+    the reduced forms (full forms minus x_{d+1} B[d+1][j]) lie in the
+    target, so only the d+1 products x_i g_red are tested.
     """
     rep = VerificationReport()
     inst = trace.instance
@@ -980,18 +986,16 @@ def optional_structural_checks(trace):
 
     mat, attempt = chosen
     full_dual = jacobian_dual(mat)
-    reduced_dual = delete_row(full_dual, d + 1)
-    # the one maximal minor used: the one without column 1
-    raw = minors(delete_column(reduced_dual, 1), d)[0]
-    reduced_gcd = raw.exact_div(ring.T(1)) if not raw.is_zero else None
-    if reduced_gcd is None:
+    if full_dual != trace.dual:
+        lam = _adjugate_row(full_dual)
+    reduced_gcd = lam[d].monic()
+    if reduced_gcd.is_zero:
         witness = "reduced gcd vanishes or is not divisible by T1"
         rep.add("reduced-cramer-containment", claim_b, "fail", witness)
         rep.add("product-containment", claim_c, "fail", witness)
         return rep
-    reduced_gcd = reduced_gcd.monic()
 
-    reduced_forms = _column_forms(reduced_dual)
+    reduced_forms = _column_forms(delete_row(full_dual, d + 1))
     retained = {ring.x(k) * reduced_gcd: k for k in range(1, d + 1)}
     missing = next(Ideal(ring, reduced_forms).outside(retained), None)
     rep.add("reduced-cramer-containment", claim_b,
@@ -999,17 +1003,12 @@ def optional_structural_checks(trace):
             "fails for x%d" % retained[missing] if missing else "",
             {"attempt": attempt, "reduced_gcd": str(reduced_gcd)})
 
-    last_var = ring.x(d + 1)
-    target = Ideal(ring, [last_var] + list(_column_forms(full_dual)))
-    combined = list(reduced_forms) + [reduced_gcd, last_var]
-    # each product keeps the first factors that form it
-    products = {}
-    for i in range(1, d + 2):
-        for g in combined:
-            products.setdefault(ring.x(i) * g, (i, g))
+    target = Ideal(ring, [ring.x(d + 1)] + list(_column_forms(full_dual)))
+    products = {ring.x(i) * reduced_gcd: i for i in range(1, d + 2)}
     bad = next(target.outside(products), None)
     rep.add("product-containment", claim_c, _status(bad is None),
-            "fails for x%d times %s" % products[bad] if bad else "",
+            "fails for x%d times %s" % (products[bad], reduced_gcd)
+            if bad else "",
             {"attempt": attempt})
     return rep
 

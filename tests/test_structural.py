@@ -3,10 +3,12 @@ reports as the minor-ideal route (structural_reference.py), the height of
 the minors of B against min(d+1, ht(lambda)), the Pfaffian square law
 against all minors, its guards on A . p and on its column of minors, and
 the matrices whose Pfaffians all vanish, the checked fallback of a trace
-rebuilt from saved output, and the reduced gcd from the one maximal minor
-of the reduced dual that it uses."""
+rebuilt from saved output, the reduced gcd read off lambda, product
+containment on the d+1 products with it, failing and passing, and the
+route through changed coordinates."""
 
 import random
+import re
 
 import pytest
 
@@ -29,6 +31,7 @@ from reesgcd.pipeline import (
 )
 from reesgcd.ring import PolyRing
 
+import structural_reference
 from structural_reference import (
     dual_minor_height_by_minors,
     reduction_usable_by_minors,
@@ -336,12 +339,29 @@ def test_rebuilt_trace_checks_the_full_dual_minor(monkeypatch):
         optional_structural_checks(trace)
 
 
+def asked_outside(monkeypatch):
+    """Ideal.outside recording the polys it is asked about, one list per
+    call, in order."""
+    asked = []
+    original = Ideal.outside
+
+    def recorded(self, polys):
+        polys = list(polys)
+        asked.append(polys)
+        return original(self, polys)
+
+    monkeypatch.setattr(Ideal, "outside", recorded)
+    return asked
+
+
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_reduced_gcd_from_the_one_minor_without_column_1(case,
                                                          monkeypatch):
-    # the reference reads the reduced gcd off all d+1 maximal minors of
-    # the reduced dual; the check forms only the square one it uses,
-    # after one column of the reduced presentation per square law
+    # the reference divides the maximal minor of the reduced dual without
+    # column 1 by T1; at the given coordinates that minor is M[d][0] =
+    # T1 lambda_{d+1}, so the check forms no minor of its own, only one
+    # column of the reduced presentation per square law, and asks
+    # membership of the d+1 products x_i g_red for product containment
     inst = instance(32003, case)
     trace = gcd_iterations(inst)
     formed = []
@@ -358,13 +378,76 @@ def test_reduced_gcd_from_the_one_minor_without_column_1(case,
 
     monkeypatch.setattr(pipeline, "minors", recorded)
     monkeypatch.setattr(pipeline, "_check_square_law", counted)
+    asked = asked_outside(monkeypatch)
     got = optional_structural_checks(trace)
     monkeypatch.undo()
     want = structural_checks_by_minors(inst)
     check = "reduced-cramer-containment"
-    assert got.find(check).data["reduced_gcd"] == \
-        want.find(check).data["reduced_gcd"]
+    assert got.find(check).data == want.find(check).data
+    assert got.find(check).data["attempt"] == 0
     d = inst.d
-    laws = formed.count("square law")
-    assert laws >= 1
-    assert formed == ["square law", (d + 1, d, d)] * laws + [(d, d, d)]
+    assert formed == ["square law", (d + 1, d, d)]
+    gcd = trace._fixed[d].monic()
+    assert asked[-1] == [inst.ring.x(i) * gcd for i in range(1, d + 2)]
+
+
+@pytest.mark.parametrize("case,j", [("golden", 1), ("golden", 4),
+                                    ((1, 0), 2), ((2, 1), 5)], ids=str)
+def test_product_containment_names_the_first_product_outside(
+        case, j, monkeypatch):
+    # every x_i g_red with g_red in the ideal of reduced forms lies in
+    # the target, so the reduced gcd itself is moved by T_j^(d-1): in the
+    # trace's lambda for the check, in the maximal minor of the reduced
+    # dual without column 1 (T1 lambda_{d+1}) for the reference
+    inst = instance(32003, case)
+    trace = gcd_iterations(inst)
+    ring = inst.ring
+    d = inst.d
+    delta = ring.T(j) ** (d - 1)
+    lam = list(trace._fixed)
+    lam[d] = lam[d] + delta
+    monkeypatch.setattr(trace, "_fixed", lam)
+    original = structural_reference.minors
+
+    def moved(mat, size):
+        out = original(mat, size)
+        if (mat.rows, mat.cols, size) == (d, d + 1, d):
+            out[-1] = out[-1] + ring.T(1) * delta
+        return out
+
+    monkeypatch.setattr(structural_reference, "minors", moved)
+    asked = asked_outside(monkeypatch)
+    got = optional_structural_checks(trace)
+    assert [len(polys) for polys in asked[-2:]] == [d, d + 1]
+    want = structural_checks_by_minors(inst)
+    for check in ("reduced-cramer-containment", "product-containment"):
+        assert got.find(check).to_dict() == want.find(check).to_dict()
+    got = got.find("product-containment")
+    assert got.status == "fail"
+    gcd = lam[d].monic()
+    assert re.fullmatch("fails for x[1-%d] times %s"
+                        % (d, re.escape(str(gcd))), got.witness)
+
+
+@pytest.mark.parametrize("case", ["golden", (2, 0)], ids=str)
+def test_changed_coordinates_match_the_reference(case, monkeypatch):
+    # refusing the given coordinates sends both routes to attempt 1; the
+    # check then forms its own lambda from the dual there
+    inst = instance(32003, case)
+    trace = gcd_iterations(inst)
+
+    def refusing(usable):
+        def patched(mat, d):
+            return mat != inst.presentation and usable(mat, d)
+        return patched
+
+    monkeypatch.setattr(pipeline, "_reduction_usable",
+                        refusing(pipeline._reduction_usable))
+    monkeypatch.setattr(structural_reference, "reduction_usable_by_minors",
+                        refusing(structural_reference
+                                 .reduction_usable_by_minors))
+    got = optional_structural_checks(trace).to_dict()
+    assert got == structural_checks_by_minors(inst).to_dict()
+    data = got["checks"][1]["data"]
+    assert data["attempt"] == 1
+    assert data["reduced_gcd"] != str(trace._fixed[inst.d].monic())

@@ -13,19 +13,19 @@ Every step matrix is the fixed Jacobian dual B plus one column C, so every
 maximal minor of a step is an expansion along C over the d x d minors of
 B.  Those factor once per run: adj(B) = [T]^t . lambda for one row lambda,
 and each step's gcd is then one sum of products, sum_k C_k lambda_k.  Every
-algebraic identity the algorithm relies on is re-verified at runtime.  Once
-per run: B . [T]^t = 0, the vanishing of the full-dual minor det(B) by an
-independent Bareiss determinant, lambda from the d+1 minors of B without
-column 1 by exact division by T1, and lambda . B = 0.  A rank argument
-turns these into the factorization of all (d+1)^2 minors of B, which
-carries the column factorization of the maximal minors to every step.  At
-every step: the reassembly of the appended column and the bidegree law.
-The hypothesis check spans the minors of the alternating presentation from
-one symmetric Laplace pass.  The structural checks read the height of the
-minors of B and the reduced gcd off lambda, and the height of the size-d
-minors of the reduced presentation off the square law adj = p . p^t of its
-Pfaffians, proved from one column of minors the same way.  A violation
-raises IterationError since it can only mean a bug, not bad input.
+algebraic identity the algorithm relies on is re-verified at runtime.  One
+rank-one lemma (_rank_one_adjugate) gives adj(M) = u . w from M . u = 0 and
+row j0 of adj(M) equal to u_j0 w.  Once per run it takes M = B and u =
+[T]^t, and lambda is row 1 divided exactly by T1; det(B) = 0 (Bareiss) and
+lambda . B = 0 are guards.  At every step: the reassembly of the appended
+column and the bidegree law.  The hypothesis check spans the minors of the
+alternating presentation from one symmetric Laplace pass.  The structural
+checks read the height of the minors of B and the reduced gcd off lambda,
+and the height of the size-d minors of the reduced presentation off the
+square law adj = p . p^t of its Pfaffians, the same lemma with u = p.
+Product containment follows from the reduced-Cramer containment.  A
+violation raises IterationError since it can only mean a bug, not bad
+input.
 """
 
 from __future__ import annotations
@@ -195,7 +195,10 @@ class InstanceSpec:
         self.d = d
         if self.d < 0:
             raise ValueError("d must be nonnegative")
-        rows = tuple(tuple(str(e) for e in row) for row in matrix_src)
+        try:
+            rows = tuple(tuple(str(e) for e in row) for row in matrix_src)
+        except TypeError:  # psi or one of its rows is not a list
+            rows = ()
         n = self.d + 1
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix must be %d x %d" % (n, n))
@@ -440,41 +443,51 @@ def _column_forms(mat):
     return tuple(_column_form(mat, j) for j in range(mat.cols))
 
 
+def _rank_one_adjugate(mat, u, j0, off_kernel):
+    """Row j0 of adj(M) for the (d+1)-square M = mat, the signed minors
+    (-1)^(k+j0) M[k][j0] without row k+1 and column j0+1, from one call
+    to minors, once M . u = 0 holds (d+1 sums; a nonzero one raises
+    IterationError, off_kernel naming its row).
+
+    The lemma: if u != 0 and the caller proves the row equal to u_j0 w
+    with u_j0 != 0, then adj(M) = u . w.  As u lies in the kernel of M,
+    rank M <= d.  If rank M = d, adj(M) has rank 1 and M . adj(M) =
+    det(M) I = 0 puts every column of adj(M) on u, so adj(M) = u . mu;
+    its row j0 gives u_j0 mu = u_j0 w, so mu = w.  If rank M < d,
+    adj(M) = 0, so u_j0 w = 0 and w = 0.
+    """
+    ring = mat.ring
+    d = mat.rows - 1
+    for k in range(d + 1):
+        if not ring.dot((1, mat.at(k, j), u_j)
+                        for j, u_j in enumerate(u)).is_zero:
+            raise IterationError(off_kernel % (k + 1))
+    # the minor without row k+1 comes (d-k)-th in lexicographic order
+    column = minors(delete_column(mat, j0 + 1), d)
+    return [column[d - k] if (k + j0) % 2 == 0 else -column[d - k]
+            for k in range(d + 1)]
+
+
 def _adjugate_row(dual):
     """The row lambda with adj(B) = [T]^t . lambda for the Jacobian dual
-    B = dual, from the d+1 minors of B without column 1.
-
-    lambda_k = (-1)^(k+d) M[k][0] / T1, with M[k][0] the minor of B
-    without row k+1 and column 1, so T1 lambda is the first row of
-    adj(B) (d even).  The checks are B . [T]^t = 0 (d+1 sums), det(B) =
-    0 by Bareiss elimination, the exact divisions by T1, and lambda . B
-    = 0 (d+1 sums).  They prove the whole factorization.  As T != 0 lies in
-    the kernel of B, rank B <= d.  If rank B = d, adj(B) has rank 1 and
-    B . adj(B) = det(B) I = 0 puts every column of adj(B) on [T]^t, so
-    adj(B) = [T]^t . mu; its first row gives T1 mu = T1 lambda, so mu =
-    lambda.  If rank B < d, adj(B) = 0 and lambda = 0.  So a zero lambda
-    needs no special case, and by linearity in the appended column the
-    minors of every step factor through lambda.  lambda . B = 0 is then
-    implied; it is rechecked as a guard on the minors.  A failed check
-    raises IterationError naming the row of B . [T]^t, the row of the
-    minor whose division fails, or the column of lambda . B.
+    B = dual: row 1 of adj(B) (_rank_one_adjugate, u = [T]^t) divided
+    exactly by T1, which proves the lemma's hypothesis.  So a zero lambda
+    (rank B < d) needs no special case, and by linearity in the appended
+    column the minors of every step factor through lambda.  det(B) = 0
+    (Bareiss) and lambda . B = 0 are implied, and rechecked as guards.  A
+    failed check raises IterationError naming the row of B . [T]^t, the
+    row of the minor whose division fails, or the column of lambda . B.
     """
     ring = dual.ring
     d = dual.rows - 1
     ts = [ring.T(j) for j in range(1, d + 2)]
-    for k in range(d + 1):
-        if not ring.dot((1, dual.at(k, j), t)
-                        for j, t in enumerate(ts)).is_zero:
-            raise IterationError(
-                "adjugate: B . [T]^t is nonzero at row %d" % (k + 1))
+    first = _rank_one_adjugate(dual, ts, 0,
+                               "adjugate: B . [T]^t is nonzero at row %d")
     if not det(dual).is_zero:
         raise IterationError("full-dual minor does not vanish")
-    # the minor without row k+1 comes (d-k)-th in lexicographic order
-    col1 = minors(delete_column(dual, 1), d)
     row = []
-    for k in range(d + 1):
-        minor = col1[d - k]
-        lam = (minor if (k + d) % 2 == 0 else -minor).exact_div(ts[0])
+    for k, minor in enumerate(first):
+        lam = minor.exact_div(ts[0])
         if lam is None:
             raise IterationError(
                 "adjugate: the minor of B without row %d and column 1 is "
@@ -831,34 +844,18 @@ def _random_invertible(rng, ring, size):
 def _check_square_law(mat, pfs):
     """adj(A) = p . p^t for an alternating matrix A = mat of odd size d+1
     and its signed submaximal Pfaffians p = pfs (Buchsbaum & Eisenbud,
-    Amer. J. Math. 99, 1977), from one column of minors.
-
-    With j0 the first index with p_j0 != 0 (the first index if p = 0),
-    the checks are A . p = 0 (d+1 sums) and (-1)^(k+j0) M[k][j0] =
-    p_k p_j0 for the d+1 minors M[k][j0] of A without row k+1 and column
-    j0+1, the row j0 of adj(A).  They prove the law.  If p != 0, it lies
-    in the kernel of A, so rank A <= d.  If rank A = d, adj(A) has rank 1
-    and A . adj(A) = 0 puts every column of adj(A) on p, so adj(A) =
-    p . mu; its row j0 gives p_j0 mu = p_j0 p^t, so mu = p^t.  If rank
-    A < d, adj(A) = 0, and the checked row would give p_j0 p = 0, against
-    p_j0 != 0.  If p = 0, every principal d x d minor p_k^2 vanishes, so
-    the even rank of A is below d and adj(A) = 0 = p . p^t; the checked
-    row is then a guard.  A failed check raises IterationError naming the
-    row of A . p, or the minor by the row and column it omits.
+    Amer. J. Math. 99, 1977): _rank_one_adjugate with u = p and j0 the
+    first index with p_j0 != 0 (the first index if p = 0), whose row j0
+    of adj(A) must be p_j0 p^t.  If p = 0, every principal d x d minor
+    p_k^2 vanishes, so the even rank of A is below d and adj(A) = 0 =
+    p . p^t; the checked row is then a guard.  A failed check raises
+    IterationError naming the row of A . p, or the minor by the row and
+    column it omits.
     """
-    ring = mat.ring
-    d = mat.rows - 1
-    for k in range(d + 1):
-        if not ring.dot((1, mat.at(k, j), p_j)
-                        for j, p_j in enumerate(pfs)).is_zero:
-            raise IterationError(
-                "square law: A . p is nonzero at row %d" % (k + 1))
     j0 = next((j for j, p_j in enumerate(pfs) if not p_j.is_zero), 0)
-    # the minor without row k+1 comes (d-k)-th in lexicographic order
-    column = minors(delete_column(mat, j0 + 1), d)
-    for k in range(d + 1):
-        minor = column[d - k]
-        signed = minor if (k + j0) % 2 == 0 else -minor
+    row = _rank_one_adjugate(mat, pfs, j0,
+                             "square law: A . p is nonzero at row %d")
+    for k, signed in enumerate(row):
         if signed != pfs[k] * pfs[j0]:
             raise IterationError(
                 "square law: adj = p . p^t fails at the minor without "
@@ -944,9 +941,12 @@ def optional_structural_checks(trace):
 
     For (b), the reduced dual's minor without column 1 is M[d][0] =
     T1 lambda_{d+1}, so the reduced gcd is monic(lambda_{d+1}); a dual
-    other than the trace's forms its own lambda.  For (c), x_{d+1} and
-    the reduced forms (full forms minus x_{d+1} B[d+1][j]) lie in the
-    target, so only the d+1 products x_i g_red are tested.
+    other than the trace's forms its own lambda.  (c) follows from (b):
+    the target (x_{d+1}) + (full forms) holds x_{d+1} and each reduced
+    form, its full form minus x_{d+1} B[d+1][j], so it holds x_i times
+    either, x_{d+1} g_red, and each x_i g_red (i <= d) that (b) accepts.
+    Only the products (b) rejects are asked of the target, none when (b)
+    passes; the first outside it is the first of all d+1 products.
     """
     rep = VerificationReport()
     inst = trace.instance
@@ -997,17 +997,16 @@ def optional_structural_checks(trace):
 
     reduced_forms = _column_forms(delete_row(full_dual, d + 1))
     retained = {ring.x(k) * reduced_gcd: k for k in range(1, d + 1)}
-    missing = next(Ideal(ring, reduced_forms).outside(retained), None)
+    rejected = list(Ideal(ring, reduced_forms).outside(retained))
     rep.add("reduced-cramer-containment", claim_b,
-            _status(missing is None),
-            "fails for x%d" % retained[missing] if missing else "",
+            _status(not rejected),
+            "fails for x%d" % retained[rejected[0]] if rejected else "",
             {"attempt": attempt, "reduced_gcd": str(reduced_gcd)})
 
     target = Ideal(ring, [ring.x(d + 1)] + list(_column_forms(full_dual)))
-    products = {ring.x(i) * reduced_gcd: i for i in range(1, d + 2)}
-    bad = next(target.outside(products), None)
+    bad = next(target.outside(rejected), None)
     rep.add("product-containment", claim_c, _status(bad is None),
-            "fails for x%d times %s" % (products[bad], reduced_gcd)
+            "fails for x%d times %s" % (retained[bad], reduced_gcd)
             if bad else "",
             {"attempt": attempt})
     return rep

@@ -89,6 +89,16 @@ class TestParseFailures:
         assert main(["check",
                      write_instance(tmp_path, {"d": 4, "f": "x5"})]) == 1
 
+    @pytest.mark.parametrize("psi", [None, [1, 2, 3, 4, 5]], ids=repr)
+    def test_psi_not_a_list_of_rows_exits_1(self, psi, tmp_path):
+        # in a process of its own, so that a traceback would be printed
+        path = write_instance(tmp_path, {"d": 4, "psi": psi, "f": "x1"})
+        proc = subprocess.run([sys.executable, "-m", "reesgcd", "check",
+                               path], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: matrix must be 5 x 5\n"
+
     @pytest.mark.parametrize("key, value", [
         ("d", 4.5), ("d", True), ("d", "4"),
         ("prime", 32003.9), ("prime", True), ("prime", "32003"),

@@ -4,15 +4,16 @@ the minors of B against min(d+1, ht(lambda)), the Pfaffian square law
 against all minors, its guards on A . p and on its column of minors, and
 the matrices whose Pfaffians all vanish, the checked fallback of a trace
 rebuilt from saved output, the reduced gcd read off lambda, product
-containment on the d+1 products with it, failing and passing, and the
-route through changed coordinates."""
+containment asking the target only about the products the reduced-Cramer
+containment rejects, failing and passing, and the route through changed
+coordinates."""
 
 import random
 import re
 
 import pytest
 
-from reesgcd import pipeline
+from reesgcd import ideals, pipeline
 from reesgcd.ideals import Ideal, height
 from reesgcd.matrices import (
     PolyMatrix,
@@ -340,18 +341,39 @@ def test_rebuilt_trace_checks_the_full_dual_minor(monkeypatch):
 
 
 def asked_outside(monkeypatch):
-    """Ideal.outside recording the polys it is asked about, one list per
-    call, in order."""
+    """Ideal.outside recording, one pair per call and in order, the
+    generators of the ideal asked and the polys it is asked about."""
     asked = []
     original = Ideal.outside
 
     def recorded(self, polys):
         polys = list(polys)
-        asked.append(polys)
+        asked.append((self.gens, polys))
         return original(self, polys)
 
     monkeypatch.setattr(Ideal, "outside", recorded)
     return asked
+
+
+def groebner_runs(monkeypatch):
+    """ideals.groebner_basis recording the generators of every run."""
+    runs = []
+    original = ideals.groebner_basis
+
+    def recorded(gens, *args, **kwargs):
+        runs.append(tuple(gens))
+        return original(gens, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "groebner_basis", recorded)
+    return runs
+
+
+def target_gens(inst, dual):
+    """Generators of the target (x_{d+1}) + (full forms) of product
+    containment, for the Jacobian dual at the chosen coordinates."""
+    ring = inst.ring
+    return Ideal(ring, [ring.x(inst.d + 1)]
+                 + list(pipeline._column_forms(dual))).gens
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
@@ -360,8 +382,10 @@ def test_reduced_gcd_from_the_one_minor_without_column_1(case,
     # the reference divides the maximal minor of the reduced dual without
     # column 1 by T1; at the given coordinates that minor is M[d][0] =
     # T1 lambda_{d+1}, so the check forms no minor of its own, only one
-    # column of the reduced presentation per square law, and asks
-    # membership of the d+1 products x_i g_red for product containment
+    # column of the reduced presentation per square law.  A passing
+    # reduced-Cramer containment asks the d products x_i g_red (i <= d)
+    # of the ideal of reduced forms, and the target about nothing: it
+    # makes no Groebner run of the target
     inst = instance(32003, case)
     trace = gcd_iterations(inst)
     formed = []
@@ -379,26 +403,35 @@ def test_reduced_gcd_from_the_one_minor_without_column_1(case,
     monkeypatch.setattr(pipeline, "minors", recorded)
     monkeypatch.setattr(pipeline, "_check_square_law", counted)
     asked = asked_outside(monkeypatch)
+    runs = groebner_runs(monkeypatch)
     got = optional_structural_checks(trace)
     monkeypatch.undo()
-    want = structural_checks_by_minors(inst)
-    check = "reduced-cramer-containment"
-    assert got.find(check).data == want.find(check).data
-    assert got.find(check).data["attempt"] == 0
+    assert got.to_dict() == structural_checks_by_minors(inst).to_dict()
+    assert got.find("reduced-cramer-containment").status == "pass"
+    assert got.find("product-containment").status == "pass"
+    assert got.find("reduced-cramer-containment").data["attempt"] == 0
     d = inst.d
     assert formed == ["square law", (d + 1, d, d)]
     gcd = trace._fixed[d].monic()
-    assert asked[-1] == [inst.ring.x(i) * gcd for i in range(1, d + 2)]
+    target = target_gens(inst, trace.dual)
+    assert [polys for _, polys in asked[-2:]] == \
+        [[inst.ring.x(i) * gcd for i in range(1, d + 1)], []]
+    assert asked[-1][0] == target
+    assert asked[-2][0] != target
+    assert target not in runs
 
 
 @pytest.mark.parametrize("case,j", [("golden", 1), ("golden", 4),
                                     ((1, 0), 2), ((2, 1), 5)], ids=str)
 def test_product_containment_names_the_first_product_outside(
         case, j, monkeypatch):
-    # every x_i g_red with g_red in the ideal of reduced forms lies in
-    # the target, so the reduced gcd itself is moved by T_j^(d-1): in the
-    # trace's lambda for the check, in the maximal minor of the reduced
-    # dual without column 1 (T1 lambda_{d+1}) for the reference
+    # the reduced gcd is moved by T_j^(d-1): in the trace's lambda for the
+    # check, in the maximal minor of the reduced dual without column 1
+    # (T1 lambda_{d+1}) for the reference.  It fails the reduced-Cramer
+    # containment, and the target is asked exactly about the products
+    # that check rejected: every other x_i g_red lies in the ideal of
+    # reduced forms, which lies in the target, and x_{d+1} g_red lies in
+    # (x_{d+1})
     inst = instance(32003, case)
     trace = gcd_iterations(inst)
     ring = inst.ring
@@ -418,15 +451,49 @@ def test_product_containment_names_the_first_product_outside(
     monkeypatch.setattr(structural_reference, "minors", moved)
     asked = asked_outside(monkeypatch)
     got = optional_structural_checks(trace)
-    assert [len(polys) for polys in asked[-2:]] == [d, d + 1]
+    gcd = lam[d].monic()
+    (reduced, retained), (target, products) = asked[-2:]
+    assert retained == [ring.x(i) * gcd for i in range(1, d + 1)]
+    assert target == target_gens(inst, trace.dual)
+    rejected = [g for g in retained if not Ideal(ring, reduced).contains(g)]
+    assert rejected and products == rejected
     want = structural_checks_by_minors(inst)
     for check in ("reduced-cramer-containment", "product-containment"):
         assert got.find(check).to_dict() == want.find(check).to_dict()
     got = got.find("product-containment")
     assert got.status == "fail"
-    gcd = lam[d].monic()
     assert re.fullmatch("fails for x[1-%d] times %s"
                         % (d, re.escape(str(gcd))), got.witness)
+
+
+@pytest.mark.parametrize("case", ["golden", (1, 0)], ids=str)
+def test_product_containment_decides_by_its_own_membership(case,
+                                                           monkeypatch):
+    # an empty ideal of reduced forms rejects every x_i g_red, i <= d, so
+    # the reduced-Cramer containment fails at x1; the target still holds
+    # them all, and product containment passes on its own membership
+    # tests of those d products
+    inst = instance(32003, case)
+    trace = gcd_iterations(inst)
+    ring = inst.ring
+    d = inst.d
+    original = pipeline.delete_row
+
+    def emptied(mat, k):
+        reduced = original(mat, k)
+        return PolyMatrix(ring, reduced.rows, reduced.cols,
+                          [ring.zero] * len(reduced.entries))
+
+    monkeypatch.setattr(pipeline, "delete_row", emptied)
+    asked = asked_outside(monkeypatch)
+    got = optional_structural_checks(trace)
+    gcd = trace._fixed[d].monic()
+    products = [ring.x(i) * gcd for i in range(1, d + 1)]
+    assert asked[-1] == (target_gens(inst, trace.dual), products)
+    assert [(got.find(check).status, got.find(check).witness)
+            for check in ("reduced-cramer-containment",
+                          "product-containment")] == \
+        [("fail", "fails for x1"), ("pass", "")]
 
 
 @pytest.mark.parametrize("case", ["golden", (2, 0)], ids=str)

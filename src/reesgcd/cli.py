@@ -2,7 +2,9 @@
 
 Subcommands: check (feasibility hypotheses), run (gcd iterations),
 verify (run plus the full oracle report), example (the built-in worked
-instance), random (seeded fuzz loop with summary rates).
+instance), random (seeded fuzz loop with summary rates).  The JSON
+document of every instance command (check, run, verify, example) is
+assembled in _document; random keeps its own summary.
 
 Instance files are JSON objects {"prime": p, "d": d, "psi": [[str]],
 "f": str} with variables named x1..x{d+1} and T1..T{d+1}; "prime" is
@@ -122,14 +124,12 @@ def _full_verification(inst):
     trace = None
     if sections["hypotheses"].ok:
         trace = gcd_iterations(inst)
-        sections["main"] = _in_section("main", verify_main_theorem, inst,
-                                       trace)
-        sections["well_definedness"] = _in_section(
-            "well_definedness", verify_well_definedness, inst, trace)
-        sections["minimality"] = _in_section(
-            "minimality", minimality_and_invariants, trace)
-        sections["structural"] = _in_section(
-            "structural", optional_structural_checks, trace)
+        for key, check, args in (
+                ("main", verify_main_theorem, (inst, trace)),
+                ("well_definedness", verify_well_definedness, (inst, trace)),
+                ("minimality", minimality_and_invariants, (trace,)),
+                ("structural", optional_structural_checks, (trace,))):
+            sections[key] = _in_section(key, check, *args)
     return trace, sections
 
 
@@ -152,14 +152,24 @@ def _section_dicts(sections):
             for key, _ in _SECTIONS if key in sections}
 
 
+def _document(command, inst, sections, trace=None):
+    """The JSON document of an instance command: the instance, its report
+    sections, the iterations when there is a trace, and whether every
+    section passed."""
+    doc = {"command": command, "prime": inst.prime,
+           "instance": inst.to_dict()}
+    doc.update(_section_dicts(sections))
+    if trace is not None:
+        doc["iterations"] = trace.to_dict()
+    doc["ok"] = _sections_ok(sections)
+    return doc
+
+
 def cmd_check(args):
     inst = _load_instance(args.file, args.prime)
     report = _in_section("hypotheses", check_hypotheses, inst)
     if args.json:
-        print(_dumps({"command": "check", "prime": inst.prime,
-                      "instance": inst.to_dict(),
-                      "hypotheses": report.to_dict(),
-                      "ok": report.ok}))
+        print(_dumps(_document("check", inst, {"hypotheses": report})))
     else:
         _print_report(report, "hypothesis checks")
     return EXIT_OK if report.ok else EXIT_HYPOTHESES
@@ -168,43 +178,28 @@ def cmd_check(args):
 def cmd_run(args):
     inst = _load_instance(args.file, args.prime)
     hypotheses = _in_section("hypotheses", check_hypotheses, inst)
-    if not hypotheses.ok:
-        if args.json:
-            print(_dumps({"command": "run", "prime": inst.prime,
-                          "instance": inst.to_dict(),
-                          "hypotheses": hypotheses.to_dict(),
-                          "ok": False}))
-        else:
-            _print_report(hypotheses, "hypothesis checks")
-        return EXIT_HYPOTHESES
-    trace = gcd_iterations(inst)
+    trace = gcd_iterations(inst) if hypotheses.ok else None
     if args.json:
-        print(_dumps({"command": "run", "prime": inst.prime,
-                      "instance": inst.to_dict(),
-                      "hypotheses": hypotheses.to_dict(),
-                      "iterations": trace.to_dict(),
-                      "ok": True}))
+        print(_dumps(_document("run", inst, {"hypotheses": hypotheses},
+                               trace)))
+    elif trace is None:
+        _print_report(hypotheses, "hypothesis checks")
     else:
         _print_trace(trace)
-    return EXIT_OK
+    return EXIT_OK if hypotheses.ok else EXIT_HYPOTHESES
 
 
 def cmd_verify(args):
     inst = _load_instance(args.file, args.prime)
     trace, sections = _full_verification(inst)
-    ok = _sections_ok(sections)
+    doc = _document("verify", inst, sections, trace)
+    ok = doc["ok"]
     if not sections["hypotheses"].ok:
         code = EXIT_HYPOTHESES
     elif not ok:
         code = EXIT_VERIFICATION
     else:
         code = EXIT_OK
-
-    doc = {"command": "verify", "prime": inst.prime,
-           "instance": inst.to_dict()}
-    doc.update(_section_dicts(sections))
-    if trace is not None:
-        doc["iterations"] = trace.to_dict()
 
     consistent = None
     if args.second_prime is not None and code != EXIT_HYPOTHESES:
@@ -242,11 +237,8 @@ def cmd_example(args):
     generators = minimality.find("generator-minimality").data
     relation = minimality.find("relation-type").data
     if args.json:
-        print(_dumps({"command": "example", "prime": inst.prime,
-                      "instance": inst.to_dict(),
-                      "iterations": trace.to_dict(),
-                      "minimality": minimality.to_dict(),
-                      "ok": minimality.ok}))
+        print(_dumps(_document("example", inst,
+                               {"minimality": minimality}, trace)))
     else:
         for i, step in enumerate(trace.steps, 1):
             print("g%d = %s" % (i, step.gcd))
@@ -326,25 +318,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    p = sub.add_parser("check", parents=[common],
-                       help="feasibility hypotheses for an instance "
-                            "file")
-    p.add_argument("file", help="instance JSON file")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("run", parents=[common],
-                       help="gcd iterations on an instance file")
-    p.add_argument("file", help="instance JSON file")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="iterations plus the full oracle report")
-    p.add_argument("file", help="instance JSON file")
-    p.add_argument("--second-prime", type=int, default=None,
-                   metavar="Q",
-                   help="repeat modulo Q and require consistent "
-                        "verdicts")
-    p.set_defaults(func=cmd_verify)
+    for name, func, help_text in (
+            ("check", cmd_check,
+             "feasibility hypotheses for an instance file"),
+            ("run", cmd_run, "gcd iterations on an instance file"),
+            ("verify", cmd_verify, "iterations plus the full oracle report")):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("file", help="instance JSON file")
+        p.set_defaults(func=func)
+    sub.choices["verify"].add_argument(
+        "--second-prime", type=int, default=None, metavar="Q",
+        help="repeat modulo Q and require consistent verdicts")
 
     p = sub.add_parser("example", parents=[common],
                        help="run the built-in worked instance")

@@ -196,6 +196,8 @@ class InstanceSpec:
         if self.d < 0:
             raise ValueError("d must be nonnegative")
         try:
+            if any(isinstance(row, str) for row in matrix_src):
+                raise TypeError  # a string row would split into letters
             rows = tuple(tuple(str(e) for e in row) for row in matrix_src)
         except TypeError:  # psi or one of its rows is not a list
             rows = ()
@@ -701,7 +703,7 @@ def verify_well_definedness(inst, trace=None):
 
 
 def _trace_redundancies(trace):
-    """Indices into trace.generators() of redundant generators.
+    """Indices into trace.generators() of nonzero redundant generators.
 
     Every generator is bihomogeneous and multiplication only raises
     bidegrees componentwise, so a generator can only reduce against the
@@ -723,8 +725,7 @@ def _trace_redundancies(trace):
     ring = trace.ring
     inst = trace.instance
     m = inst.degree
-    gens = trace.generators()
-    redundant = set(i for i, g in enumerate(gens) if g.is_zero)
+    redundant = []
 
     bilinear = list(trace.bilinear)
     extras = []
@@ -732,16 +733,18 @@ def _trace_redundancies(trace):
         extras = [ring.T(k) * inst.equation
                   for k in range(1, inst.d + 2)]
     for i in range(len(bilinear)):
+        if bilinear[i].is_zero:
+            continue
         others = bilinear[:i] + bilinear[i + 1:] + extras
         basis = ring.span_basis(others)
         if normal_form(bilinear[i], basis).is_zero:
-            redundant.add(i)
+            redundant.append(i)
 
     gcds = trace.gcds[:-1]
     outside = set(trace.base_ideal.outside(gcds))
-    redundant.update(len(bilinear) + i for i, g in enumerate(gcds, 1)
-                     if not g.is_zero and g not in outside)
-    return sorted(redundant)
+    redundant += [len(bilinear) + i for i, g in enumerate(gcds, 1)
+                  if not g.is_zero and g not in outside]
+    return redundant
 
 
 def minimality_and_invariants(trace):
@@ -766,8 +769,7 @@ def minimality_and_invariants(trace):
     gens = [g for g in all_gens if not g.is_zero]
     expected = d + m + 2
 
-    redundant = [i for i in _trace_redundancies(trace)
-                 if not all_gens[i].is_zero]
+    redundant = _trace_redundancies(trace)
     count_ok = len(gens) == expected and not redundant
     if len(gens) != expected:
         witness = "%d generators, expected %d" % (len(gens), expected)

@@ -89,7 +89,11 @@ class TestParseFailures:
         assert main(["check",
                      write_instance(tmp_path, {"d": 4, "f": "x5"})]) == 1
 
-    @pytest.mark.parametrize("psi", [None, [1, 2, 3, 4, 5]], ids=repr)
+    @pytest.mark.parametrize("psi", [
+        None, [1, 2, 3, 4, 5],
+        # string rows, which would otherwise split into their characters
+        ["01234", "00000", "00000", "00000", "00000"],
+    ], ids=repr)
     def test_psi_not_a_list_of_rows_exits_1(self, psi, tmp_path):
         # in a process of its own, so that a traceback would be printed
         path = write_instance(tmp_path, {"d": 4, "psi": psi, "f": "x1"})

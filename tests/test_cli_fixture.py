@@ -1,7 +1,12 @@
-"""`run --json` and `verify --json` pinned byte for byte: stdout and exit
-code on the golden instance and on random d=4 instances m=1 (seed 0)
-and m=2 (seeds 0 and 2) at p=32003, against the committed
-tests/cli_fixture.json.
+"""Command outputs pinned byte for byte: stdout and exit code against the
+committed tests/cli_fixture.json, at p=32003.
+
+- `run --json` and `verify --json` on the golden instance, on random
+  d=4 instances m=1 (seed 0) and m=2 (seeds 0 and 2), and on the golden
+  matrix with row and column 3 zeroed, which fails the hypotheses;
+- `check --json`, and `check`, `run` and `verify` in text, on the
+  golden, m=1 seed 0 and hypothesis-failing instances;
+- `example`, in text and with --json.
 
 The fixture holds each instance file as well, and random_instance must
 still draw it.  A change that alters any of these outputs on purpose
@@ -25,36 +30,66 @@ from reesgcd.pipeline import builtin_example, random_instance
 
 FIXTURE = Path(__file__).resolve().parent / "cli_fixture.json"
 PRIME = 32003
-CASES = {"golden": None, "m1k0": (1, 0), "m2k0": (2, 0), "m2k2": (2, 2)}
-COMMANDS = ("run", "verify")
+# random (m, seed), or None for the golden matrix, which nohyp then
+# spoils by zeroing row and column 3
+CASES = {"golden": None, "m1k0": (1, 0), "m2k0": (2, 0), "m2k2": (2, 2),
+         "nohyp": None}
+TEXT_CASES = ("golden", "m1k0", "nohyp")
 
 
 def instance_doc(case):
     spec = CASES[case]
     inst = builtin_example(PRIME) if spec is None else \
         random_instance(4, spec[0], p=PRIME, seed=spec[1])
-    return inst.to_dict()
+    doc = inst.to_dict()
+    if case == "nohyp":
+        psi = [list(row) for row in doc["psi"]]
+        for k in range(len(psi)):
+            psi[2][k] = psi[k][2] = "0"
+        doc["psi"] = psi
+    return doc
 
 
-def invoke(command, path):
-    """Exit code and stdout of `reesgcd COMMAND --json PATH`."""
+def pinned():
+    """Fixture key, test id, arguments before the instance file, and the
+    instance case (None: no file) of each pinned output."""
+    out = []
+    for command in ("check", "run", "verify"):
+        for case in TEXT_CASES if command == "check" else CASES:
+            out.append(("%s %s" % (command, case),
+                        "%s-%s" % (case, command), [command, "--json"],
+                        case))
+        for case in TEXT_CASES:
+            out.append(("%s text %s" % (command, case),
+                        "%s-%s-text" % (case, command), [command], case))
+    out.append(("example", "example", ["example", "--json"], None))
+    out.append(("example text", "example-text", ["example"], None))
+    return out
+
+
+def invoke(argv):
+    """Exit code and stdout of `reesgcd ARGV`."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([command, "--json", str(path)])
+        code = main(argv)
     return code, out.getvalue()
 
 
+def instance_args(case, workdir, instances):
+    if case is None:
+        return []
+    path = Path(workdir) / ("%s.json" % case)
+    path.write_text(json.dumps(instances[case]))
+    return [str(path)]
+
+
 def regenerate(workdir):
-    fixture = {"instances": {}, "outputs": {}}
-    for case in CASES:
-        doc = instance_doc(case)
-        fixture["instances"][case] = doc
-        path = Path(workdir) / ("%s.json" % case)
-        path.write_text(json.dumps(doc))
-        for command in COMMANDS:
-            code, stdout = invoke(command, path)
-            fixture["outputs"]["%s %s" % (command, case)] = {
-                "exit": code, "stdout": stdout}
+    instances = {case: instance_doc(case) for case in CASES}
+    fixture = {"instances": instances, "outputs": {}}
+    for key, _, argv, case in pinned():
+        code, stdout = invoke(argv + instance_args(case, workdir,
+                                                   instances))
+        fixture["outputs"][key] = {"exit": code, "stdout": stdout}
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True)
                        + "\n")
 
@@ -69,13 +104,13 @@ def test_instance_is_drawn_again(case, fixture):
     assert instance_doc(case) == fixture["instances"][case]
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_output_is_byte_identical(command, case, fixture, tmp_path):
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps(fixture["instances"][case]))
-    code, stdout = invoke(command, path)
-    expected = fixture["outputs"]["%s %s" % (command, case)]
+@pytest.mark.parametrize("key, argv, case", [
+    pytest.param(key, argv, case, id=test_id)
+    for key, test_id, argv, case in pinned()])
+def test_output_is_byte_identical(key, argv, case, fixture, tmp_path):
+    code, stdout = invoke(argv + instance_args(case, tmp_path,
+                                               fixture["instances"]))
+    expected = fixture["outputs"][key]
     assert code == expected["exit"]
     assert stdout == expected["stdout"]
 

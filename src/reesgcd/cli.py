@@ -19,13 +19,15 @@ any matrix is built, for random -d as well), 2 hypothesis failure,
 3 verification failure, 4 Groebner budget exceeded (stderr names the
 report section whose run hit the cap), 5 an exponent past
 ring.EXP_MAX = 32767, in the input (one too long for int() included) or
-in any product formed on the way.
+in any product formed on the way, 141 standard output closed before the
+output was written (e.g. piped into head), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import groebner
@@ -51,6 +53,8 @@ EXIT_HYPOTHESES = 2
 EXIT_VERIFICATION = 3
 EXIT_BUDGET = 4
 EXIT_OVERFLOW = 5
+# what a shell reports for a writer that SIGPIPE ended: 128 + 13
+EXIT_CLOSED_STDOUT = 141
 
 _SECTIONS = (
     ("hypotheses", "hypothesis checks"),
@@ -368,7 +372,18 @@ def main(argv=None):
             if args.max_gb_size < 1:
                 parser.error("--max-gb-size must be positive")
             groebner.DEFAULT_MAX_BASIS = args.max_gb_size
-        return args.func(args)
+        code = args.func(args)
+        # a closed standard output shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head -1`): point standard output
+        # at the null device, so the exit flush writes nowhere, and stop
+        # without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -337,7 +337,7 @@ def hilbert_numerator(basis, order=None):
     if not basis:
         return {(0, 0): 1}
     ring = basis[0].ring
-    if any(ring.aux_slot in g.support() for g in basis):
+    if any(g.involves(ring.aux_slot) for g in basis):
         raise ValueError("a Hilbert numerator needs a t-free basis")
     order = order or ring.grevlex
     if order is ring.grevlex:
@@ -450,7 +450,7 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     if hilbert is not None:
         if (within is not None or not ring.is_graded(order)
                 or any(g.bidegree() is None
-                       or ring.aux_slot in g.support() for g in gens)):
+                       or g.involves(ring.aux_slot) for g in gens)):
             raise ValueError("a run driven by a Hilbert series needs t-free "
                              "bihomogeneous input under a graded order, "
                              "untruncated")

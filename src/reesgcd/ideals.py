@@ -294,7 +294,7 @@ def _bigraded_box(polys):
         if g.is_zero:
             continue
         bd = g.bidegree()
-        if bd is None or g.ring.aux_slot in g.support():
+        if bd is None or g.involves(g.ring.aux_slot):
             return None
         box = bd if box is None else (max(box[0], bd[0]),
                                       max(box[1], bd[1]))
@@ -304,7 +304,7 @@ def _bigraded_box(polys):
 def _check_aux_free(ideal):
     aux = ideal.ring.aux_slot
     for g in ideal.gens:
-        if aux in g.support():
+        if g.involves(aux):
             raise ValueError(
                 "ideal operations need t-free input ideals")
 
@@ -320,7 +320,7 @@ def _eliminate_aux(ring, gens, tag):
     """
     gb = groebner_basis(gens, ring.elim_aux)
     aux = ring.aux_slot
-    kept = tuple(g for g in gb if aux not in g.support())
+    kept = tuple(g for g in gb if not g.involves(aux))
     if gb[:len(kept)] != kept:
         raise AssertionError("elimination property violated in %s" % tag)
     return kept

@@ -196,8 +196,10 @@ class InstanceSpec:
         if self.d < 0:
             raise ValueError("d must be nonnegative")
         try:
-            if any(isinstance(row, str) for row in matrix_src):
-                raise TypeError  # a string row would split into letters
+            if not all(isinstance(row, (list, tuple)) for row in matrix_src):
+                # a string row would split into letters, an object row
+                # into its keys
+                raise TypeError
             rows = tuple(tuple(str(e) for e in row) for row in matrix_src)
         except TypeError:  # psi or one of its rows is not a list
             rows = ()

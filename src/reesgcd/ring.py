@@ -9,7 +9,11 @@ A polynomial is an immutable tuple of terms (key, exp, coeff), sorted
 strictly decreasing under graded reverse-lexicographic order on all
 variables.  Coefficients are integers in [1, p); the zero polynomial is
 the empty tuple.  Monomial orders are encoded as integer weight vectors so
-that the sort key of a product is the sum of the factors' keys.
+that the sort key of a product is the sum of the factors' keys.  The keys
+share the packed exponent's 16-bit fields, so the grevlex key of exp is
+(total degree << 16*nvars) - exp, and the key of each of the ring's own
+orders (grevlex, revlex_last, elim_aux) is a closed form of exp: a change
+of term order costs a few integer operations per term.
 
 The exponent exp is one packed integer (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -68,11 +72,25 @@ EXP_MAX = (1 << (EXP_BITS - 1)) - 1
 # 2^EXP_BITS is 1 modulo this, so a packed block is its field sum modulo it
 _DIGIT_SUM_MOD = (1 << EXP_BITS) - 1
 
-# Packed-field base for order keys.  Every field of a key is a signed
-# integer bounded by the total degree, at most nvars * EXP_MAX, so 2^24
-# keeps key comparison equivalent to field-by-field comparison for up to
-# 256 variables.
-_FIELD_BITS = 24
+# Order keys share the exponent's layout: fields of _FIELD_BITS = EXP_BITS
+# bits, base B = 2^16, so the grevlex key (degree << 16*nvars) - exponent
+# keeps each variable's field where the exponent has it.  A block order's
+# key (_block_weights) is, block by block from the top, the block's degree
+# in one field and minus each of its exponents in the fields below it.
+# Integer comparison of keys is the block order for every packed exponent,
+# guard bits set or not (every field below B), of fewer than B variables:
+# - in units of a block's lowest field, its part of the difference of two
+#   keys is T = sum_v (e_v - e'_v) * (B^n - B^i(v)), n the block's size
+#   and i(v) the field of v in it: a multiple of B - 1, zero exactly when
+#   the exponents agree on the block, and of the sign of their grevlex
+#   comparison there, since fields differ by less than B;
+# - a block of n variables below moves the key by at most n * (B - 1)/B of
+#   those units, so all blocks below together by less than B - 1 of them.
+# So a degree field below the top needs no more than its 16 bits: the
+# fields above leave it room for any degree below B(B - 1).  elim_aux,
+# keyed e_t*(B^(nvars+1) - B^nvars) + (degree(rest) << 16*aux) - rest,
+# rest being e without its t field, is the case of two blocks.
+_FIELD_BITS = EXP_BITS
 _BASE = 1 << _FIELD_BITS
 
 # The first 13 prime bases decide primality exactly below _MR_BOUND
@@ -115,10 +133,14 @@ class MonomialOrder:
     """A total order on exponents given by an additive integer key.
 
     key(e) = sum_i e_i * weights[i] over the fields e_i of the packed
-    exponent e, with the weights packed so that
-    integer comparison of keys realizes a block order that is graded
-    reverse-lexicographic inside each block.  Keys add under monomial
-    multiplication.
+    exponent e, with the weights packed so that integer comparison of
+    keys realizes a block order that is graded reverse-lexicographic
+    inside each block.  Keys add under monomial multiplication.  The
+    weights define the order; a custom block order computes its key
+    field by field from them, and the ring's own orders (grevlex,
+    revlex_last, elim_aux) compute the same sum as a closed form of the
+    packed exponent in a few big-integer operations: the grevlex key is
+    (total degree << 16*nvars) - exponent.
     """
 
     __slots__ = ("name", "weights")
@@ -141,6 +163,74 @@ class MonomialOrder:
 
     def __repr__(self):
         return "MonomialOrder(%r)" % (self.name,)
+
+
+class _Grevlex(MonomialOrder):
+    """Graded reverse-lexicographic order on all of the ring's slots, the
+    last one smallest: key(e) = (degree(e) << 16*nvars) - e.  The keys
+    read the degree as PolyRing.degree_of does, its digit sum inlined."""
+
+    __slots__ = ("_degree", "_wide", "_shift")
+
+    def __init__(self, ring, name="grevlex", last=None):
+        nvars = ring.nvars
+        last = nvars - 1 if last is None else last
+        seq = [v for v in range(nvars) if v != last] + [last]
+        super().__init__(name, _block_weights([seq], nvars))
+        self._degree = ring.degree_of
+        self._wide = ring._wide_total
+        self._shift = EXP_BITS * nvars
+
+    def key(self, exp):
+        deg = self._degree(exp) if exp & self._wide else exp % _DIGIT_SUM_MOD
+        return (deg << self._shift) - exp
+
+
+class _RevlexLast(_Grevlex):
+    """Grevlex with the variable in slot last moved to be the smallest:
+    the grevlex key of e with field last moved to the top field and the
+    fields above it one field down."""
+
+    __slots__ = ("_low", "_high", "_field", "_lift")
+
+    def __init__(self, ring, last):
+        super().__init__(ring, "revlex-last-" + ring.names[last], last)
+        top = EXP_BITS * (ring.nvars - 1)
+        self._low = (1 << (EXP_BITS * last)) - 1
+        self._high = ((1 << top) - 1) ^ self._low
+        self._field = _DIGIT_SUM_MOD << (EXP_BITS * last)
+        self._lift = top - EXP_BITS * last
+
+    def key(self, exp):
+        deg = self._degree(exp) if exp & self._wide else exp % _DIGIT_SUM_MOD
+        moved = ((exp & self._low) | ((exp >> EXP_BITS) & self._high)
+                 | ((exp & self._field) << self._lift))
+        return (deg << self._shift) - moved
+
+
+class _ElimAux(MonomialOrder):
+    """t above every t-free monomial, grevlex on the rest:
+    key(e) = e_t*(B^(nvars+1) - B^nvars) + (degree(rest) << 16*aux) - rest,
+    B = 2^16, rest being e without its t field, the top one."""
+
+    __slots__ = ("_degree", "_wide", "_shift", "_rest", "_t_weight")
+
+    def __init__(self, ring):
+        aux = ring.aux_slot
+        super().__init__("elim-aux", _block_weights(
+            [[aux], list(range(aux))], ring.nvars))
+        self._degree = ring.degree_of
+        self._wide = ring._wide_total
+        self._shift = EXP_BITS * aux
+        self._rest = (1 << self._shift) - 1
+        self._t_weight = self.weights[aux]
+
+    def key(self, exp):
+        rest = exp & self._rest
+        deg = (self._degree(rest) if rest & self._wide
+               else rest % _DIGIT_SUM_MOD)
+        return ((exp >> self._shift) * self._t_weight
+                + (deg << self._shift) - rest)
 
 
 def _block_weights(blocks, nslots):
@@ -287,12 +377,8 @@ class PolyRing:
         self.x_slots = tuple(range(n))
         self.t_slots = tuple(range(n, 2 * n))
         self.aux_slot = 2 * n
-        all_slots = list(range(self.nvars))
-        self.grevlex = MonomialOrder(
-            "grevlex", _block_weights([all_slots], self.nvars))
-        self.elim_aux = MonomialOrder(
-            "elim-aux", _block_weights([[self.aux_slot], all_slots[:-1]],
-                                       self.nvars))
+        self.grevlex = _Grevlex(self)
+        self.elim_aux = _ElimAux(self)
         # parse looks up each variable by name: its grevlex weight and its
         # packed unit exponent, which a power v^e adds e times to the
         # key and the exponent of its term
@@ -402,10 +488,7 @@ class PolyRing:
         if order is None:
             if not 0 <= slot < self.nvars:
                 raise IndexError("slot out of range: %d" % slot)
-            seq = [v for v in range(self.nvars) if v != slot] + [slot]
-            order = MonomialOrder("revlex-last-" + self.names[slot],
-                                  _block_weights([seq], self.nvars))
-            self._revlex[slot] = order
+            order = self._revlex[slot] = _RevlexLast(self, slot)
         return order
 
     def is_graded(self, order):
@@ -709,9 +792,11 @@ class Polynomial:
     """Immutable element of a PolyRing.
 
     The bidegree is read off the terms on the first call of bidegree()
-    and kept in the _bidegree slot, which stays unset until then."""
+    and kept in the _bidegree slot, and the OR of the exponents, which
+    tells the variables that occur, on the first involves() or support()
+    call in _or; each slot stays unset until then."""
 
-    __slots__ = ("ring", "terms", "_bidegree")
+    __slots__ = ("ring", "terms", "_bidegree", "_or")
 
     def __init__(self, ring, terms):
         self.ring = ring
@@ -744,12 +829,27 @@ class Polynomial:
         unpack = self.ring.unpack
         return tuple((unpack(e), c) for _, e, c in self.terms)
 
-    def support(self):
-        """Set of variable slots appearing in some term."""
+    def _used(self):
+        """OR of the packed exponents of the terms: a field is nonzero
+        exactly when its variable occurs.  Kept from the first call."""
+        try:
+            return self._or
+        except AttributeError:
+            pass
         used = 0
         for _, e, _ in self.terms:
             used |= e
-        return {slot for slot, x in enumerate(self.ring.unpack(used)) if x}
+        self._or = used
+        return used
+
+    def involves(self, slot):
+        """Whether the variable in slot occurs in some term."""
+        return bool(self._used() & (_DIGIT_SUM_MOD << (EXP_BITS * slot)))
+
+    def support(self):
+        """Set of variable slots appearing in some term."""
+        return {slot for slot, x in enumerate(self.ring.unpack(self._used()))
+                if x}
 
     def bidegree(self):
         """Common (x-degree, T-degree) of all terms.

@@ -93,6 +93,11 @@ class TestParseFailures:
         None, [1, 2, 3, 4, 5],
         # string rows, which would otherwise split into their characters
         ["01234", "00000", "00000", "00000", "00000"],
+        # object rows, which would otherwise give their keys: the golden
+        # rows, a repeated entry padded with spaces
+        [dict.fromkeys(padded, 0) for padded in (
+            [entry + " " * row[:k].count(entry)
+             for k, entry in enumerate(row)] for row in GOLDEN_MATRIX)],
     ], ids=repr)
     def test_psi_not_a_list_of_rows_exits_1(self, psi, tmp_path):
         # in a process of its own, so that a traceback would be printed
@@ -232,6 +237,20 @@ class TestRun:
         doc = json.loads(capsys.readouterr().out)
         assert doc["prime"] == 65537
         assert doc["instance"]["prime"] == 65537
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the reader is gone before the first line is written, as with
+        # `reesgcd run FILE | head -1`: no traceback, a documented code
+        inst = pipeline.random_instance(4, 3, seed=1)
+        path = write_instance(tmp_path, inst.to_dict())
+        proc = subprocess.Popen([sys.executable, "-m", "reesgcd", "run",
+                                 path], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait() == cli.EXIT_CLOSED_STDOUT
+        assert err == b""
 
     def test_hypothesis_failure_exits_2(self, tmp_path, capsys):
         doc = dict(GOLDEN_DOC)

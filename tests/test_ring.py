@@ -369,6 +369,117 @@ class TestOrders:
         assert keyx(R.x(5).terms[0][1]) > keyx((R.T(1) ** 9).terms[0][1])
 
 
+def grevlex_rank(e, seq):
+    """Graded reverse-lexicographic rank of the exponent tuple e, the
+    variables ranked by seq, its last the smallest: the larger tuple is
+    the larger monomial."""
+    return (sum(e[v] for v in seq),) + tuple(-e[v] for v in reversed(seq))
+
+
+def reference_ranks(ring):
+    """(order, rank of exponent tuples) for each of the ring's own orders,
+    the ranks compared as tuples, independent of any key."""
+    slots = list(range(ring.nvars))
+    out = [(ring.grevlex, lambda e: grevlex_rank(e, slots)),
+           (ring.elim_aux,
+            lambda e: (e[ring.aux_slot],) + grevlex_rank(e, slots[:-1]))]
+    for slot in slots:
+        seq = [v for v in slots if v != slot] + [slot]
+        out.append((ring.revlex_last(slot),
+                    lambda e, seq=seq: grevlex_rank(e, seq)))
+    return out
+
+
+# fields on both sides of every power of two from 2^8, among them 4096,
+# past which degree_of unpacks at d=4, and up to EXP_MAX
+KEY_FIELDS = ([0, 1, 2, 3, EXP_MAX - 1, EXP_MAX]
+              + [v for j in range(8, 15) for v in ((1 << j) - 1, 1 << j)])
+
+
+class TestOrderKeys:
+    RINGS = [PolyRing.get(32003, d) for d in (0, 2, 4, 6)]
+
+    @staticmethod
+    def exponent(rng, ring):
+        return tuple(rng.choice(KEY_FIELDS) if rng.random() < 0.5
+                     else rng.randint(0, 4) for _ in range(ring.nvars))
+
+    def test_key_comparison_is_the_order(self):
+        rng = random.Random(41)
+        for ring in self.RINGS:
+            for order, rank in reference_ranks(ring):
+                for _ in range(150):
+                    a = self.exponent(rng, ring)
+                    b = list(a)
+                    if rng.random() < 0.5:
+                        # one unit moved between two fields: same degree
+                        i, j = rng.sample(range(ring.nvars), 2)
+                        if b[i] and b[j] < EXP_MAX:
+                            b[i] -= 1
+                            b[j] += 1
+                    else:
+                        b = self.exponent(rng, ring)
+                    b = tuple(b)
+                    ka, kb = order.key(ring.pack(a)), order.key(ring.pack(b))
+                    assert (ka > kb) == (rank(a) > rank(b)), (order, a, b)
+                    assert (ka == kb) == (a == b)
+
+    def test_keys_add_under_multiplication(self):
+        rng = random.Random(43)
+        for ring in self.RINGS:
+            for order, _ in reference_ranks(ring):
+                for _ in range(100):
+                    a = self.exponent(rng, ring)
+                    b = tuple(rng.randint(0, EXP_MAX - x) if rng.random() < 0.3
+                              else min(rng.randint(0, 3), EXP_MAX - x)
+                              for x in a)
+                    pa, pb = ring.pack(a), ring.pack(b)
+                    assert (order.key(pa + pb)
+                            == order.key(pa) + order.key(pb))
+
+    def test_the_closed_forms(self):
+        # each key is its order's weighted sum, and grevlex and elim_aux
+        # are the formulas the ring module states
+        rng = random.Random(47)
+        for ring in self.RINGS:
+            s = 16 * ring.aux_slot
+            for order, _ in reference_ranks(ring):
+                for _ in range(50):
+                    e = self.exponent(rng, ring)
+                    assert order.key(ring.pack(e)) == sum(
+                        x * w for x, w in zip(e, order.weights))
+            for _ in range(50):
+                e = ring.pack(self.exponent(rng, ring))
+                assert ring.grevlex.key(e) == (
+                    (ring.degree_of(e) << (16 * ring.nvars)) - e)
+                rest = e & ((1 << s) - 1)
+                assert ring.elim_aux.key(e) == (
+                    (e >> s) * ((1 << (s + 32)) - (1 << (s + 16)))
+                    + (ring.degree_of(rest) << s) - rest)
+
+    def test_block_order_degree_field_below_the_top(self):
+        # ELIM_X keeps the generic key; its T-and-t degree field, 16 bits
+        # below the x block, holds degrees up to 6 * EXP_MAX, which never
+        # outweigh a difference of the x parts at equal x-degree
+        rng = random.Random(59)
+        xs = list(R.x_slots)
+        rest = list(R.t_slots) + [R.aux_slot]
+        def rank(e):
+            return grevlex_rank(e, xs) + grevlex_rank(e, rest)
+        for _ in range(300):
+            # the x parts differ by one unit moved, or not at all, so the
+            # T-and-t degrees decide
+            a, b = self.exponent(rng, R), list(self.exponent(rng, R))
+            b[:len(xs)] = a[:len(xs)]
+            i, j = rng.sample(xs, 2)
+            if b[i] and b[j] < EXP_MAX and rng.random() < 0.5:
+                b[i] -= 1
+                b[j] += 1
+            b = tuple(b)
+            ka, kb = ELIM_X.key(R.pack(a)), ELIM_X.key(R.pack(b))
+            assert (ka > kb) == (rank(a) > rank(b))
+
+
 def test_is_prime():
     assert is_prime(2) and is_prime(32003) and is_prime(65537)
     assert not is_prime(1) and not is_prime(32001)

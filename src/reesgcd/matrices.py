@@ -97,52 +97,19 @@ def delete_column(m, j):
 
 
 def det(m):
-    """Determinant by fraction-free Bareiss elimination.
+    """Determinant as the top level of the Laplace pass of minors():
+    n 2^(n-1) products of an entry with a smaller minor and no division.
+    The empty 0x0 matrix has determinant 1.
 
-    Row swaps repair zero pivots; a pivot column with no nonzero entry
-    certifies a singular matrix, so the answer is 0 with no further
-    elimination.  Each step's a*pivot - b*c is one PolyRing.dot call, and
-    every interior division is exact.  The empty 0x0 matrix has
-    determinant 1.
-
-    The pipeline takes its minors from the Laplace kernel in minors()
-    and alternating_minors(); this is the independent second route that
-    rechecks det(B) = 0 for the Jacobian dual B, which B . [T]^t = 0
-    already implies, and Cayley's identity on principal Pfaffians.
+    The pipeline uses it as a guard, not as a proof: det(B) = 0 for the
+    Jacobian dual B already follows from B . [T]^t = 0, which the
+    pipeline checks with d+1 sums of products, and Cayley's identity
+    compares it with the Pfaffian recursion, a route of its own.  So a
+    division-free pass over the existing kernel is enough.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a nonsquare matrix")
-    n = m.rows
-    ring = m.ring
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return m.at(0, 0)
-    a = [m.row(i) for i in range(n)]
-    sign = 1
-    prev = ring.one
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ring.dot(((1, a[i][j], pivot),
-                                (-1, a[i][k], a[k][j])))
-                q = num.exact_div(prev)
-                if q is None:
-                    raise ArithmeticError("inexact division in elimination")
-                a[i][j] = q
-            a[i][k] = ring.zero
-        prev = pivot
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
+    return minors(m, m.rows)[0]
 
 
 def is_alternating(m):

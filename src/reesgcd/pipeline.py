@@ -16,16 +16,16 @@ and each step's gcd is then one sum of products, sum_k C_k lambda_k.  Every
 algebraic identity the algorithm relies on is re-verified at runtime.  One
 rank-one lemma (_rank_one_adjugate) gives adj(M) = u . w from M . u = 0 and
 row j0 of adj(M) equal to u_j0 w.  Once per run it takes M = B and u =
-[T]^t, and lambda is row 1 divided exactly by T1; det(B) = 0 (Bareiss) and
-lambda . B = 0 are guards.  At every step: the reassembly of the appended
-column and the bidegree law.  The hypothesis check spans the minors of the
-alternating presentation from one symmetric Laplace pass.  The structural
-checks read the height of the minors of B and the reduced gcd off lambda,
-and the height of the size-d minors of the reduced presentation off the
-square law adj = p . p^t of its Pfaffians, the same lemma with u = p.
-Product containment follows from the reduced-Cramer containment.  A
-violation raises IterationError since it can only mean a bug, not bad
-input.
+[T]^t, and lambda is row 1 divided exactly by T1; det(B) = 0 (one Laplace
+pass) and lambda . B = 0 are guards.  At every step: the reassembly of the
+appended column and the bidegree law.  The hypothesis check spans the
+minors of the alternating presentation from one symmetric Laplace pass.
+The structural checks read the height of the minors of B and the reduced
+gcd off lambda, and the height of the size-d minors of the reduced
+presentation off the square law adj = p . p^t of its Pfaffians, the same
+lemma with u = p.  Product containment follows from the reduced-Cramer
+containment.  A violation raises IterationError since it can only mean a
+bug, not bad input.
 """
 
 from __future__ import annotations
@@ -478,9 +478,10 @@ def _adjugate_row(dual):
     exactly by T1, which proves the lemma's hypothesis.  So a zero lambda
     (rank B < d) needs no special case, and by linearity in the appended
     column the minors of every step factor through lambda.  det(B) = 0
-    (Bareiss) and lambda . B = 0 are implied, and rechecked as guards.  A
-    failed check raises IterationError naming the row of B . [T]^t, the
-    row of the minor whose division fails, or the column of lambda . B.
+    (matrices.det, one Laplace pass with no division) and lambda . B = 0
+    are implied, and rechecked as guards.  A failed check raises
+    IterationError naming the row of B . [T]^t, the row of the minor
+    whose division fails, or the column of lambda . B.
     """
     ring = dual.ring
     d = dual.rows - 1
@@ -515,15 +516,16 @@ def gcd_iterations(inst, rule="min", prior=None):
     _adjugate_row factors M as adj(B) = [T]^t . lambda from the d+1
     minors of B without column 1, and proves the factorization of all
     (d+1)^2 entries from B . [T]^t = 0 and lambda . B = 0; it also checks
-    that det(B) vanishes, by Bareiss elimination.  By linearity in C
-    every step's minor without column j is then s_j T_j sum_k C_k
-    lambda_k, s_j = -1 for even j, so step i takes g_i = monic(sum_k
-    C_k lambda_k) and re-verifies the reassembly of its column and the
-    bidegree (m-i, i(d-1)).  A vanishing sum means every maximal minor
-    vanishes; its zero gcd then zeroes out every later step by
-    convention.  B, its column forms and lambda do not depend on the
-    rule; a prior trace of the same instance made by this function lends
-    them, so a rerun under the other rule skips that work.
+    that det(B) vanishes, a guard that B . [T]^t = 0 already implies, by
+    one Laplace pass (matrices.det).  By linearity in C every step's
+    minor without column j is then s_j T_j sum_k C_k lambda_k, s_j = -1
+    for even j, so step i takes g_i = monic(sum_k C_k lambda_k) and
+    re-verifies the reassembly of its column and the bidegree (m-i,
+    i(d-1)).  A vanishing sum means every maximal minor vanishes; its
+    zero gcd then zeroes out every later step by convention.  B, its
+    column forms and lambda do not depend on the rule; a prior trace of
+    the same instance made by this function lends them, so a rerun under
+    the other rule skips that work.
     """
     ring = inst.ring
     d = inst.d
@@ -869,7 +871,8 @@ def _check_square_law(mat, pfs):
 def _principal_pfaffians(mat, size):
     """Pfaffians of the principal size x size submatrices of the
     alternating mat, each checked against Cayley's identity
-    det(A_S) = Pf(A_S)^2 by the Bareiss route; a mismatch raises
+    det(A_S) = Pf(A_S)^2, two routes: the Laplace pass of matrices.det
+    and the Pfaffian recursion along the first row.  A mismatch raises
     IterationError naming the rows and columns S."""
     ring = mat.ring
     out = []

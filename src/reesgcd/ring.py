@@ -41,18 +41,20 @@ formed.  A factor that sets a guard bit sends its term to exponent
 tuples, which report the overflow; like terms merge on the packed
 exponent, and the terms are sorted once.
 
-One reduction accumulator, a dict from key to pending coefficient and
-exponent plus a max-heap of the pending keys, serves every sum and every
-division.  PolyRing.dot forms +, -, products, sums of products and the
-Bareiss steps of matrices.det: it adds every shifted summand into the
-accumulator and drains it once, so no partial product or partial sum is
-built; a product by one term and a scaling are single passes instead.
-Division (exact_div here, normal forms and S-pairs in groebner) pops the
-largest key, reduces its coefficient mod p once and adds the reducer's
-shifted tail into the dict.  Every tail key is below the popped one, so
-a popped key never returns, and a division costs O(n log n) in the
-number of terms it touches instead of re-merging the whole remainder at
-every step.
+One add loop (_add_shifted) puts shifted summands into an accumulator,
+a dict from key to pending coefficient and exponent.  PolyRing.dot forms
++, -, products and sums of products, among them the Laplace expansions
+of matrices.minors and matrices.det: it adds every shifted summand into
+the dict and drains it once, with one sort, since a sum never needs its
+largest pending term before the end, so no partial product or partial
+sum is built; a product by one term and a scaling are single passes
+instead.  Division (exact_div here, normal forms and S-pairs in
+groebner) also keeps a max-heap of the pending keys: it pops the largest
+key, reduces its coefficient mod p once and adds the reducer's shifted
+tail into the dict.  Every tail key is below the popped one, so a popped
+key never returns, and a division costs O(n log n) in the number of
+terms it touches instead of re-merging the whole remainder at every
+step.
 """
 
 from __future__ import annotations
@@ -656,20 +658,24 @@ class PolyRing:
         """Sum of c * a * b over (int c, Polynomial a, Polynomial b).
 
         Every term of a adds c times b's terms, shifted by that term, into
-        one reduction accumulator, which is drained once at the end: no
-        partial product or partial sum is built.
+        one dict from key to pending coefficient and exponent: no partial
+        product or partial sum is built.  A sum never needs its largest
+        pending term before the end, so the dict keeps no heap and is
+        drained by one sort.  A term whose exponent passes EXP_MAX raises
+        ExponentOverflow when its coefficient survives mod p.
         """
-        acc, heap = {}, []
+        acc = {}
         for c, a, b in products:
             terms = b.terms
             for k, e, co in a.terms:
-                _add_shifted(acc, heap, terms, k, e, c * co)
+                _add_shifted(acc, None, terms, k, e, c * co)
         out = []
         mod, guard = self.p, self.guard
-        lead = _pop_lead(acc, heap, mod, guard)
-        while lead is not None:
-            out.append(lead)
-            lead = _pop_lead(acc, heap, mod, guard)
+        for k, (c, e) in acc.items():
+            c = _surviving(c, e, mod, guard)
+            if c:
+                out.append((k, e, c))
+        out.sort(reverse=True)
         return Polynomial(self, tuple(out))
 
     def span_basis(self, polys):
@@ -747,9 +753,10 @@ def _accumulator(terms):
 
 
 def _add_shifted(acc, heap, terms, dkey, dexp, c):
-    """Add c times the monomial (dkey, dexp) times terms into (acc, heap).
+    """Add c times the monomial (dkey, dexp) times terms into (acc, heap);
+    heap None keeps no heap, for a sum drained all at once.
 
-    A shifted exponent may set a guard bit; _pop_lead rejects it.
+    A shifted exponent may set a guard bit; its drain rejects it.
     """
     get = acc.get
     for k, e, co in terms:
@@ -757,7 +764,8 @@ def _add_shifted(acc, heap, terms, dkey, dexp, c):
         slot = get(k)
         if slot is None:
             acc[k] = [co * c, e + dexp]
-            heappush(heap, -k)
+            if heap is not None:
+                heappush(heap, -k)
         else:
             slot[0] += co * c
 
@@ -770,13 +778,23 @@ def _pop_lead(acc, heap, mod, guard):
     while heap:
         k = -heappop(heap)
         c, e = acc.pop(k)
-        c %= mod
+        c = _surviving(c, e, mod, guard)
         if c:
-            if e & guard:
-                raise ExponentOverflow(
-                    "a product exponent exceeds %d" % EXP_MAX)
             return k, e, c
     return None
+
+
+def _surviving(c, e, mod, guard):
+    """A pending coefficient c mod p, 0 if it vanishes.
+
+    Both drains of the accumulator (_pop_lead and PolyRing.dot) call it:
+    a surviving term whose exponent set a guard bit raises
+    ExponentOverflow, a vanishing one is dropped without a check.
+    """
+    c %= mod
+    if c and e & guard:
+        raise ExponentOverflow("a product exponent exceeds %d" % EXP_MAX)
+    return c
 
 
 def _scale(terms, c, mod):

@@ -1,6 +1,7 @@
 """The gcd iteration from the adjugate of the Jacobian dual: the same
 traces and the same lambda as the step-minor route
-(step_minor_reference.py), lambda against Bareiss minors, the once-per-run
+(step_minor_reference.py), lambda against the minors of Bareiss
+elimination (bareiss_reference.py), an independent route, the once-per-run
 guards on B . [T]^t, the division by T1 and lambda . B, and a dual of rank
 below d."""
 
@@ -11,7 +12,6 @@ from reesgcd.matrices import (
     PolyMatrix,
     delete_column,
     delete_row,
-    det,
     jacobian_dual,
     minors,
 )
@@ -26,6 +26,7 @@ from reesgcd.pipeline import (
     random_instance,
 )
 
+import bareiss_reference as bareiss
 from step_minor_reference import (
     adjugate_row_by_all_minors,
     gcd_iterations_by_step_minors,
@@ -72,7 +73,8 @@ def test_lambda_spans_the_bareiss_adjugate(case):
     n = inst.d + 1
     for k in range(n):
         for j in range(n):
-            minor = det(delete_row(delete_column(trace.dual, j + 1), k + 1))
+            minor = bareiss.det(
+                delete_row(delete_column(trace.dual, j + 1), k + 1))
             adj = minor if (j + k) % 2 == 0 else -minor
             assert adj == ring.T(j + 1) * lam[k]
 

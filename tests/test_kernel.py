@@ -1,13 +1,15 @@
-"""The heap-and-dict accumulator and the packed exponents against their
-references.
+"""The dict accumulator, with and without its heap, and the packed
+exponents against their references.
 
 Division (normal forms, S-polynomials, exact division) is compared with
 the routines in merge_reference; products and sums of products with a
 sum, merged term list by term list, of one factor shifted by each term of
-the other; sums and differences with one merge.  The packed exponent
-operations (pack and unpack, mask divisibility, lcm, coprimality, order
-keys, overflow detection and the bidegree reader) are compared with their
-definitions on exponent tuples.
+the other, and with a plain dict of the products of all term pairs, past
+EXP_MAX too; sums and differences with one merge, and exact division by
+one term too, where any term that is not divisible must fail it.  The
+packed exponent operations (pack and unpack, mask divisibility, lcm,
+coprimality, order keys, overflow detection and the bidegree reader) are
+compared with their definitions on exponent tuples.
 """
 
 import pytest
@@ -173,6 +175,98 @@ class TestAgainstMergeReference:
         b = {"b": b, "a": a, "-a": -a, "0": a.ring.zero}[other]
         assert a + b == ref.add(a, b)
         assert a - b == ref.add(a, b, -1)
+
+
+def dict_of_products(ring, products):
+    """Sum of c * a * b from every pair of terms, added into a dict keyed
+    by the exponent tuple; from_dict reduces mod p, drops what vanishes,
+    sorts in term order and raises ExponentOverflow on a surviving
+    exponent past EXP_MAX."""
+    acc = {}
+    for c, a, b in products:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                acc[e] = acc.get(e, 0) + c * ca * cb
+    return ring.from_dict(acc)
+
+
+@st.composite
+def overflowing_product_lists(draw):
+    """(ring, products) whose first product shifts one slot to about
+    EXP_MAX, past it or not, with a scalar that may vanish mod p, about
+    half of the time a second product that cancels the first, and maybe
+    one more product of small exponents."""
+    ring = draw(st.sampled_from(RINGS))
+    slot = draw(st.integers(0, ring.nvars - 1))
+    h1 = draw(st.integers(0, EXP_MAX - 2))
+    h2 = max(0, min(EXP_MAX - 2, EXP_MAX - h1 + draw(st.integers(-3, 2))))
+    unit = [0] * ring.nvars
+    unit[slot] = h1
+    a = draw(nonzero_polys(ring)) * ring.monomial(unit)
+    unit[slot] = h2
+    b = draw(nonzero_polys(ring)) * ring.monomial(unit)
+    c = draw(st.sampled_from((1, -1, 0, ring.p, 2 * ring.p + 3)))
+    products = [(c, a, b)]
+    if draw(st.booleans()):
+        products.append((ring.p - c, b, a))
+    if draw(st.booleans()):
+        products.append((1, draw(operands(ring)), draw(operands(ring))))
+    return ring, products
+
+
+@st.composite
+def one_term_divisions(draw):
+    """(f, divisor): any f and a one-term divisor, a scaled variable,
+    x_i^v, T1 or a constant."""
+    ring = draw(st.sampled_from(RINGS))
+    kind = draw(st.sampled_from(("variable", "x^v", "T1", "constant")))
+    c = draw(st.integers(1, ring.p - 1))
+    if kind == "variable":
+        divisor = ring.variable(draw(st.integers(0, ring.nvars - 1))).scale(c)
+    elif kind == "x^v":
+        divisor = ring.x(draw(st.integers(1, ring.n))) ** draw(
+            st.integers(1, 3))
+    elif kind == "T1":
+        divisor = ring.T(1)
+    else:
+        divisor = ring.const(c)
+    return draw(polys(ring, max_terms=6)), divisor
+
+
+class TestHeapFreePaths:
+    @settings(max_examples=150, deadline=None)
+    @given(product_lists())
+    def test_dot_matches_a_dict_of_products(self, problem):
+        ring, products = problem
+        assert ring.dot(products) == dict_of_products(ring, products)
+
+    @settings(max_examples=200, deadline=None)
+    @given(overflowing_product_lists())
+    def test_dot_overflows_only_on_a_surviving_term(self, problem):
+        ring, products = problem
+        try:
+            expected = dict_of_products(ring, products)
+        except ExponentOverflow:
+            with pytest.raises(ExponentOverflow):
+                ring.dot(products)
+        else:
+            assert ring.dot(products) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_term_divisions())
+    def test_one_term_exact_div_matches_the_reference(self, problem):
+        f, divisor = problem
+        assert (f * divisor).exact_div(divisor) == f
+        assert f.exact_div(divisor) == ref.exact_div(f, divisor)
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_term_divisions(), st.integers(1, 6))
+    def test_one_term_exact_div_checks_every_term(self, problem, c):
+        # f * divisor + c: every term divisible but the last, a constant
+        f, divisor = problem
+        hypothesis.assume(not f.is_zero and sum(divisor.lead_exp()) > 0)
+        assert (f * divisor + c).exact_div(divisor) is None
 
 
 

@@ -12,7 +12,8 @@ optional and --prime overrides it.  All output polynomials use the
 canonical grammar (grevlex term order, explicit * and ^), so JSON
 output re-parses bit-exactly.
 
-Exit codes: 0 success, 1 usage or parse error, or an instance too large
+Exit codes: 0 success, 1 usage or parse error (an instance file nested
+too deeply for the JSON reader included), or an instance too large
 (its last gcd, of bidegree (0, m(d-1)), could have more than
 pipeline.MAX_FIBER_TERMS = 10^5 terms, C(m(d-1)+d, d); refused before
 any matrix is built, for random -d as well), 2 hypothesis failure,
@@ -82,6 +83,8 @@ def _load_instance(path, prime):
     except json.JSONDecodeError as exc:
         raise ValueError("%s: invalid JSON at line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))
+    except RecursionError:
+        raise ValueError("%s: invalid JSON: nested too deeply" % path)
     if not isinstance(data, dict):
         raise ValueError("%s: instance file must hold a JSON object"
                          % path)
@@ -237,7 +240,7 @@ def cmd_example(args):
     inst = builtin_example(
         DEFAULT_PRIME if args.prime is None else args.prime)
     trace = gcd_iterations(inst)
-    minimality = minimality_and_invariants(trace)
+    minimality = _in_section("minimality", minimality_and_invariants, trace)
     generators = minimality.find("generator-minimality").data
     relation = minimality.find("relation-type").data
     if args.json:

@@ -8,12 +8,13 @@ not count toward the bigrading.
 A polynomial is an immutable tuple of terms (key, exp, coeff), sorted
 strictly decreasing under graded reverse-lexicographic order on all
 variables.  Coefficients are integers in [1, p); the zero polynomial is
-the empty tuple.  Monomial orders are encoded as integer weight vectors so
-that the sort key of a product is the sum of the factors' keys.  The keys
-share the packed exponent's 16-bit fields, so the grevlex key of exp is
-(total degree << 16*nvars) - exp, and the key of each of the ring's own
-orders (grevlex, revlex_last, elim_aux) is a closed form of exp: a change
-of term order costs a few integer operations per term.
+the empty tuple.  A monomial order is an integer key of the exponent
+that adds under multiplication, so the key of a product is the sum of
+the factors' keys.  Each of the ring's orders (grevlex, revlex_last,
+elim_aux) defines its key as a closed form of the packed exponent,
+sharing its 16-bit fields: the grevlex key of exp is
+(total degree << 16*nvars) - exp, and a change of term order costs a few
+integer operations per term.
 
 The exponent exp is one packed integer (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -33,13 +34,12 @@ that would set a guard bit; it never wraps.
 
 Parsing builds packed terms directly, in one pass.  A compiled grammar
 over the ring's variable names checks the string term by term; each
-term then starts from key 0 and exponent 0, and a factor v^e adds e
-times the grevlex weight of v to the key and e << 16*slot(v) to the
-exponent, from a table keyed by variable name.  Keys add under
-multiplication, so the sum is the term's key, and no exponent tuple is
+term then starts from exponent 0, and a factor v^e adds e << 16*slot(v)
+to it, from a table keyed by variable name, so no exponent tuple is
 formed.  A factor that sets a guard bit sends its term to exponent
 tuples, which report the overflow; like terms merge on the packed
-exponent, and the terms are sorted once.
+exponent, each surviving term is keyed once by the grevlex key, and the
+terms are sorted once.
 
 One add loop (_add_shifted) puts shifted summands into an accumulator,
 a dict from key to pending coefficient and exponent.  PolyRing.dot forms
@@ -73,27 +73,6 @@ EXP_BITS = 16
 EXP_MAX = (1 << (EXP_BITS - 1)) - 1
 # 2^EXP_BITS is 1 modulo this, so a packed block is its field sum modulo it
 _DIGIT_SUM_MOD = (1 << EXP_BITS) - 1
-
-# Order keys share the exponent's layout: fields of _FIELD_BITS = EXP_BITS
-# bits, base B = 2^16, so the grevlex key (degree << 16*nvars) - exponent
-# keeps each variable's field where the exponent has it.  A block order's
-# key (_block_weights) is, block by block from the top, the block's degree
-# in one field and minus each of its exponents in the fields below it.
-# Integer comparison of keys is the block order for every packed exponent,
-# guard bits set or not (every field below B), of fewer than B variables:
-# - in units of a block's lowest field, its part of the difference of two
-#   keys is T = sum_v (e_v - e'_v) * (B^n - B^i(v)), n the block's size
-#   and i(v) the field of v in it: a multiple of B - 1, zero exactly when
-#   the exponents agree on the block, and of the sign of their grevlex
-#   comparison there, since fields differ by less than B;
-# - a block of n variables below moves the key by at most n * (B - 1)/B of
-#   those units, so all blocks below together by less than B - 1 of them.
-# So a degree field below the top needs no more than its 16 bits: the
-# fields above leave it room for any degree below B(B - 1).  elim_aux,
-# keyed e_t*(B^(nvars+1) - B^nvars) + (degree(rest) << 16*aux) - rest,
-# rest being e without its t field, is the case of two blocks.
-_FIELD_BITS = EXP_BITS
-_BASE = 1 << _FIELD_BITS
 
 # The first 13 prime bases decide primality exactly below _MR_BOUND
 # (Sorenson & Webster, Math. Comp. 86, 2017).
@@ -132,36 +111,25 @@ def is_prime(n):
 
 
 class MonomialOrder:
-    """A total order on exponents given by an additive integer key.
+    """A total order on exponents, named, whose key(e) of a packed
+    exponent e is an integer that compares as the order does and adds
+    under monomial multiplication.
 
-    key(e) = sum_i e_i * weights[i] over the fields e_i of the packed
-    exponent e, with the weights packed so that integer comparison of
-    keys realizes a block order that is graded reverse-lexicographic
-    inside each block.  Keys add under monomial multiplication.  The
-    weights define the order; a custom block order computes its key
-    field by field from them, and the ring's own orders (grevlex,
-    revlex_last, elim_aux) compute the same sum as a closed form of the
-    packed exponent in a few big-integer operations: the grevlex key is
-    (total degree << 16*nvars) - exponent.
+    The ring's orders are its subclasses, each key a closed form of the
+    packed exponent in a few big-integer operations.  A key shares the
+    exponent's 16-bit fields: the grevlex key (degree << 16*nvars) - e
+    has the degree above every field, and minus each exponent in the
+    field where e has it, so a larger degree wins and, at equal degree,
+    the smaller exponent in the last slot that differs.  revlex_last
+    moves one field to the top of e before it is subtracted, so its
+    variable becomes the smallest, and elim_aux weighs e_t above all of
+    the grevlex key of the rest.
     """
 
-    __slots__ = ("name", "weights")
+    __slots__ = ("name",)
 
-    def __init__(self, name, weights):
+    def __init__(self, name):
         self.name = name
-        self.weights = tuple(weights)
-
-    def key(self, exp):
-        """Key of the packed exponent exp."""
-        k = 0
-        for w in self.weights:
-            if not exp:
-                break
-            e = exp & EXP_MAX
-            if e:
-                k += e * w
-            exp >>= EXP_BITS
-        return k
 
     def __repr__(self):
         return "MonomialOrder(%r)" % (self.name,)
@@ -174,14 +142,11 @@ class _Grevlex(MonomialOrder):
 
     __slots__ = ("_degree", "_wide", "_shift")
 
-    def __init__(self, ring, name="grevlex", last=None):
-        nvars = ring.nvars
-        last = nvars - 1 if last is None else last
-        seq = [v for v in range(nvars) if v != last] + [last]
-        super().__init__(name, _block_weights([seq], nvars))
+    def __init__(self, ring, name="grevlex"):
+        super().__init__(name)
         self._degree = ring.degree_of
         self._wide = ring._wide_total
-        self._shift = EXP_BITS * nvars
+        self._shift = EXP_BITS * ring.nvars
 
     def key(self, exp):
         deg = self._degree(exp) if exp & self._wide else exp % _DIGIT_SUM_MOD
@@ -196,7 +161,7 @@ class _RevlexLast(_Grevlex):
     __slots__ = ("_low", "_high", "_field", "_lift")
 
     def __init__(self, ring, last):
-        super().__init__(ring, "revlex-last-" + ring.names[last], last)
+        super().__init__(ring, "revlex-last-" + ring.names[last])
         top = EXP_BITS * (ring.nvars - 1)
         self._low = (1 << (EXP_BITS * last)) - 1
         self._high = ((1 << top) - 1) ^ self._low
@@ -212,20 +177,21 @@ class _RevlexLast(_Grevlex):
 
 class _ElimAux(MonomialOrder):
     """t above every t-free monomial, grevlex on the rest:
-    key(e) = e_t*(B^(nvars+1) - B^nvars) + (degree(rest) << 16*aux) - rest,
-    B = 2^16, rest being e without its t field, the top one."""
+    key(e) = e_t*((2^16 - 1) << 16*nvars) + (degree(rest) << 16*aux) - rest,
+    rest being e without its t field, the top one.  The grevlex keys of
+    two rests differ by less than (aux << 16) << 16*aux, below the t
+    weight ((2^16 - 1) << 16) << 16*aux, so one more t outweighs any
+    rest."""
 
     __slots__ = ("_degree", "_wide", "_shift", "_rest", "_t_weight")
 
     def __init__(self, ring):
-        aux = ring.aux_slot
-        super().__init__("elim-aux", _block_weights(
-            [[aux], list(range(aux))], ring.nvars))
+        super().__init__("elim-aux")
         self._degree = ring.degree_of
         self._wide = ring._wide_total
-        self._shift = EXP_BITS * aux
+        self._shift = EXP_BITS * ring.aux_slot
         self._rest = (1 << self._shift) - 1
-        self._t_weight = self.weights[aux]
+        self._t_weight = _DIGIT_SUM_MOD << (EXP_BITS * ring.nvars)
 
     def key(self, exp):
         rest = exp & self._rest
@@ -233,27 +199,6 @@ class _ElimAux(MonomialOrder):
                else rest % _DIGIT_SUM_MOD)
         return ((exp >> self._shift) * self._t_weight
                 + (deg << self._shift) - rest)
-
-
-def _block_weights(blocks, nslots):
-    """Weight vector for a block elimination order.
-
-    blocks lists variable slots by decreasing priority; within a block the
-    comparison is graded reverse-lexicographic with respect to the given
-    slot sequence.
-    """
-    nfields = sum(len(b) + 1 for b in blocks)
-    w = [0] * nslots
-    pos = nfields
-    for block in blocks:
-        pos -= 1
-        deg_w = _BASE ** pos
-        for v in block:
-            w[v] += deg_w
-        for v in reversed(block):
-            pos -= 1
-            w[v] -= _BASE ** pos
-    return w
 
 
 BiDegree = namedtuple("BiDegree", ["x", "t"])
@@ -381,13 +326,11 @@ class PolyRing:
         self.aux_slot = 2 * n
         self.grevlex = _Grevlex(self)
         self.elim_aux = _ElimAux(self)
-        # parse looks up each variable by name: its grevlex weight and its
-        # packed unit exponent, which a power v^e adds e times to the
-        # key and the exponent of its term
+        # parse looks up each variable's packed unit exponent by name,
+        # which a power v^e adds e times to the exponent of its term
         self._term, self._grammar = _grammar(self.names)
-        self._factors = {
-            name: (self.grevlex.weights[slot], 1 << (EXP_BITS * slot))
-            for slot, name in enumerate(self.names)}
+        self._factors = {name: 1 << (EXP_BITS * slot)
+                         for slot, name in enumerate(self.names)}
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, ((0, 0, 1),))
         self._half = p // 2
@@ -529,13 +472,13 @@ class PolyRing:
         nonnegative integer exponent; unknown variable names are
         rejected.  The ring's grammar checks every term first, and a
         string it rejects raises ParseError at the first token that
-        cannot continue it.  Each term's key and packed exponent then add
-        up factor by factor, like terms merge, and the terms are sorted
-        once.  An exponent past EXP_MAX raises ExponentOverflow with the
-        variable's total exponent in its term, unless the term's merged
-        coefficient vanishes mod p; a number too long for int() raises
-        at once, as ParseError for a coefficient and ExponentOverflow for
-        an exponent.
+        cannot continue it.  Each term's packed exponent then adds up
+        factor by factor, like terms merge, each surviving term is keyed
+        once, and the terms are sorted once.  An exponent past EXP_MAX
+        raises ExponentOverflow with the variable's total exponent in its
+        term, unless the term's merged coefficient vanishes mod p; a
+        number too long for int() raises at once, as ParseError for a
+        coefficient and ExponentOverflow for an exponent.
         """
         # valid when every piece between two signs is a term, but for a
         # blank one before a leading sign
@@ -554,8 +497,7 @@ class PolyRing:
             if term[0] == "-":
                 sign = -1
                 term = term[1:]
-            coeff = sign
-            key = exp = 0
+            coeff, exp = sign, 0
             for factor in term.split("*"):
                 unit = factors.get(factor)
                 if unit is None:
@@ -568,11 +510,9 @@ class PolyRing:
                     if e > EXP_MAX:
                         exp |= guard
                         break
-                    key += e * unit[0]
-                    exp += e * unit[1]
+                    exp += e * unit
                 else:
-                    key += unit[0]
-                    exp += unit[1]
+                    exp += unit
                 if exp & guard:
                     break
             if exp & guard:
@@ -580,20 +520,16 @@ class PolyRing:
                 coeff, fields = self._term_fields(term, sign, src)
                 wide[fields] = wide.get(fields, 0) + coeff
                 continue
-            pending = merged.get(exp)
-            if pending is None:
-                merged[exp] = [key, coeff]
-            else:
-                pending[1] += coeff
+            merged[exp] = merged.get(exp, 0) + coeff
         for fields, coeff in wide.items():
             if coeff % self.p:
                 self.pack(fields)
-        mod = self.p
+        mod, key = self.p, self.grevlex.key
         terms = []
-        for exp, (key, coeff) in merged.items():
+        for exp, coeff in merged.items():
             coeff %= mod
             if coeff:
-                terms.append((key, exp, coeff))
+                terms.append((key(exp), exp, coeff))
         terms.sort(reverse=True)
         return Polynomial(self, tuple(terms))
 

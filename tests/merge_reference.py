@@ -9,20 +9,18 @@ for term.
 
 They work on their own terms (key, exponent tuple, coeff): exponents come
 from the public tuple view Polynomial.items(), keys are the defining sums
-sum_i e_i * weights[i] of the order, and results go back through
-PolyRing.from_dict, so nothing here depends on the packed exponent
-layout of the ring module.
+sum_i e_i * weights[i] of the order (order_reference), and results go
+back through PolyRing.from_dict, so nothing here depends on the packed
+exponent layout of the ring module.
 """
 
-
-def order_key(order, exp):
-    """Key of an exponent tuple: the order's defining weighted sum."""
-    return sum(e * w for e, w in zip(exp, order.weights))
+from order_reference import order_key
 
 
 def _to_terms(poly, order):
-    return tuple(sorted(((order_key(order, e), e, c) for e, c in poly.items()),
-                        reverse=True))
+    ring = poly.ring
+    return tuple(sorted(((order_key(ring, order, e), e, c)
+                         for e, c in poly.items()), reverse=True))
 
 
 def _to_poly(ring, terms):
@@ -113,7 +111,7 @@ def spolynomial(f, g, order=None):
     kf, ef, cf = f[0]
     kg, eg, cg = g[0]
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    klcm = order_key(order, lcm)
+    klcm = order_key(ring, order, lcm)
     sf = _shift(f, klcm - kf, tuple(a - b for a, b in zip(lcm, ef)),
                 pow(cf, mod - 2, mod), mod)
     sg = _shift(g, klcm - kg, tuple(a - b for a, b in zip(lcm, eg)),

@@ -68,6 +68,18 @@ class TestParseFailures:
         assert main(["check", str(path)]) == 1
         assert "invalid JSON at line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("wrap", ["%s", '{"d": 4, "f": %s}'])
+    def test_nested_too_deeply_exits_1(self, wrap, tmp_path):
+        # in a process of its own, so that a traceback would be printed
+        path = tmp_path / "deep.json"
+        path.write_text(wrap % ("[" * 200000 + "]" * 200000))
+        proc = subprocess.run([sys.executable, "-m", "reesgcd", "check",
+                               str(path)], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: %s: invalid JSON: nested too "
+                               "deeply\n" % path)
+
     def test_non_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -298,10 +310,12 @@ class TestVerify:
         ("run", 3, "hypotheses", "grevlex"),
         ("check", 3, "hypotheses", "grevlex"),
         ("random", 3, "hypotheses", "grevlex"),
+        ("example", 3, "minimality", "grevlex"),
     ])
     def test_budget_names_the_section(self, command, cap, section, order,
                                       golden_file, capsys):
-        target = ["-m", "1"] if command == "random" else [golden_file]
+        target = {"random": ["-m", "1"], "example": []}.get(
+            command, [golden_file])
         assert main([command, *target, "--json", "--max-gb-size",
                      str(cap)]) == 4
         out, err = capsys.readouterr()

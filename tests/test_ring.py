@@ -5,15 +5,13 @@ import random
 import pytest
 
 from reesgcd.ring import (
-    EXP_MAX, ExponentOverflow, MonomialOrder, PolyRing, ParseError,
-    ZERO_BIDEGREE, _block_weights, partial_column, is_prime,
+    EXP_MAX, ExponentOverflow, PolyRing, ParseError,
+    ZERO_BIDEGREE, partial_column, is_prime,
 )
 
-R = PolyRing.get(32003, 4)
+from order_reference import order_key
 
-# x-block above the T-block and t, graded reverse-lexicographic inside each
-ELIM_X = MonomialOrder("elim-x", _block_weights(
-    [list(R.x_slots), list(R.t_slots) + [R.aux_slot]], R.nvars))
+R = PolyRing.get(32003, 4)
 
 FIBER_SRC = "T1*T3*T5 - T2*T3^2 - T2^2*T5 - T4*T5^2"
 
@@ -342,7 +340,7 @@ class TestOrders:
     def test_multiplicative_compatibility(self):
         rng = random.Random(23)
         slots = list(range(R.nvars))
-        for order in (R.grevlex, R.elim_aux, ELIM_X):
+        for order in (R.grevlex, R.elim_aux):
             for _ in range(200):
                 def mono():
                     e = [0] * R.nvars
@@ -365,8 +363,6 @@ class TestOrders:
         big = R.aux.terms[0][1]
         small = (R.x(1) ** 9 * R.T(5) ** 9).terms[0][1]
         assert key(big) > key(small)
-        keyx = ELIM_X.key
-        assert keyx(R.x(5).terms[0][1]) > keyx((R.T(1) ** 9).terms[0][1])
 
 
 def grevlex_rank(e, seq):
@@ -438,46 +434,31 @@ class TestOrderKeys:
                             == order.key(pa) + order.key(pb))
 
     def test_the_closed_forms(self):
-        # each key is its order's weighted sum, and grevlex and elim_aux
-        # are the formulas the ring module states
+        # each key is its order's weighted sum, and grevlex, elim_aux and
+        # revlex_last are the formulas the ring module states
         rng = random.Random(47)
         for ring in self.RINGS:
             s = 16 * ring.aux_slot
             for order, _ in reference_ranks(ring):
                 for _ in range(50):
                     e = self.exponent(rng, ring)
-                    assert order.key(ring.pack(e)) == sum(
-                        x * w for x, w in zip(e, order.weights))
+                    assert (order.key(ring.pack(e))
+                            == order_key(ring, order, e))
             for _ in range(50):
-                e = ring.pack(self.exponent(rng, ring))
+                # revlex_last(slot): the grevlex key of e with field slot
+                # moved to the top and the fields above it one field down
+                e = self.exponent(rng, ring)
+                for slot in range(ring.nvars):
+                    moved = e[:slot] + e[slot + 1:] + (e[slot],)
+                    assert (ring.revlex_last(slot).key(ring.pack(e))
+                            == ring.grevlex.key(ring.pack(moved)))
+                e = ring.pack(e)
                 assert ring.grevlex.key(e) == (
                     (ring.degree_of(e) << (16 * ring.nvars)) - e)
                 rest = e & ((1 << s) - 1)
                 assert ring.elim_aux.key(e) == (
                     (e >> s) * ((1 << (s + 32)) - (1 << (s + 16)))
                     + (ring.degree_of(rest) << s) - rest)
-
-    def test_block_order_degree_field_below_the_top(self):
-        # ELIM_X keeps the generic key; its T-and-t degree field, 16 bits
-        # below the x block, holds degrees up to 6 * EXP_MAX, which never
-        # outweigh a difference of the x parts at equal x-degree
-        rng = random.Random(59)
-        xs = list(R.x_slots)
-        rest = list(R.t_slots) + [R.aux_slot]
-        def rank(e):
-            return grevlex_rank(e, xs) + grevlex_rank(e, rest)
-        for _ in range(300):
-            # the x parts differ by one unit moved, or not at all, so the
-            # T-and-t degrees decide
-            a, b = self.exponent(rng, R), list(self.exponent(rng, R))
-            b[:len(xs)] = a[:len(xs)]
-            i, j = rng.sample(xs, 2)
-            if b[i] and b[j] < EXP_MAX and rng.random() < 0.5:
-                b[i] -= 1
-                b[j] += 1
-            b = tuple(b)
-            ka, kb = ELIM_X.key(R.pack(a)), ELIM_X.key(R.pack(b))
-            assert (ka > kb) == (rank(a) > rank(b))
 
 
 def test_is_prime():

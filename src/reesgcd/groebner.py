@@ -21,10 +21,11 @@ the first basis entry whose lead divides it contributes its shifted tail,
 and the lead itself is never formed.  An S-polynomial is never built as a
 term tuple: the two shifted tails of its pair seed the accumulator and
 are reduced in the same pass.  The loop yields the remainder's terms
-lazily, each once no basis lead divides it, in decreasing order: a
-full normal form takes all of them, and normal_form_lead takes only the
-first, the remainder's lead term, which top reduction alone finds (Cox,
-Little & O'Shea, "Ideals, Varieties, and Algorithms", 2.3 and 2.6).
+lazily, each once no basis lead divides it, in decreasing order:
+normal_form, the one full normal form, takes all of them, and
+normal_form_lead takes only the first, the remainder's lead term, which
+top reduction alone finds (Cox, Little & O'Shea, "Ideals, Varieties, and
+Algorithms", 2.3 and 2.6).
 So a polynomial outside the ideal is reduced only as far as its first
 irreducible term.
 
@@ -36,6 +37,7 @@ coprime exactly when their lcm is their sum.
 
 from __future__ import annotations
 
+from bisect import insort
 from math import comb
 
 from .ring import (
@@ -67,24 +69,20 @@ def _divides(a, b, guard):
     return not (b - a) & guard
 
 
+def _rekey(terms, key):
+    """The term tuple terms keyed by key, in decreasing order."""
+    return tuple(sorted(((key(e), e, c) for _, e, c in terms), reverse=True))
+
+
 def _to_terms(poly, order):
-    ring = poly.ring
-    if order is ring.grevlex:
-        return poly.terms
-    key = order.key
-    return tuple(sorted(((key(e), e, c) for _, e, c in poly.terms),
-                        reverse=True))
+    grevlex = poly.ring.grevlex
+    return poly.terms if order is grevlex else _rekey(poly.terms, order.key)
 
 
 def _to_poly(ring, terms, order):
-    """The Polynomial of a term list under order.  Terms under grevlex
-    already carry grevlex keys in decreasing order and are kept as they
-    are; any other order's are rekeyed and sorted."""
-    if order is ring.grevlex:
-        return Polynomial(ring, tuple(terms))
-    key = ring.grevlex.key
-    return Polynomial(ring, tuple(
-        sorted(((key(e), e, c) for _, e, c in terms), reverse=True)))
+    grevlex = ring.grevlex
+    return Polynomial(ring, terms if order is grevlex
+                      else _rekey(terms, grevlex.key))
 
 
 def _remainder_terms(terms, basis, mod, guard, shifted=()):
@@ -206,18 +204,6 @@ def _max_degree(terms, degree_of):
 def _basis_entry(terms, mod):
     lk, le, lc = terms[0]
     return (lk, le, pow(lc, mod - 2, mod), terms[1:])
-
-
-def _insert_sorted(basis, entry):
-    lo, hi = 0, len(basis)
-    k = entry[0]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if basis[mid][0] < k:
-            lo = mid + 1
-        else:
-            hi = mid
-    basis.insert(lo, entry)
 
 
 # A bidegree (a, b) is packed as a << _SPLIT | b, so that the bidegree of
@@ -460,7 +446,7 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     cap_size = max_basis if max_basis is not None else DEFAULT_MAX_BASIS
     cap_deg = max_degree if max_degree is not None else DEFAULT_MAX_DEGREE
 
-    G = []
+    # red holds the entries by increasing lead key, which no two share
     entries = []
     lead = []
     red = []
@@ -468,19 +454,18 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
 
     def admit(terms):
         terms = _monic_terms(terms, mod)
-        if len(G) + 1 > cap_size:
+        if len(entries) >= cap_size:
             raise BudgetExceeded("basis size cap %d exceeded (%s)"
                                  % (cap_size, order.name))
         if _max_degree(terms, ring.degree_of) > cap_deg:
             raise BudgetExceeded("degree cap %d exceeded (%s)"
                                  % (cap_deg, order.name))
-        G.append(terms)
         entries.append(_basis_entry(terms, mod))
         if driver is not None:
             driver.admit(terms[0][1], lead)
         lead.append(terms[0][1])
-        _insert_sorted(red, entries[-1])
-        return _update_pairs(pairs, lead, len(G) - 1, keyf, guard, inside)
+        insort(red, entries[-1])
+        return _update_pairs(pairs, lead, len(lead) - 1, keyf, guard, inside)
 
     for f in gens:
         h = _reduce_terms(_to_terms(f, order), red, mod, guard)
@@ -505,8 +490,9 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
 
     if driver is not None:
         driver.check(order)
+    basis = [((k, e, 1),) + tail for k, e, _, tail in entries]
     return tuple(_to_poly(ring, terms, order)
-                 for terms in _autoreduce(G, mod, guard))
+                 for terms in _autoreduce(basis, mod, guard))
 
 
 def interreduce(basis, order=None):
@@ -553,22 +539,12 @@ def normal_form(poly, basis, order=None):
     """Remainder of poly on full division by an ordered basis."""
     if poly.is_zero:
         return poly
-    return normal_forms((poly,), basis, order)[0]
-
-
-def normal_forms(polys, basis, order=None):
-    """Remainders of polys on full division by an ordered basis, whose
-    entries are sorted once for all of them."""
-    if not polys:
-        return ()
-    ring = polys[0].ring
+    ring = poly.ring
     order = order or ring.grevlex
-    mod, guard = ring.p, ring.guard
-    entries = _entries(basis, order, mod)
-    return tuple(
-        _to_poly(ring, _reduce_terms(_to_terms(f, order), entries, mod,
-                                     guard), order)
-        for f in polys)
+    mod = ring.p
+    return _to_poly(ring, _reduce_terms(_to_terms(poly, order),
+                                        _entries(basis, order, mod), mod,
+                                        ring.guard), order)
 
 
 def normal_form_lead(poly, basis, minus=None):

@@ -17,8 +17,9 @@ Every quotient is kept under its reduced grevlex basis, its canonical
 form.  The leads of Bayer's quotient list give the quotient's bigraded
 Hilbert series.  A quotient the ideal already holds is recognized by
 containment plus equal series: a kept quotient with the same numerator
-whose basis reduces every element of the list to zero is that quotient,
-and no run is made for it.  A list whose grevlex leads have that series
+that holds every element of the list, asked of it by lead terms as any
+membership is (a member still reduces to zero), is that quotient, and
+no run is made for it.  A list whose grevlex leads have that series
 is a grevlex basis already, and its interreduction is the canonical
 basis.  Otherwise the series drives the grevlex run that forms the basis
 (Traverso, J. Symb. Comp. 22, 1996); the run checks the series of its
@@ -94,7 +95,6 @@ from .groebner import (
     hilbert_numerator,
     interreduce,
     normal_form_lead,
-    normal_forms,
 )
 
 
@@ -442,16 +442,18 @@ def _held_quotient(a, quots, hilbert):
     """The quotient kept on a that is the ideal Q' of quots, or None.
 
     A kept quotient Q is Q' when the numerator hilbert of the leads of
-    quots equals Q's and every element of quots reduces to zero on Q's
-    reduced grevlex basis.  Each lead is the lead of an element of Q', so
+    quots equals Q's and Q holds every element of quots, asked of Q by
+    lead terms (Ideal.outside) on its reduced grevlex basis: a member
+    still reduces to zero, and a non-member ends the test at its first
+    irreducible term.  Each lead is the lead of an element of Q', so
     HF(R/Q') <= HF(R/(leads)) = HF(R/Q); Q' in Q gives HF(R/Q) <=
     HF(R/Q'); so the series agree, and with Q' in Q that makes Q' = Q.
     Kept quotients, each once under whichever keys it has, are tried in
     the order they were made.
     """
     for held in dict.fromkeys(a._quotients.values()):
-        if held._hilbert == hilbert and not any(normal_forms(quots,
-                                                             held.gens)):
+        if (held._hilbert == hilbert
+                and next(held.outside(quots), None) is None):
             return held
     return None
 

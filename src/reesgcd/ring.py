@@ -10,11 +10,11 @@ strictly decreasing under graded reverse-lexicographic order on all
 variables.  Coefficients are integers in [1, p); the zero polynomial is
 the empty tuple.  A monomial order is an integer key of the exponent
 that adds under multiplication, so the key of a product is the sum of
-the factors' keys.  Each of the ring's orders (grevlex, revlex_last,
-elim_aux) defines its key as a closed form of the packed exponent,
-sharing its 16-bit fields: the grevlex key of exp is
-(total degree << 16*nvars) - exp, and a change of term order costs a few
-integer operations per term.
+the factors' keys.  Each of the ring's orders (grevlex, revlex_last
+of every slot, elim_aux) is built with the ring and defines its key as
+a closed form of the packed exponent, sharing its 16-bit fields: the
+grevlex key of exp is (total degree << 16*nvars) - exp, and a change of
+term order costs a few integer operations per term.
 
 The exponent exp is one packed integer (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -326,6 +326,8 @@ class PolyRing:
         self.aux_slot = 2 * n
         self.grevlex = _Grevlex(self)
         self.elim_aux = _ElimAux(self)
+        self._revlex = tuple(_RevlexLast(self, slot)
+                             for slot in range(self.nvars))
         # parse looks up each variable's packed unit exponent by name,
         # which a power v^e adds e times to the exponent of its term
         self._term, self._grammar = _grammar(self.names)
@@ -334,7 +336,6 @@ class PolyRing:
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, ((0, 0, 1),))
         self._half = p // 2
-        self._revlex = {}
 
     @classmethod
     def get(cls, p=DEFAULT_PRIME, d=4):
@@ -427,19 +428,16 @@ class PolyRing:
         """Graded reverse-lexicographic order with slot moved last.
 
         The variable in slot becomes the smallest one; the other slots keep
-        their grevlex sequence.  Built on first use and kept on the ring.
+        their grevlex sequence.  Built with the ring.
         """
-        order = self._revlex.get(slot)
-        if order is None:
-            if not 0 <= slot < self.nvars:
-                raise IndexError("slot out of range: %d" % slot)
-            order = self._revlex[slot] = _RevlexLast(self, slot)
-        return order
+        if not 0 <= slot < self.nvars:
+            raise IndexError("slot out of range: %d" % slot)
+        return self._revlex[slot]
 
     def is_graded(self, order):
         """Whether order compares total degree first: grevlex and every
         revlex_last order of this ring are, elim_aux is not."""
-        return order is self.grevlex or order in self._revlex.values()
+        return order is self.grevlex or order in self._revlex
 
     def from_dict(self, coeffs):
         """Polynomial from a map exponent tuple -> integer coefficient."""
@@ -651,7 +649,8 @@ class PolyRing:
 
 
 def _shift(terms, dkey, dexp, c, ring):
-    """terms multiplied by the monomial (dkey, dexp) and the scalar c."""
+    """terms multiplied by the monomial (dkey, dexp) and the scalar c; a
+    zero shift scales, which sets no guard bit, so it is not checked."""
     mod = ring.p
     c %= mod
     if c == 0:
@@ -659,11 +658,12 @@ def _shift(terms, dkey, dexp, c, ring):
     if c == 1 and dkey == 0:
         return terms
     out = tuple((k + dkey, e + dexp, co * c % mod) for k, e, co in terms)
-    guard = ring.guard
-    for _, e, _ in out:
-        if e & guard:
-            raise ExponentOverflow("a product exponent exceeds %d"
-                                   % EXP_MAX)
+    if dexp:
+        guard = ring.guard
+        for _, e, _ in out:
+            if e & guard:
+                raise ExponentOverflow("a product exponent exceeds %d"
+                                       % EXP_MAX)
     return out
 
 
@@ -731,15 +731,6 @@ def _surviving(c, e, mod, guard):
     if c and e & guard:
         raise ExponentOverflow("a product exponent exceeds %d" % EXP_MAX)
     return c
-
-
-def _scale(terms, c, mod):
-    c %= mod
-    if c == 0:
-        return ()
-    if c == 1:
-        return terms
-    return tuple((k, e, co * c % mod) for k, e, co in terms)
 
 
 class Polynomial:
@@ -866,7 +857,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, _scale(self.terms, -1, self.ring.p))
+        return Polynomial(self.ring, _shift(self.terms, 0, 0, -1, self.ring))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -912,7 +903,7 @@ class Polynomial:
         return result
 
     def scale(self, c):
-        return Polynomial(self.ring, _scale(self.terms, c, self.ring.p))
+        return Polynomial(self.ring, _shift(self.terms, 0, 0, c, self.ring))
 
     def monic(self):
         """Scale so the grevlex lead coefficient is 1."""

@@ -181,12 +181,12 @@ def test_recheck_reduces_each_gcd_once(monkeypatch):
             differences.append(h - g.scale(b * pow(a, ring.p - 2, ring.p)))
     assert len(differences) == 2
     reduced, tops = [], []
-    normal_forms, normal_form_lead = groebner.normal_forms, \
+    normal_form, normal_form_lead = groebner.normal_form, \
         groebner.normal_form_lead
 
-    def counted(polys, *args, **kwargs):
-        reduced.extend(polys)
-        return normal_forms(polys, *args, **kwargs)
+    def counted(poly, *args, **kwargs):
+        reduced.append(poly)
+        return normal_form(poly, *args, **kwargs)
 
     def top_reduced(poly, basis, minus=None):
         lead = normal_form_lead(poly, basis, minus=minus)
@@ -196,8 +196,8 @@ def test_recheck_reduces_each_gcd_once(monkeypatch):
         tops.append((poly, lead))
         return lead
 
-    monkeypatch.setattr(groebner, "normal_forms", counted)
-    monkeypatch.setattr(ideals, "normal_forms", counted)
+    monkeypatch.setattr(groebner, "normal_form", counted)
+    monkeypatch.setattr(pipeline, "normal_form", counted)
     monkeypatch.setattr(ideals, "normal_form_lead", top_reduced)
     assert verify_well_definedness(inst, rebuilt).ok
     assert minimality_and_invariants(rebuilt).ok

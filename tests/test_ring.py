@@ -1,9 +1,12 @@
 """Ring layer: parsing, arithmetic, bidegrees, column splitting, orders."""
 
+import json
 import random
 
 import pytest
 
+from reesgcd.cli import main
+from reesgcd.pipeline import builtin_example
 from reesgcd.ring import (
     EXP_MAX, ExponentOverflow, PolyRing, ParseError,
     ZERO_BIDEGREE, partial_column, is_prime,
@@ -459,6 +462,42 @@ class TestOrderKeys:
                 assert ring.elim_aux.key(e) == (
                     (e >> s) * ((1 << (s + 32)) - (1 << (s + 16)))
                     + (ring.degree_of(rest) << s) - rest)
+
+
+def ring_state(ring):
+    """Every slot of ring, its containers copied."""
+    state = {}
+    for name in PolyRing.__slots__:
+        value = getattr(ring, name)
+        state[name] = (value.copy() if isinstance(value, (dict, list, set))
+                       else value)
+    return state
+
+
+def test_shared_ring_is_not_changed_after_construction(tmp_path, capsys):
+    shared = PolyRing.get(32003, 4)
+    before = ring_state(shared)
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(builtin_example().to_dict()))
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert ring_state(shared) == before
+    # a ring no run has touched builds every order with itself
+    fresh = PolyRing(32003, 4)
+    before = ring_state(fresh)
+    other = PolyRing.get(65537, 4)
+    for ring in (shared, fresh):
+        orders = [ring.revlex_last(slot) for slot in range(ring.nvars)]
+        for slot, order in enumerate(orders):
+            assert ring.revlex_last(slot) is order
+            assert ring.is_graded(order)
+        assert ring.is_graded(ring.grevlex)
+        assert not ring.is_graded(ring.elim_aux)
+        assert not ring.is_graded(other.grevlex)
+        for slot in (-1, ring.nvars):
+            with pytest.raises(IndexError):
+                ring.revlex_last(slot)
+    assert ring_state(fresh) == before
 
 
 def test_is_prime():

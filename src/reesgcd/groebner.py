@@ -1,8 +1,14 @@
 """Buchberger's algorithm with Gebauer-Moeller pair pruning.
 
-Pairs are processed by increasing lcm under the active order (normal
-selection); every S-polynomial is fully reduced against the current
-basis; the returned basis is reduced, monic, and sorted by increasing
+Input generators and S-pairs are work items of one queue, processed by
+increasing key under the active order: a generator's lead, a pair's lcm,
+ties going to the generator (normal selection, Giovini, Mora, Niesi,
+Robbiano & Traverso, "One sugar cube, please", ISSAC 1991).  Each item
+is fully reduced against the current basis, and a nonzero remainder
+joins it.  For homogeneous input under a graded order the items come
+off in nondecreasing degree, so every admitted lead is a minimal
+generator of the lead ideal, and the basis never grows past its reduced
+length.  The returned basis is reduced, monic, and sorted by increasing
 lead monomial, hence unique for the ideal and the order.  A configurable
 budget on basis size and degree turns runaway computations into a hard
 BudgetExceeded error instead of an apparent hang.  For input bihomogeneous
@@ -343,9 +349,9 @@ class _HilbertDriver:
     N(M + (u)) = N(M) - w(u) N(M : u), M : u generated by the
     lcm(g, u) - u of the earlier leads g.  settled tells whether the
     lead ideal is complete at the bidegree of a pair's lcm, where every
-    S-pair reduces to zero; pairs come off in nondecreasing degree, so
-    a bidegree's deficit, once read, falls only by one for each element
-    admitted in it.
+    S-pair reduces to zero; pairs and generators come off in
+    nondecreasing degree, so a bidegree's deficit, once read, falls only
+    by one for each element admitted in it.
     """
 
     __slots__ = ("target", "num", "deficit", "weight", "guard", "fields",
@@ -396,6 +402,14 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     past max_basis elements or any basis element's total degree passes
     max_degree; its message names the cap and the term order of the run.
 
+    The input generators are selected like pairs, by lead key: a stack
+    of them, least lead key on top and the earlier input first among
+    equals, is merged with the pair set, each step taking the generator
+    on top unless a pair's lcm has a smaller key.  On homogeneous input
+    under a graded order every element admitted is then one of the
+    reduced basis, so the run exceeds max_basis exactly when the reduced
+    basis has more than max_basis elements.
+
     within = (x_max, T_max) truncates the run at that bidegree box, for
     gens bihomogeneous in (x, T) (t has bidegree (0, 0)); a generator
     that is not raises ValueError.  Generators outside the box are
@@ -411,11 +425,12 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     bigraded Hilbert series of the ideal is the given map (a, b) -> coeff,
     as hilbert_numerator returns it.  It needs t-free bihomogeneous gens,
     a graded order (grevlex or a revlex_last order) and no within;
-    anything else raises ValueError.  Pairs then come off in
-    nondecreasing degree, and before a pair whose lcm has bidegree
-    (a, b) is reduced, dim (R/LT(G))_(a,b) is compared with the series:
-    where they agree LT(G) and LT(I) agree in that bidegree, the pair's
-    S-polynomial reduces to zero, and it is dropped.  So the run admits
+    anything else raises ValueError.  Pairs and generators then come
+    off in nondecreasing degree, and before a pair whose lcm has
+    bidegree (a, b) is reduced, dim (R/LT(G))_(a,b) is compared with
+    the series: where they agree LT(G) and LT(I) agree in that
+    bidegree, the pair's S-polynomial reduces to zero, and it is
+    dropped.  So the run admits
     exactly the elements of a plain run.  At the end the numerator of
     the leads must equal the claim, or AssertionError is raised.
     """
@@ -467,24 +482,28 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
         insort(red, entries[-1])
         return _update_pairs(pairs, lead, len(lead) - 1, keyf, guard, inside)
 
-    for f in gens:
-        h = _reduce_terms(_to_terms(f, order), red, mod, guard)
-        if h:
-            pairs = admit(h)
-
-    while pairs:
-        best = 0
-        bk = pairs[0]
-        for pos in range(1, len(pairs)):
-            cand = pairs[pos]
-            if (cand[0], cand[3], cand[2]) < (bk[0], bk[3], bk[2]):
-                best = pos
-                bk = cand
-        _, lcm, i, j = pairs.pop(best)
-        if driver is not None and driver.settled(lcm):
-            continue
-        h = _reduce_terms((), red, mod, guard,
-                          _spair_tails(entries[i], entries[j], keyf, guard))
+    # a stack of the inputs: the top has the least lead key, the earliest
+    # input first among equal keys
+    todo = [_to_terms(f, order) for f in reversed(gens)]
+    todo.sort(key=lambda terms: terms[0][0], reverse=True)
+    while todo or pairs:
+        if pairs:
+            best = 0
+            bk = pairs[0]
+            for pos in range(1, len(pairs)):
+                cand = pairs[pos]
+                if (cand[0], cand[3], cand[2]) < (bk[0], bk[3], bk[2]):
+                    best = pos
+                    bk = cand
+        if todo and (not pairs or todo[-1][0][0] <= bk[0]):
+            h = _reduce_terms(todo.pop(), red, mod, guard)
+        else:
+            _, lcm, i, j = pairs.pop(best)
+            if driver is not None and driver.settled(lcm):
+                continue
+            h = _reduce_terms((), red, mod, guard,
+                              _spair_tails(entries[i], entries[j], keyf,
+                                           guard))
         if h:
             pairs = admit(h)
 
@@ -547,24 +566,30 @@ def normal_form(poly, basis, order=None):
                                         ring.guard), order)
 
 
-def normal_form_lead(poly, basis, minus=None):
+def reduction_entries(basis, ring):
+    """The reduction entries of a grevlex basis of ring, which
+    normal_form_lead reduces against: built once, they serve any number
+    of reductions."""
+    return _entries(basis, ring.grevlex, ring.p)
+
+
+def normal_form_lead(poly, entries, minus=None):
     """The lead term of the remainder of poly on full division by a
-    grevlex basis, as a one-term Polynomial, or zero when poly reduces
-    to zero.  With minus = (c, g) it is the remainder of poly - c*g, and
-    c*g enters the reduction as a shifted summand, as an S-pair's tails
-    do, so the difference is never formed.
+    grevlex basis, given by its reduction_entries, as a one-term
+    Polynomial, or zero when poly reduces to zero.  With minus = (c, g)
+    it is the remainder of poly - c*g, and c*g enters the reduction as a
+    shifted summand, as an S-pair's tails do, so the difference is never
+    formed.
 
     The reduction stops at the first term no basis lead divides: only
     a member is reduced to the end."""
     ring = poly.ring
-    mod = ring.p
     shifted = ()
     if minus is not None:
         c, g = minus
         shifted = ((g.terms, 0, 0, -c),)
-    lead = next(_remainder_terms(poly.terms,
-                                 _entries(basis, ring.grevlex, mod), mod,
-                                 ring.guard, shifted), None)
+    lead = next(_remainder_terms(poly.terms, entries, ring.p, ring.guard,
+                                 shifted), None)
     return Polynomial(ring, () if lead is None else (lead,))
 
 

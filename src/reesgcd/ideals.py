@@ -95,6 +95,7 @@ from .groebner import (
     hilbert_numerator,
     interreduce,
     normal_form_lead,
+    reduction_entries,
 )
 
 
@@ -120,11 +121,13 @@ class Ideal:
     list that landed on it, by order (_bayer), until groebner
     interreduces the one of the order it is asked for.  And the lead
     term of the normal form of every polynomial it has reduced, zero for
-    a member (_leads).
+    a member (_leads), with the reduction entries of the last membership
+    basis, built once for all of its reductions (_entries).
     """
 
     __slots__ = ("ring", "gens", "_bases", "_quotients", "_truncated",
-                 "_hilbert", "_divided", "_division", "_bayer", "_leads")
+                 "_hilbert", "_divided", "_division", "_bayer", "_leads",
+                 "_entries")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -142,6 +145,7 @@ class Ideal:
         self._division = None
         self._bayer = None
         self._leads = {}
+        self._entries = None
 
     def groebner(self, order=None):
         """Reduced basis under order (default: grevlex).
@@ -206,6 +210,14 @@ class Ideal:
         self._truncated = (box, basis)
         return basis
 
+    def _entries_for(self, polys):
+        """The reduction entries of basis_for(polys), built once for each
+        basis it hands out."""
+        basis = self.basis_for(polys)
+        if self._entries is None or self._entries[0] is not basis:
+            self._entries = (basis, reduction_entries(basis, self.ring))
+        return self._entries[1]
+
     def _lead(self, poly):
         """The lead term of the normal form of poly modulo self, zero for
         a member, kept for the life of the ideal: modulo any basis that
@@ -215,7 +227,7 @@ class Ideal:
             return poly
         lead = self._leads.get(poly)
         if lead is None:
-            lead = normal_form_lead(poly, self.basis_for((poly,)))
+            lead = normal_form_lead(poly, self._entries_for((poly,)))
             self._leads[poly] = lead
         return lead
 
@@ -257,7 +269,7 @@ class Ideal:
             return False
         p = self.ring.p
         c = coeff_b * pow(coeff_a, p - 2, p) % p
-        return normal_form_lead(h, self.basis_for((g, h)),
+        return normal_form_lead(h, self._entries_for((g, h)),
                                 minus=(c, g)).is_zero
 
     def contains_ideal(self, other):

@@ -306,7 +306,7 @@ class TestVerify:
         assert "budget exceeded" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, cap, section, order", [
-        ("verify", 32, "main", "elim-aux"),
+        ("verify", 29, "main", "revlex-last-x3"),
         ("run", 3, "hypotheses", "grevlex"),
         ("check", 3, "hypotheses", "grevlex"),
         ("random", 3, "hypotheses", "grevlex"),
@@ -323,9 +323,9 @@ class TestVerify:
         assert err == ("budget exceeded in %s: basis size cap %d "
                        "exceeded (%s)\n" % (section, cap, order))
 
-    def test_golden_verify_fits_a_cap_of_33(self, golden_file, capsys):
+    def test_golden_verify_fits_a_cap_of_30(self, golden_file, capsys):
         assert main(["verify", golden_file, "--json", "--max-gb-size",
-                     "33"]) == 0
+                     "30"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_budget_covers_one_command_only(self, golden_file, capsys):

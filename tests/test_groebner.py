@@ -192,6 +192,65 @@ class TestBudget:
             groebner_basis(gens, R.elim_aux, max_degree=2)
 
 
+def random_bihomogeneous(rng, ring, bidegree, size=3):
+    """A nonzero t-free polynomial of the given bidegree, at most size
+    terms."""
+    while True:
+        coeffs = {}
+        for _ in range(size):
+            exp = [0] * ring.nvars
+            for _ in range(bidegree[0]):
+                exp[rng.choice(ring.x_slots)] += 1
+            for _ in range(bidegree[1]):
+                exp[rng.choice(ring.t_slots)] += 1
+            coeffs[tuple(exp)] = rng.randrange(1, ring.p)
+        f = ring.from_dict(coeffs)
+        if not f.is_zero:
+            return f
+
+
+def lowest_listed_last(rng, ring):
+    """Shuffled bihomogeneous generators of larger degree, one of them a
+    multiple of a generator g of smaller degree, with g listed last."""
+    low = rng.choice([(1, 0), (0, 1), (1, 1)])
+    g = random_bihomogeneous(rng, ring, low)
+    higher = [random_bihomogeneous(rng, ring,
+                                   (low[0] + rng.randint(0, 1), low[1] + 1))
+              for _ in range(rng.randint(1, 4))]
+    higher.append(random_bihomogeneous(rng, ring, (1, 0), size=1) * g)
+    rng.shuffle(higher)
+    return higher + [g]
+
+
+TIGHT_RING = PolyRing.get(7, 1)
+
+
+class TestTightAdmission:
+    """Homogeneous input under a graded order: inputs and S-pairs come
+    off in nondecreasing degree, so every admitted element keeps its lead
+    in the reduced basis, and the run fits a basis cap of exactly the
+    reduced basis's length."""
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize("slot", [None] + list(range(TIGHT_RING.nvars)))
+    def test_fits_the_reduced_basis_and_not_one_less(self, slot, truncated):
+        ring = TIGHT_RING
+        order = ring.grevlex if slot is None else ring.revlex_last(slot)
+        rng = random.Random(slot)
+        for _ in range(12):
+            gens = lowest_listed_last(rng, ring)
+            within = None
+            if truncated:
+                within = tuple(max(g.bidegree()[k] for g in gens)
+                               for k in (0, 1))
+            gb = groebner_basis(gens, order, within=within)
+            assert groebner_basis(gens, order, max_basis=len(gb),
+                                  within=within) == gb
+            with pytest.raises(BudgetExceeded):
+                groebner_basis(gens, order, max_basis=len(gb) - 1,
+                               within=within)
+
+
 class TestReduceBasis:
     def test_strips_redundant_and_normalizes(self):
         gb = list(groebner_basis([R.parse("x1^2 - T1"), R.x(2)]))

@@ -6,10 +6,11 @@ same normal forms on every bihomogeneous polynomial inside the box.
 Ideal.basis_for takes that route only for bihomogeneous, t-free
 generators and queries; Ideal.outside sizes it once for a batch of
 queries and yields the non-members in order.  Top reduction
-(normal_form_lead) must give the lead term of the normal form on either
-basis, and Ideal.proportional the verdict of comparing full normal
-forms up to a scalar.  The property tests draw bigraded ideals of the
-d=1 and d=2 rings at p=7 and p=32003.
+(normal_form_lead, on the reduction_entries of a basis) must give the
+lead term of the normal form on either basis, and Ideal.proportional
+the verdict of comparing full normal forms up to a scalar.  The
+property tests draw bigraded ideals of the d=1 and d=2 rings at p=7 and
+p=32003.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from reesgcd.groebner import (
     groebner_basis,
     normal_form,
     normal_form_lead,
+    reduction_entries,
 )
 from reesgcd.ideals import Ideal
 from reesgcd.pipeline import (
@@ -205,6 +207,29 @@ class TestIdealBox:
             ["x2^2", "x2*T1", "x1*x2"]
         assert runs == [(2, 2)]
 
+    def test_entries_are_built_once_per_basis(self, monkeypatch):
+        ring = RINGS[1]
+        built = []
+
+        def counted(basis, ring):
+            built.append(basis)
+            return reduction_entries(basis, ring)
+
+        monkeypatch.setattr("reesgcd.ideals.reduction_entries", counted)
+        ideal = Ideal(ring, [ring.parse("x1*T1 - x2*T2"),
+                             ring.parse("x1*T2")])
+        queries = [ring.parse(q) for q in ("x2^2", "x2*T2^2", "x2*T1",
+                                           "x1^2*T1", "x1*x2")]
+        list(ideal.outside(queries))
+        pairs = [(ring.parse("x1*T1"), ring.parse("3*x2*T2")),
+                 (ring.parse("x2^2"), ring.parse("2*x2^2"))]
+        assert list(ideal.proportional(pairs)) == [True, True]
+        assert built == [ideal._truncated[1]]
+        assert ideal.contains(ring.parse("x1*x2*T2^3"))
+        full = ideal.groebner()
+        assert not ideal.contains(ring.parse("x1^3"))
+        assert built == [built[0], ideal._truncated[1], full]
+
     def test_outside_of_zeros_makes_no_run(self, runs):
         # basis_for has no box for them and would run on the full basis
         ring = RINGS[1]
@@ -241,13 +266,14 @@ class TestNormalFormLead:
         c = data.draw(st.integers(0, ring.p - 1))
         for basis in (groebner_basis(gens, within=box),
                       groebner_basis(gens)):
-            lead = normal_form_lead(query, basis)
+            entries = reduction_entries(basis, ring)
+            lead = normal_form_lead(query, entries)
             form = normal_form(query, basis)
             assert lead.is_zero == form.is_zero
             assert lead_term(lead) == lead_term(form)
             assert len(lead) <= 1
             # minus = (c, g) reduces query - c*g without forming it
-            lead = normal_form_lead(query, basis, minus=(c, other))
+            lead = normal_form_lead(query, entries, minus=(c, other))
             assert lead_term(lead) == \
                 lead_term(normal_form(query - other.scale(c), basis))
 

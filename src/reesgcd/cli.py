@@ -124,12 +124,12 @@ def _in_section(key, check, *args):
         raise
 
 
-def _full_verification(inst):
-    """Hypotheses first; the remaining sections only when those pass."""
-    sections = {"hypotheses": _in_section("hypotheses", check_hypotheses,
-                                          inst)}
+def _full_verification(inst, hypotheses):
+    """The hypothesis report of inst first; the remaining sections only
+    when it passes."""
+    sections = {"hypotheses": hypotheses}
     trace = None
-    if sections["hypotheses"].ok:
+    if hypotheses.ok:
         trace = gcd_iterations(inst)
         for key, check, args in (
                 ("main", verify_main_theorem, (inst, trace)),
@@ -147,7 +147,9 @@ def _sections_ok(sections):
 def _at_second_prime(inst, prime, sections):
     """The sections of inst verified again at prime, and whether every
     check there has the status it has in sections."""
-    _, second = _full_verification(inst.with_prime(prime))
+    other = inst.with_prime(prime)
+    hypotheses = _in_section("hypotheses", check_hypotheses, other)
+    _, second = _full_verification(other, hypotheses)
     statuses = [{(key, c.check_id): c.status
                  for key, rep in run.items() for c in rep.checks}
                 for run in (sections, second)]
@@ -198,7 +200,8 @@ def cmd_run(args):
 
 def cmd_verify(args):
     inst = _load_instance(args.file, args.prime)
-    trace, sections = _full_verification(inst)
+    hypotheses = _in_section("hypotheses", check_hypotheses, inst)
+    trace, sections = _full_verification(inst, hypotheses)
     doc = _document("verify", inst, sections, trace)
     ok = doc["ok"]
     if not sections["hypotheses"].ok:
@@ -260,14 +263,14 @@ def cmd_example(args):
 
 def cmd_random(args):
     prime = DEFAULT_PRIME if args.prime is None else args.prime
-    pairs = _in_section("hypotheses", sample_random_instances, args.d,
+    drawn = _in_section("hypotheses", sample_random_instances, args.d,
                         args.m, args.count, prime, args.seed)
     results = []
     all_ok = True
     candidates = 0
-    for k, (inst, attempts) in enumerate(pairs):
+    for k, (inst, attempts, hypotheses) in enumerate(drawn):
         candidates += attempts
-        trace, sections = _full_verification(inst)
+        trace, sections = _full_verification(inst, hypotheses)
         ok = _sections_ok(sections)
         entry = {"seed": args.seed + k, "candidates": attempts,
                  "instance": inst.to_dict(),
@@ -288,7 +291,7 @@ def cmd_random(args):
             print("instance %d (seed %d): %s after %d candidate(s)"
                   % (k + 1, args.seed + k,
                      "pass" if ok else "FAIL", attempts))
-    accept_rate = len(pairs) / candidates if candidates else 0.0
+    accept_rate = len(drawn) / candidates if candidates else 0.0
     pass_rate = (sum(1 for r in results if r["ok"]) / len(results)
                  if results else 0.0)
     if args.json:
@@ -300,7 +303,7 @@ def cmd_random(args):
                       "ok": all_ok}))
     else:
         print("accept rate: %d/%d = %.3f"
-              % (len(pairs), candidates, accept_rate))
+              % (len(drawn), candidates, accept_rate))
         print("all-pass rate: %.3f" % pass_rate)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 

@@ -15,40 +15,41 @@ per-variable results.
 
 Every quotient is kept under its reduced grevlex basis, its canonical
 form.  The leads of Bayer's quotient list give the quotient's bigraded
-Hilbert series.  A quotient the ideal already holds is recognized by
-containment plus equal series: a kept quotient with the same numerator
+Hilbert series.  An ideal keeps the quotients it formed, in order, and
+one scan of them finds a quotient it already holds: one formed from the
+same quotient list, or, for a bigraded list, one with the same series
 that holds every element of the list, asked of it by lead terms as any
-membership is (a member still reduces to zero), is that quotient, and
-no run is made for it.  A list whose grevlex leads have that series
-is a grevlex basis already, and its interreduction is the canonical
-basis.  Otherwise the series drives the grevlex run that forms the basis
-(Traverso, J. Symb. Comp. 22, 1996); the run checks the series of its
-own leads against it at the end.  An ideal keeps its quotient Ideals,
-each under the quotient lists that formed it, so bigraded quotients
-that are the same ideal (by different variables, or a colon and a
-saturation) are the same object, whose generators are its basis.
+membership is (a member still reduces to zero).  That is the quotient,
+and no run is made for it.  So a repeated colon or saturation is the
+held object, and bigraded quotients that are the same ideal (by
+different variables, or a colon and a saturation) are the same object,
+whose generators are its basis.  Any other quotient is formed by the
+grevlex run the series drives (Traverso, J. Symb. Comp. 22, 1996); the
+run checks the series of its own leads against it at the end, and on a
+list that is a grevlex basis already it admits only the elements its
+reduced basis keeps.
 
-A quotient remembers its division.  The generators of its dividend a
-and its divided elements, from the division that formed it, decide
-containment: the undivided elements of the list lie in a, so an ideal
-whose generators include a's contains the quotient exactly when it
-contains the divided elements.  Each Bayer list that lands on the
-quotient is its Groebner basis under the order it was divided in, so
-the quotient's basis under that order is the list's interreduction, with
-no run.
+A quotient remembers its division, in one record: the generators of its
+dividend a, Bayer's quotient list and the divided elements.  The first
+and the last decide containment: the undivided elements of the list lie
+in a, so an ideal whose generators include a's contains the quotient
+exactly when it contains the divided elements.  Each Bayer list that
+lands on the quotient is its Groebner basis under the order it was
+divided in, so the quotient's basis under that order is the list's
+interreduction, with no run.
 
 Intersections are the only elimination constructions: the helper
 variable t is eliminated from t*I + (1-t)*J, and the output arrives as a
 reduced grevlex basis of the intersection, so downstream membership tests
-reuse it without recomputation.  Two ideals with the same reduced grevlex
-basis meet in that ideal with no run, so a fold of equal quotients (on
+reuse it without recomputation.  An ideal meets itself by identity, with
+no run; equal quotients are one object, so a fold of equal quotients (on
 the random m = 1 instances of the tests, every fold) eliminates nothing.
 An intersection whose elimination returns the first argument's own
 generators is that argument, returned as it is, so a quotient keeps its
 record through a fold of nested ideals.  The (1-t) block of a quotient
-is its quotient list, kept beside its basis: with the basis there,
-golden's elimination runs grow past 33 basis elements.  The quotient
-memo lives on the Ideal objects of one verification, not in the module.
+is the quotient list of its record: with its basis there, golden's
+elimination runs grow past 33 basis elements.  The quotients live on the
+Ideal objects of one verification, not in the module.
 
 The d+1 runs of Bayer's route on one ideal, one per variable, share its
 bigraded Hilbert series.  Once an ideal of t-free bihomogeneous
@@ -105,29 +106,28 @@ class Ideal:
     Membership tests run under grevlex; gb, if given, is the reduced
     grevlex basis.  Bases under other orders are computed on request and
     kept, one per order, for the life of the ideal.  So are the quotient
-    ideals that _divide_out forms from its bases, each under the
-    quotient lists that formed it.
+    ideals that _divide_out forms from its bases, in the order they were
+    formed (_quotients).
 
     Beside them it keeps one grevlex basis truncated at a bidegree box,
     with the box (see basis_for): the membership basis of a bigraded
     ideal whose full basis nobody has asked for; and the numerator of
     its bigraded Hilbert series, read off its first full basis, which
-    drives its later runs.  A quotient also keeps Bayer's quotient list
-    it was formed from (_divided), the (1-t) block of the intersections
-    it enters as second argument; its numerator comes from that list's
-    leads.  And it keeps the record of that division (_division): the
-    generators of its dividend and the elements that were divided, which
-    contains_ideal tests in place of its generators; and every Bayer
-    list that landed on it, by order (_bayer), until groebner
-    interreduces the one of the order it is asked for.  And the lead
-    term of the normal form of every polynomial it has reduced, zero for
-    a member (_leads), with the reduction entries of the last membership
-    basis, built once for all of its reductions (_entries).
+    drives its later runs.  A quotient also keeps the record of the
+    division that formed it (_division): the generators of its dividend;
+    Bayer's quotient list, whose leads gave its numerator and which is
+    the (1-t) block of the intersections it enters as second argument;
+    and the elements that were divided, which contains_ideal tests in
+    place of its generators.  And every Bayer list that landed on it, by
+    order (_bayer), until groebner interreduces the one of the order it
+    is asked for.  And the lead term of the normal form of every
+    polynomial it has reduced, zero for a member (_leads), with the
+    reduction entries of the last membership basis, built once for all
+    of its reductions (_entries).
     """
 
     __slots__ = ("ring", "gens", "_bases", "_quotients", "_truncated",
-                 "_hilbert", "_divided", "_division", "_bayer", "_leads",
-                 "_entries")
+                 "_hilbert", "_division", "_bayer", "_leads", "_entries")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -138,10 +138,9 @@ class Ideal:
                 seen[g] = None
         self.gens = tuple(seen)
         self._bases = {} if gb is None else {ring.grevlex: gb}
-        self._quotients = {}
+        self._quotients = []
         self._truncated = None
         self._hilbert = None
-        self._divided = None
         self._division = None
         self._bayer = None
         self._leads = {}
@@ -285,7 +284,7 @@ class Ideal:
         on Bayer's theorem."""
         gens = other.gens
         if other._division is not None:
-            dividend, divided = other._division
+            dividend, _, divided = other._division
             if set(dividend) <= set(self.gens):
                 gens = divided
         return next(self.outside(gens), None) is None
@@ -341,26 +340,25 @@ def _eliminate_aux(ring, gens, tag):
 def intersect(a, b):
     """a ∩ b, under its reduced grevlex basis.
 
-    Two ideals with the same reduced grevlex basis meet in that ideal,
-    returned with no elimination run.  Otherwise t is eliminated from
-    t*a + (1-t)*b, the (1-t) block taken over b's quotient list when b
-    is a quotient (_divide_out) and over its generators otherwise.  When
-    the run returns a's own generators, a is contained in b and a itself
-    is returned, with whatever it keeps (a quotient's record of its
+    An ideal meets itself by identity: a is b returns a, with no
+    elimination run.  Otherwise t is eliminated from t*a + (1-t)*b, the
+    (1-t) block taken over b's quotient list when b is a quotient
+    (_divide_out) and over its generators otherwise.  When the run
+    returns a's own generators, a is contained in b and a itself is
+    returned, with whatever it keeps (a quotient's record of its
     division among them).
     """
     _check_aux_free(a)
     _check_aux_free(b)
+    if a is b:
+        return a
     ring = a.ring
     if a.is_zero or b.is_zero:
         return Ideal(ring, ())
-    basis = a._bases.get(ring.grevlex)
-    if basis is not None and basis == b._bases.get(ring.grevlex):
-        return a if a.gens == basis else Ideal(ring, basis, gb=basis)
     t = ring.aux
     one_minus_t = ring.one - t
-    gens = [t * g for g in a.gens] + [
-        one_minus_t * h for h in b._divided or b.gens]
+    block = b._division[1] if b._division else b.gens
+    gens = [t * g for g in a.gens] + [one_minus_t * h for h in block]
     kept = _eliminate_aux(ring, gens, "intersection")
     return a if kept == a.gens else Ideal(ring, kept, gb=kept)
 
@@ -393,24 +391,19 @@ def _divide_out(a, slot, whole_power):
     once where it divides.  By Bayer's theorem the quotients form a
     Groebner basis of the quotient ideal under that order, so their
     leads, each the element's lead less the removed power, give the
-    ideal's bigraded Hilbert series.  A kept quotient with that series
-    that contains the list is the quotient (_held_quotient), returned
-    with no run.  Otherwise, when the list's grevlex leads have that
-    series too, the list is a grevlex basis (its grevlex lead ideal lies
-    in the quotient's and has its series) and its interreduction is the
-    canonical basis; failing that, the series drives the grevlex run
-    that makes it.  The quotient Ideal has that basis as its generators,
-    the series as its numerator, the quotient list beside them for the
-    (1-t) block of the intersections it enters, and the record of this
-    division: a's generators and the divided elements, for
-    contains_ideal.  Every list that lands on the quotient, by this
+    ideal's bigraded Hilbert series.  A quotient a holds that is the
+    ideal of the list (_held_quotient) is returned with no run.
+    Otherwise the series drives the grevlex run that makes the canonical
+    basis.  The quotient Ideal has that basis as its generators, the
+    series as its numerator, and the record of this division: a's
+    generators and the divided elements, for contains_ideal, with the
+    quotient list between them, the (1-t) block of the intersections
+    it enters.  Every list that lands on the quotient, by this
     division or a later one, is kept under its order until the
-    quotient's basis under that order is asked for.  The memo is keyed
-    by the quotient list, so a colon and a saturation by x with the same
-    quotients make no second comparison.
+    quotient's basis under that order is asked for.
 
     Input that is not bihomogeneous has no series: it takes a plain run
-    and makes a new quotient.
+    and makes a new quotient, which only its own list finds again.
     """
     ring = a.ring
     order = ring.revlex_last(slot)
@@ -428,23 +421,17 @@ def _divide_out(a, slot, whole_power):
         quots.append(g)
         leads.append(ring.monomial(lead))
     quots = tuple(quots)
-    found = a._quotients.get(quots)
+    hilbert = None
+    if _bigraded_box(quots) is not None:
+        hilbert = hilbert_numerator(leads)
+    found = _held_quotient(a, quots, hilbert)
     if found is None:
-        hilbert = None
-        if _bigraded_box(quots) is not None:
-            hilbert = hilbert_numerator(leads)
-            found = _held_quotient(a, quots, hilbert)
-        if found is None:
-            if hilbert is not None and hilbert_numerator(quots) == hilbert:
-                basis = interreduce(quots)
-            else:
-                basis = groebner_basis(quots, ring.grevlex, hilbert=hilbert)
-            found = Ideal(ring, basis, gb=basis)
-            found._hilbert = hilbert
-            found._divided = quots
-            found._division = (a.gens, tuple(divided))
-            found._bayer = {}
-        a._quotients[quots] = found
+        basis = groebner_basis(quots, ring.grevlex, hilbert=hilbert)
+        found = Ideal(ring, basis, gb=basis)
+        found._hilbert = hilbert
+        found._division = (a.gens, quots, tuple(divided))
+        found._bayer = {}
+        a._quotients.append(found)
     if order not in found._bases:
         found._bayer.setdefault(order, quots)
     return found
@@ -453,18 +440,19 @@ def _divide_out(a, slot, whole_power):
 def _held_quotient(a, quots, hilbert):
     """The quotient kept on a that is the ideal Q' of quots, or None.
 
-    A kept quotient Q is Q' when the numerator hilbert of the leads of
-    quots equals Q's and Q holds every element of quots, asked of Q by
-    lead terms (Ideal.outside) on its reduced grevlex basis: a member
-    still reduces to zero, and a non-member ends the test at its first
-    irreducible term.  Each lead is the lead of an element of Q', so
-    HF(R/Q') <= HF(R/(leads)) = HF(R/Q); Q' in Q gives HF(R/Q) <=
-    HF(R/Q'); so the series agree, and with Q' in Q that makes Q' = Q.
-    Kept quotients, each once under whichever keys it has, are tried in
-    the order they were made.
+    A kept quotient Q is Q' when it was formed from quots itself, or
+    when quots is bigraded, the numerator hilbert of its leads equals
+    Q's, and Q holds every element of quots, asked of Q by lead terms
+    (Ideal.outside) on its reduced grevlex basis: a member still reduces
+    to zero, and a non-member ends the test at its first irreducible
+    term.  Each lead is the lead of an element of Q', so HF(R/Q') <=
+    HF(R/(leads)) = HF(R/Q); Q' in Q gives HF(R/Q) <= HF(R/Q'); so the
+    series agree, and with Q' in Q that makes Q' = Q.  Kept quotients
+    are tried in the order they were made.
     """
-    for held in dict.fromkeys(a._quotients.values()):
-        if (held._hilbert == hilbert
+    for held in a._quotients:
+        if held._division[1] == quots or (
+                hilbert is not None and held._hilbert == hilbert
                 and next(held.outside(quots), None) is None):
             return held
     return None

@@ -654,10 +654,10 @@ def verify_main_theorem(inst, trace):
     return rep
 
 
-def verify_well_definedness(inst, trace=None):
-    """Rerun with the alternate column rule, on the Jacobian dual and
-    minors of trace when it has them; the per-step ideals must agree
-    even when the gcd representatives differ.
+def verify_well_definedness(inst, trace):
+    """Rerun trace, a run under the default column rule, with the
+    alternate rule, on the Jacobian dual and minors of trace; the
+    per-step ideals must agree even when the gcd representatives differ.
 
     Let B_i and B'_i be the step-i ideals under the two rules, and take
     a step whose gcds g and g' differ after B_{i-1} = B'_{i-1} has been
@@ -679,23 +679,22 @@ def verify_well_definedness(inst, trace=None):
     again.  Any other step falls back to comparing the two partial
     ideals, each on a Groebner basis of its own.
     """
-    first = trace if trace is not None else gcd_iterations(inst, "min")
-    second = gcd_iterations(inst, rule="max", prior=first)
+    second = gcd_iterations(inst, rule="max", prior=trace)
     rep = VerificationReport()
-    base = first.base_ideal
+    base = trace.base_ideal
     # B_{i-1} = B'_{i-1} is proven; at i = 1 by equal generators
     agreed = base.gens == second.base_ideal.gens
-    pairs = [(g, h) for g, h in zip(first.gcds, second.gcds) if g != h]
+    pairs = [(g, h) for g, h in zip(trace.gcds, second.gcds) if g != h]
     # taken in step order while agreed holds; once false, agreed stays
     # false
     verdicts = base.proportional(pairs) if agreed and pairs else None
     for i in range(1, inst.degree + 1):
-        g, h = first.gcds[i - 1], second.gcds[i - 1]
+        g, h = trace.gcds[i - 1], second.gcds[i - 1]
         same = g == h
         equal = same or (agreed and next(verdicts))
         witness = ""
         if not equal:
-            witness = _difference_witness(first.partial_ideal(i),
+            witness = _difference_witness(trace.partial_ideal(i),
                                           second.partial_ideal(i))
             equal = not witness
         if not same:
@@ -1069,8 +1068,9 @@ def _one_random_instance(d, m, p, seed):
         inst = InstanceSpec(p, d,
                             [[str(e) for e in row] for row in rows],
                             str(equation))
-        if check_hypotheses(inst).ok:
-            return inst, attempt
+        report = check_hypotheses(inst)
+        if report.ok:
+            return inst, attempt, report
     raise InstanceRejected(
         "no hypothesis-passing instance in %d attempts" % _MAX_CANDIDATES)
 
@@ -1086,6 +1086,8 @@ def random_instance(d, m, p=DEFAULT_PRIME, seed=0):
 
 
 def sample_random_instances(d, m, count, p=DEFAULT_PRIME, seed=0):
-    """(instance, candidates tried) pairs for seeds seed..seed+count-1."""
+    """(instance, candidates tried, hypothesis report) triples for seeds
+    seed..seed+count-1; the report is the accepted instance's, which a
+    caller verifying the instance need not compute again."""
     return [_one_random_instance(d, m, p, seed + k)
             for k in range(count)]

@@ -160,7 +160,7 @@ def test_criterion_5_well_definedness(golden, golden_trace):
     for d, m, seed in ((4, 1, 0), (4, 1, 1), (4, 2, 0), (4, 2, 1),
                        (4, 2, 2)):
         inst = random_instance(d, m, seed=seed)
-        assert verify_well_definedness(inst).ok
+        assert verify_well_definedness(inst, gcd_iterations(inst)).ok
         checked += 1
     assert checked >= 6
     print("criterion 5: PASS (%d instances, both rules)" % checked)

@@ -1,9 +1,9 @@
 """Canonical Bayer quotients: a colon or saturation by a variable is kept
 under its reduced grevlex basis, made by a run driven by the Hilbert series
-that Bayer's quotient list gives, so equal quotients are one Ideal and an
-ideal meets itself without an elimination run.  A quotient the ideal
-already holds is recognized, with no run, only by containment and an equal
-series together.
+that Bayer's quotient list gives, so equal quotients are one Ideal, and an
+ideal meets itself by identity, without an elimination run.  A quotient
+the ideal already holds is recognized, with no run, only by the list that
+formed it or by containment and an equal series together.
 
 The property tests run on random homogeneous and bihomogeneous ideals of
 the d=1 and d=2 rings at p=7 and p=32003, against plain Groebner runs on
@@ -126,7 +126,7 @@ class TestCanonicalBasis:
         basis = groebner_basis(quots)
         assert got.gens == basis
         assert got.groebner() == got.gens
-        assert got._divided == quots
+        assert got._division[1] == quots
         if ideals._bigraded_box(quots) is not None:
             assert got._hilbert == hilbert_numerator(basis)
 
@@ -146,7 +146,7 @@ class TestCanonicalBasis:
     @given(products_by_two_variables())
     def test_driven_run_rejects_a_larger_target(self, problem):
         ring, b, a = problem
-        quots = colon(a, ring.x(1))._divided
+        quots = colon(a, ring.x(1))._division[1]
         extra = ring.x(1) * ring.x(2)
         larger = groebner_basis(list(quots) + [extra])
         assert not normal_form(extra, groebner_basis(quots)).is_zero
@@ -157,7 +157,9 @@ class TestCanonicalBasis:
 class TestSelfIntersection:
     @settings(max_examples=60, deadline=None)
     @given(problems(), st.randoms(use_true_random=False))
-    def test_returns_the_reduced_basis_without_a_run(self, problem, rng):
+    def test_equal_bases_meet_in_the_reduced_basis(self, problem, rng):
+        # two objects with one basis are not compared: each meeting is
+        # one elimination run, whose output is that basis
         a, _ = problem
         ring = a.ring
         basis = groebner_basis(a.gens)
@@ -169,10 +171,23 @@ class TestSelfIntersection:
             runs = elimination_runs(mp)
             meet = intersect(left, right)
             assert intersect(meet, Ideal(ring, basis, gb=basis)) is meet
-            assert runs == []
+            assert len(runs) == 2
         assert meet.gens == basis
         assert meet.groebner() == basis
         assert intersect(Ideal(ring, basis, gb=basis), right).gens == basis
+
+    @settings(max_examples=60, deadline=None)
+    @given(problems(), st.booleans())
+    def test_an_ideal_meets_itself_by_identity(self, problem, whole_power):
+        a, slot = problem
+        ring = a.ring
+        x = ring.variable(slot)
+        q = saturate_poly(a, x) if whole_power else colon(a, x)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = elimination_runs(mp)
+            for ideal in (a, Ideal(ring, a.gens), q, Ideal(ring, ())):
+                assert intersect(ideal, ideal) is ideal
+            assert runs == []
 
     @settings(max_examples=40, deadline=None)
     @given(problems())
@@ -254,7 +269,7 @@ class TestHeldQuotients:
             got.append(q)
         # only a bigraded list has the series a held quotient is found by
         bigraded = [q for q in got
-                    if ideals._bigraded_box(q._divided) is not None]
+                    if ideals._bigraded_box(q._division[1]) is not None]
         for p in bigraded:
             for q in bigraded:
                 assert (p is q) == (p.gens == q.gens)
@@ -271,10 +286,11 @@ class TestHeldQuotients:
         assert not first.contains(t2)
         assert second is not first
         assert second.gens == groebner_basis([x1 * t1, t2])
-        # the run is an interreduction: the list (x1*t1, t2) is a grevlex
-        # basis already, its grevlex leads have the series of its revlex
+        # a held miss is the driven run, here on a list that is a grevlex
+        # basis already: its grevlex leads have the series of its revlex
         # leads
-        assert runs == ["revlex-last-x2", "interreduce grevlex"]
+        assert runs == ["revlex-last-x2", "grevlex"]
+        assert second.gens == interreduce(second._division[1])
 
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
     def test_containment_with_another_series_is_a_run(self, ring,
@@ -288,9 +304,10 @@ class TestHeldQuotients:
         assert first.contains_ideal(second)
         assert second is not first
         assert second.gens == (x1,)
-        # the run is an interreduction: the list (x1^2, x1) is a grevlex
-        # basis already
-        assert runs == ["revlex-last-x2", "interreduce grevlex"]
+        # a held miss is the driven run, here on the list (x1^2, x1),
+        # which is a grevlex basis already
+        assert runs == ["revlex-last-x2", "grevlex"]
+        assert second.gens == interreduce(second._division[1])
 
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
     def test_held_quotient_makes_no_run(self, ring, monkeypatch):
@@ -302,6 +319,55 @@ class TestHeldQuotients:
         assert saturate_poly(a, x2) is first
         assert "grevlex" not in runs
 
+    @settings(max_examples=60, deadline=None)
+    @given(problems(), st.booleans())
+    def test_a_repeated_quotient_is_the_held_object(self, problem,
+                                                    whole_power):
+        a, slot = problem
+        x = a.ring.variable(slot)
+        quotient = saturate_poly if whole_power else colon
+        first = quotient(a, x)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = recorded_runs(mp)
+            assert quotient(a, x) is first
+            assert quotient(a, x.scale(3)) is first
+            assert runs == []
+
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
+    @pytest.mark.parametrize("srcs, bigraded", [
+        (("x1*T1", "x2*T1"), True),
+        (("x1*x2^2", "x1^2*x2 - x1*T1^2"), False)],
+        ids=["bigraded", "not-bigraded"])
+    def test_repeated_quotients_by_one_variable(self, ring, srcs,
+                                                bigraded, monkeypatch):
+        # without a series the held quotient is found by its Bayer list
+        a = Ideal(ring, [ring.parse(src) for src in srcs])
+        x1 = ring.x(1)
+        first = colon(a, x1)
+        assert (first._hilbert is not None) == bigraded
+        runs = recorded_runs(monkeypatch)
+        assert colon(a, x1) is first
+        assert saturate_poly(a, x1) is first
+        assert runs == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(quotient_sequences())
+    def test_driven_run_on_a_series_matched_list(self, problem):
+        # a list whose grevlex leads have its revlex leads' series is a
+        # grevlex basis: the run admits only what its reduction keeps
+        a, steps = problem
+        for slot, whole_power in steps:
+            x = a.ring.variable(slot)
+            q = saturate_poly(a, x) if whole_power else colon(a, x)
+            quots = q._division[1]
+            if (q._hilbert is None
+                    or hilbert_numerator(quots) != q._hilbert):
+                continue
+            reduced = interreduce(quots)
+            assert q.gens == reduced
+            assert groebner_basis(quots, hilbert=q._hilbert,
+                                  max_basis=len(reduced)) == reduced
+
 
 @st.composite
 def containers(draw):
@@ -312,7 +378,7 @@ def containers(draw):
     ring = a.ring
     x = ring.variable(slot)
     q = saturate_poly(a, x) if draw(st.booleans()) else colon(a, x)
-    _, divided = q._division
+    _, _, divided = q._division
     if draw(st.booleans()):
         kept = list(a.gens)
     else:
@@ -358,8 +424,9 @@ class TestQuotientRecord:
         trace = gcd_iterations(inst)
         base = trace.base_ideal
         sat = saturate(base, inst.x_ideal())
-        dividend, divided = sat._division
+        dividend, quots, divided = sat._division
         assert dividend == base.gens
+        assert set(divided) <= set(quots)
         assert len(divided) == 1 and divided[0].bidegree() == (0, 3)
         assert trace.defining_ideal.contains_ideal(sat)
 
@@ -393,10 +460,10 @@ def main_theorem_runs(inst, monkeypatch):
 
 class TestMainTheoremRuns:
     def test_golden(self, monkeypatch):
-        # 12 of 21 grevlex runs would rediscover a held quotient and 4
-        # form a quotient whose list is a grevlex basis already; 8 of 15
+        # 12 of 21 grevlex runs would rediscover a held quotient, and 4 of
+        # the 9 left run on lists that are grevlex bases already; 8 of 15
         # revlex-last runs would recompute a kept Bayer list
-        assert main_theorem_runs(builtin_example(), monkeypatch) == (5, 7,
+        assert main_theorem_runs(builtin_example(), monkeypatch) == (9, 7,
                                                                      4)
 
     def test_random_m1(self, monkeypatch):

@@ -400,6 +400,24 @@ class TestRandom:
         assert doc["instances"][0]["candidates"] >= 1
         assert 0 < doc["accept_rate"] <= 1
 
+    def test_hypotheses_checked_once_per_candidate(self, monkeypatch,
+                                                   capsys):
+        # an accepted instance is verified under the report that
+        # accepted it, not checked a second time
+        checked = []
+        original = pipeline.check_hypotheses
+
+        def counted(inst):
+            checked.append(inst)
+            return original(inst)
+
+        monkeypatch.setattr(cli, "check_hypotheses", counted)
+        monkeypatch.setattr(pipeline, "check_hypotheses", counted)
+        assert main(["random", "2", "-m", "1", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(checked) == sum(entry["candidates"]
+                                   for entry in doc["instances"])
+
     def test_odd_dimension_rejected(self, capsys):
         assert main(["random", "-d", "3"]) == 1
         assert "must be an even integer" in capsys.readouterr().err

@@ -344,7 +344,7 @@ class TestWellDefinedness:
 
     def test_random_instance_rules_agree(self):
         inst = random_instance(4, 2, seed=3)
-        assert verify_well_definedness(inst).ok
+        assert verify_well_definedness(inst, gcd_iterations(inst)).ok
 
 
 class TestMinimality:
@@ -448,10 +448,11 @@ class TestRandomInstances:
             random_instance(4, 0)
 
     def test_sampler_reports_attempts(self):
-        pairs = sample_random_instances(4, 1, 2, seed=0)
-        assert len(pairs) == 2
-        assert all(attempts >= 1 for _, attempts in pairs)
-        assert pairs[0][0].to_dict() == random_instance(4, 1,
+        drawn = sample_random_instances(4, 1, 2, seed=0)
+        assert len(drawn) == 2
+        assert all(attempts >= 1 for _, attempts, _ in drawn)
+        assert all(report.ok for _, _, report in drawn)
+        assert drawn[0][0].to_dict() == random_instance(4, 1,
                                                         seed=0).to_dict()
 
     def test_accepted_instance_passes_hypotheses(self):

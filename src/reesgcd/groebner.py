@@ -19,6 +19,7 @@ bihomogeneous input under a graded order skips the S-pairs of every
 bidegree where its lead ideal is already complete (Traverso, "Hilbert
 functions and the Buchberger algorithm", J. Symb. Comp. 22, 1996); the
 series comes as the numerator that hilbert_numerator reads off a basis.
+The S-pairs wait in a heap keyed by (lcm key, later index, earlier index).
 
 All reduction runs on the heap-and-dict accumulator of the ring module
 (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -44,6 +45,7 @@ coprime exactly when their lcm is their sum.
 from __future__ import annotations
 
 from bisect import insort
+from heapq import heapify, heappop
 from math import comb
 
 from .ring import (
@@ -153,10 +155,11 @@ def _spair_tails(f, g, keyf, guard):
 
 
 def _update_pairs(pairs, lead, new, keyf, guard, inside=None):
-    """Gebauer-Moeller update of the pair set after appending element new.
+    """Gebauer-Moeller update of the pair heap after appending element new.
 
-    A pair's leads are coprime exactly when their lcm is their sum.  A
-    fresh pair whose lcm fails inside, when given, is dropped.
+    A pair is (lcm key, later index, earlier index, lcm).  A pair's leads
+    are coprime exactly when their lcm is their sum.  A fresh pair whose
+    lcm fails inside, when given, is dropped.
     """
     lm_new = lead[new]
     cand = [(_lcm(lead[i], lm_new, guard), i) for i in range(new)]
@@ -182,12 +185,13 @@ def _update_pairs(pairs, lead, new, keyf, guard, inside=None):
     fresh = [(l, i) for l, i in kept_new if l != lead[i] + lm_new
              and (inside is None or inside(l))]
     out = []
-    for lk, l, i, j in pairs:
+    for lk, j, i, l in pairs:
         if ((l - lm_new) & guard or _lcm(lead[i], lm_new, guard) == l
                 or _lcm(lead[j], lm_new, guard) == l):
-            out.append((lk, l, i, j))
+            out.append((lk, j, i, l))
     for l, i in fresh:
-        out.append((keyf(l), l, i, new))
+        out.append((keyf(l), new, i, l))
+    heapify(out)
     return out
 
 
@@ -404,8 +408,9 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
 
     The input generators are selected like pairs, by lead key: a stack
     of them, least lead key on top and the earlier input first among
-    equals, is merged with the pair set, each step taking the generator
-    on top unless a pair's lcm has a smaller key.  On homogeneous input
+    equals, is merged with the pair heap, keyed by (lcm key, later index,
+    earlier index), each step taking the generator on top unless the
+    pair on top of the heap has a smaller key.  On homogeneous input
     under a graded order every element admitted is then one of the
     reduced basis, so the run exceeds max_basis exactly when the reduced
     basis has more than max_basis elements.
@@ -487,18 +492,10 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     todo = [_to_terms(f, order) for f in reversed(gens)]
     todo.sort(key=lambda terms: terms[0][0], reverse=True)
     while todo or pairs:
-        if pairs:
-            best = 0
-            bk = pairs[0]
-            for pos in range(1, len(pairs)):
-                cand = pairs[pos]
-                if (cand[0], cand[3], cand[2]) < (bk[0], bk[3], bk[2]):
-                    best = pos
-                    bk = cand
-        if todo and (not pairs or todo[-1][0][0] <= bk[0]):
+        if todo and (not pairs or todo[-1][0][0] <= pairs[0][0]):
             h = _reduce_terms(todo.pop(), red, mod, guard)
         else:
-            _, lcm, i, j = pairs.pop(best)
+            _, j, i, lcm = heappop(pairs)
             if driver is not None and driver.settled(lcm):
                 continue
             h = _reduce_terms((), red, mod, guard,

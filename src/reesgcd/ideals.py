@@ -81,15 +81,15 @@ h - c*g reduces to zero for c the ratio of their coefficients.  A pair
 then costs at most one reduction to the end, that of h - c*g, and
 neither g nor h is reduced in full.
 
-Krull dimension is the maximal number of variables supporting no lead
-monomial of the ideal, found by exhaustive search over variable subsets;
-with at most 2(d+1)+1 variables that search is exact and cheap.
+Krull dimension comes from the Hilbert numerator of the grevlex leads
+(groebner.hilbert_numerator): the height is the order to which it
+vanishes at 1, read in the total degree.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate
 
 from .groebner import (
     groebner_basis,
@@ -497,39 +497,38 @@ def saturate(a, b):
 
 
 def dimension(ideal, ambient):
-    """Krull dimension of (polynomial ring over ambient slots) / ideal.
+    """Krull dimension of (polynomial ring over ambient slots) / ideal,
+    for a t-free ideal; t in its basis raises ValueError.
 
     ambient is an iterable of variable slots; every generator must be
-    supported inside it.  The unit ideal gets the sentinel -1; the zero
-    ideal has dimension len(ambient).
+    supported inside it.  The unit ideal, whose numerator is zero, gets
+    the sentinel -1; the zero ideal has dimension len(ambient).
+
+    For R = k[x, T], dim R/I = dim R/in(I) under any term order (Cox,
+    Little & O'Shea, "Ideals, Varieties, and Algorithms", ch. 9), and the
+    Hilbert series N(z, z) / (1 - z)^n of R/in(I), N the numerator
+    hilbert_numerator reads off the reduced grevlex basis and n the
+    number of variables of R, has a pole of order dim R/in(I) at z = 1.
+    So the height of I is the order to which N(z, z) vanishes there; the
+    variables outside ambient are free over I and leave it unchanged.
     """
     ambient = tuple(ambient)
     aset = set(ambient)
     for g in ideal.gens:
         if not g.support() <= aset:
             raise ValueError("generator leaves the ambient variable set")
-    gb = ideal.groebner()
-    if any(len(g) == 1 and sum(g.lead_exp()) == 0 for g in gb):
+    num = hilbert_numerator(ideal.groebner())
+    if not num:
         return -1
-    supports = []
-    for g in gb:
-        s = frozenset(slot for slot, e in enumerate(g.lead_exp()) if e)
-        supports.append(s)
-    # keep only inclusion-minimal supports; the others impose no extra
-    # constraint on an independent set
-    supports.sort(key=len)
-    minimal = []
-    for s in supports:
-        if not any(m <= s for m in minimal):
-            minimal.append(s)
-    if not minimal:
-        return len(ambient)
-    for size in range(len(ambient), -1, -1):
-        for sub in combinations(ambient, size):
-            u = set(sub)
-            if not any(s <= u for s in minimal):
-                return size
-    raise AssertionError("unreachable: empty subset is always independent")
+    coeffs = [0] * (max(a + b for a, b in num) + 1)
+    for (a, b), c in num.items():
+        coeffs[a + b] += c
+    codim = 0
+    # dividing by 1 - z takes prefix sums; the last one is N(1) = 0
+    while not sum(coeffs):
+        coeffs = list(accumulate(coeffs))[:-1]
+        codim += 1
+    return len(ambient) - codim
 
 
 def height(ideal, ambient):

@@ -10,13 +10,15 @@ its public API only, and the pipeline and the command line use only the
 public API of the ideals module.  The pipeline asks its membership
 questions, and whether the normal forms of two gcds agree up to a
 scalar, of the ideals (Ideal.outside, contains_ideal, proportional) and
-sizes no membership basis itself.
+sizes no membership basis itself.  The package imports only the standard
+library.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from collections.abc import MutableMapping, MutableSequence, MutableSet
 from pathlib import Path
 
@@ -178,6 +180,24 @@ def called_names(path):
             elif isinstance(func, ast.Attribute):
                 names.add(func.attr)
     return names
+
+
+def test_package_imports_only_the_standard_library():
+    # relative imports stay inside the package; every absolute one names
+    # a top-level module of the standard library
+    outside = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    outside.add((path.name, name))
+    assert not outside
 
 
 def test_public_functions_have_a_program_caller():

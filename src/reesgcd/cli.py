@@ -291,9 +291,8 @@ def cmd_random(args):
             print("instance %d (seed %d): %s after %d candidate(s)"
                   % (k + 1, args.seed + k,
                      "pass" if ok else "FAIL", attempts))
-    accept_rate = len(drawn) / candidates if candidates else 0.0
-    pass_rate = (sum(1 for r in results if r["ok"]) / len(results)
-                 if results else 0.0)
+    accept_rate = len(drawn) / candidates
+    pass_rate = sum(1 for r in results if r["ok"]) / len(results)
     if args.json:
         print(_dumps({"command": "random", "prime": prime,
                       "d": args.d, "m": args.m, "seed": args.seed,

@@ -449,8 +449,6 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
         if any(g.bidegree() is None for g in gens):
             raise ValueError("a truncated run needs bihomogeneous input")
         gens = [g for g in gens if inside(g.terms[0][1])]
-        if not gens:
-            return ()
     order = order or ring.grevlex
     driver = None
     if hilbert is not None:

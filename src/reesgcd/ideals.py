@@ -142,7 +142,7 @@ class Ideal:
         self._truncated = None
         self._hilbert = None
         self._division = None
-        self._bayer = None
+        self._bayer = {}
         self._leads = {}
         self._entries = None
 
@@ -156,7 +156,7 @@ class Ideal:
         order = order or self.ring.grevlex
         gb = self._bases.get(order)
         if gb is None:
-            bayer = self._bayer.pop(order, None) if self._bayer else None
+            bayer = self._bayer.pop(order, None)
             if bayer is not None:
                 gb = interreduce(bayer, order)
             else:
@@ -430,7 +430,6 @@ def _divide_out(a, slot, whole_power):
         found = Ideal(ring, basis, gb=basis)
         found._hilbert = hilbert
         found._division = (a.gens, quots, tuple(divided))
-        found._bayer = {}
         a._quotients.append(found)
     if order not in found._bases:
         found._bayer.setdefault(order, quots)

@@ -521,8 +521,9 @@ def gcd_iterations(inst, rule="min", prior=None):
     minor without column j is then s_j T_j sum_k C_k lambda_k, s_j = -1
     for even j, so step i takes g_i = monic(sum_k C_k lambda_k) and
     re-verifies the reassembly of its column and the bidegree (m-i,
-    i(d-1)).  A vanishing sum means every maximal minor vanishes; its
-    zero gcd then zeroes out every later step by convention.  B, its
+    i(d-1)).  A vanishing sum means every maximal minor vanishes; the
+    next step's column, split from the zero gcd, is then zero, so every
+    later sum and gcd vanishes too.  B, its
     column forms and lambda do not depend on the rule; a prior trace of
     the same instance made by this function lends them, so a rerun under
     the other rule skips that work.
@@ -540,31 +541,22 @@ def gcd_iterations(inst, rule="min", prior=None):
 
     steps = []
     carried = inst.equation
-    dead = False
     for i in range(1, m + 1):
         current = iteration_matrix(dual, carried, rule)
         if _column_form(current, d + 1) != carried:
             raise IterationError(
                 "step %d: appended column does not reassemble its source"
                 % i)
-        if dead:
-            steps.append(IterationStep(current, ring.zero, None))
-            continue
-        raw = ring.dot((1, c, lam_k) for c, lam_k
-                       in zip(current.column(d + 1), lam))
-        if raw.is_zero:
-            steps.append(IterationStep(current, ring.zero, None))
-            carried = ring.zero
-            dead = True
-            continue
-        gcd_i = raw.monic()
-        bideg = gcd_i.bidegree()
-        wanted = BiDegree(m - i, i * (d - 1))
-        if bideg != wanted:
-            raise IterationError(
-                "step %d: bidegree %s, expected %s" % (i, bideg, wanted))
-        steps.append(IterationStep(current, gcd_i, bideg))
-        carried = gcd_i
+        carried = ring.dot((1, c, lam_k) for c, lam_k
+                           in zip(current.column(d + 1), lam)).monic()
+        bideg = None
+        if not carried.is_zero:
+            bideg = carried.bidegree()
+            wanted = BiDegree(m - i, i * (d - 1))
+            if bideg != wanted:
+                raise IterationError(
+                    "step %d: bidegree %s, expected %s" % (i, bideg, wanted))
+        steps.append(IterationStep(current, carried, bideg))
     return IterationTrace(inst, dual, bilinear, steps, lam)
 
 
@@ -687,7 +679,7 @@ def verify_well_definedness(inst, trace):
     pairs = [(g, h) for g, h in zip(trace.gcds, second.gcds) if g != h]
     # taken in step order while agreed holds; once false, agreed stays
     # false
-    verdicts = base.proportional(pairs) if agreed and pairs else None
+    verdicts = base.proportional(pairs) if agreed else None
     for i in range(1, inst.degree + 1):
         g, h = trace.gcds[i - 1], second.gcds[i - 1]
         same = g == h

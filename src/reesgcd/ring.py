@@ -620,8 +620,6 @@ class PolyRing:
         small even for dense input.
         """
         polys = [g for g in polys if not g.is_zero]
-        if not polys:
-            return []
         # (key, exp) of every monomial, decreasing: the column order
         monomials = sorted({(k, e) for g in polys for k, e, _ in g.terms},
                            reverse=True)
@@ -877,8 +875,6 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.terms, other.terms
-        if not a or not b:
-            return self.ring.zero
         ring = self.ring
         if len(a) == 1:
             k, e, c = a[0]
@@ -921,8 +917,6 @@ class Polynomial:
             raise TypeError("cannot divide by %r" % (divisor,))
         if divisor.is_zero:
             raise ZeroDivisionError("exact_div by zero polynomial")
-        if self.is_zero:
-            return self
         mod, guard = self.ring.p, self.ring.guard
         dk, de, dc = divisor.terms[0]
         dtail = divisor.terms[1:]
@@ -990,8 +984,6 @@ def partial_column(f, rule="min"):
         raise ValueError("unknown splitting rule %r" % (rule,))
     ring = f.ring
     n = ring.n
-    if f.is_zero:
-        return [ring.zero] * n
     if f.bidegree() is None:
         raise ValueError("cannot split a non-bihomogeneous polynomial")
     # row i takes the terms divisible by x_i, divided by it: key and

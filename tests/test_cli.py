@@ -384,6 +384,23 @@ class TestExample:
         assert len(doc["iterations"]["gcds"]) == 3
 
 
+class TestCharacteristicTwo:
+    """At p = 2, where -1 = 1, the pipeline certifies golden and a random
+    instance."""
+
+    def test_golden_verify(self, golden_file, capsys):
+        assert main(["verify", golden_file, "--json", "--prime", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is True
+        assert doc["instance"]["prime"] == 2
+
+    def test_random(self, capsys):
+        assert main(["random", "-m", "1", "--prime", "2", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is True
+        assert doc["prime"] == 2
+
+
 class TestRandom:
     def test_single_instance(self, capsys):
         assert main(["random", "-m", "1", "--seed", "11"]) == 0

@@ -9,14 +9,18 @@ EXP_MAX too; sums and differences with one merge, and exact division by
 one term too, where any term that is not divisible must fail it.  The
 packed exponent operations (pack and unpack, mask divisibility, lcm,
 coprimality, order keys, overflow detection and the bidegree reader) are
-compared with their definitions on exponent tuples.
+compared with their definitions on exponent tuples.  Zero operands, a zero
+column, empty span lists and truncated runs with nothing inside the box
+take the general code, which must give zero or empty results.
 """
 
 import pytest
 
-from reesgcd.groebner import _divides, normal_form, spolynomial
+from reesgcd.groebner import (
+    _divides, groebner_basis, hilbert_numerator, normal_form, spolynomial,
+)
 from reesgcd.ring import (
-    EXP_MAX, ZERO_BIDEGREE, ExponentOverflow, PolyRing, _lcm,
+    EXP_MAX, ZERO_BIDEGREE, ExponentOverflow, PolyRing, _lcm, partial_column,
 )
 
 import merge_reference as ref
@@ -406,3 +410,45 @@ class TestPackedExponents:
             ring.pack(over)
         with pytest.raises(ExponentOverflow):
             ring.parse("%s^%d" % (ring.names[slot], EXP_MAX + 1))
+
+
+class TestZeroOnTheGeneralPath:
+    """Zero operands, a zero column and empty generator lists: the general
+    code returns the zero polynomial, zero rows and empty lists."""
+
+    ring = PolyRing.get(32003, 4)
+
+    def test_products_with_zero(self):
+        r = self.ring
+        one_term = r.parse("3*x1*T2")
+        many_terms = r.parse("x1*T1 - x2*T2 + 3*x3^2")
+        for f in (one_term, many_terms, r.zero):
+            for product in (r.zero * f, f * r.zero):
+                assert product == r.zero
+                assert product.terms == ()
+
+    def test_zero_exact_div_a_many_term_divisor(self):
+        r = self.ring
+        q = r.zero.exact_div(r.parse("x1*T1 - x2*T2 + 3*x3^2"))
+        assert q == r.zero and q.terms == ()
+
+    def test_zero_splits_into_a_zero_column_under_the_max_rule(self):
+        r = self.ring
+        assert partial_column(r.zero, "max") == [r.zero] * r.n
+
+    def test_span_of_no_forms(self):
+        r = self.ring
+        assert r.span_basis([]) == []
+        assert r.span_basis([r.zero, r.zero]) == []
+
+    def test_truncated_run_with_every_generator_outside_the_box(self):
+        r = self.ring
+        gens = [r.parse("x1^2*T1"), r.parse("x2*T1^2 - x3*T2^2")]
+        assert groebner_basis(gens, within=(1, 1)) == ()
+
+    def test_hilbert_refused_on_a_truncated_run_with_nothing_inside(self):
+        r = self.ring
+        gens = [r.parse("x1^2*T1"), r.parse("x2*T1^2 - x3*T2^2")]
+        num = hilbert_numerator(groebner_basis(gens))
+        with pytest.raises(ValueError):
+            groebner_basis(gens, within=(1, 1), hilbert=num)

@@ -4,7 +4,9 @@ import pytest
 
 from reesgcd import pipeline
 from reesgcd.ring import PolyRing
-from reesgcd.matrices import delete_column, delete_row, det
+from reesgcd.matrices import (
+    delete_column, delete_row, det, iteration_matrix,
+)
 from reesgcd.ideals import Ideal
 from reesgcd.pipeline import (
     CheckResult,
@@ -278,11 +280,22 @@ class TestIterations:
         assert doc["bidegrees"] == [[2, 3], [1, 6], [0, 9]]
         assert len(doc["generators"]) == 9
 
-    def test_zero_propagation(self):
-        trace = gcd_iterations(degenerate_example())
+    @pytest.mark.parametrize("rule", ["min", "max"])
+    def test_zero_propagation(self, rule):
+        # the first gcd vanishes; every later step appends the column of
+        # the zero gcd, a zero column, so its gcd vanishes too
+        inst = degenerate_example()
+        trace = gcd_iterations(inst, rule)
+        ring = trace.ring
         assert all(g.is_zero for g in trace.gcds)
         assert all(s.bidegree is None for s in trace.steps)
+        zero_step = iteration_matrix(trace.dual, ring.zero, rule)
+        assert [s.matrix == zero_step for s in trace.steps] == [
+            False, True, True]
         assert trace.defining_ideal.equals(trace.base_ideal)
+        witness = verify_main_theorem(inst, trace).find(
+            "nonvanishing-gcds").witness
+        assert witness == "vanished at steps [1, 2, 3]"
 
     @pytest.mark.parametrize("m,seed", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_max_rule_steps_obey_factorization_laws(self, m, seed):

@@ -8,32 +8,40 @@ is fully reduced against the current basis, and a nonzero remainder
 joins it.  For homogeneous input under a graded order the items come
 off in nondecreasing degree, so every admitted lead is a minimal
 generator of the lead ideal, and the basis never grows past its reduced
-length.  The returned basis is reduced, monic, and sorted by increasing
-lead monomial, hence unique for the ideal and the order.  A configurable
-budget on basis size and degree turns runaway computations into a hard
-BudgetExceeded error instead of an apparent hang.  For input bihomogeneous
-in (x, T) a run can stop at a bidegree box: it then keeps only the pairs
-whose lcm lies inside, enough for normal forms of bidegree inside the box.
-Given the bigraded Hilbert series of its ideal, a run on t-free
-bihomogeneous input under a graded order skips the S-pairs of every
-bidegree where its lead ideal is already complete (Traverso, "Hilbert
-functions and the Buchberger algorithm", J. Symb. Comp. 22, 1996); the
-series comes as the numerator that hilbert_numerator reads off a basis.
+length.  Such a run also interreduces as it admits: a new lead can divide
+no term of lower degree, so it is at most a tail term of an earlier
+element of its own degree, which is rewritten on the spot, and the run
+ends with its reduced basis.  Other runs end with one pass that
+minimalizes and tail-reduces.  The returned basis is reduced, monic,
+and sorted by increasing lead monomial, hence unique for the ideal and
+the order.  A configurable budget on basis size and degree turns runaway
+computations into a hard BudgetExceeded error instead of an apparent
+hang.  For input bihomogeneous in (x, T) a run can stop at a bidegree
+box: it then keeps only the pairs whose lcm lies inside, enough for
+normal forms of bidegree inside the box.  Given the bigraded Hilbert
+series of its ideal, a run on t-free bihomogeneous input under a graded
+order skips the S-pairs of every bidegree where its lead ideal is
+already complete (Traverso, "Hilbert functions and the Buchberger
+algorithm", J. Symb. Comp. 22, 1996); the series comes as the numerator
+that hilbert_numerator reads off a basis.
 The S-pairs wait in a heap keyed by (lcm key, later index, earlier index).
 
 All reduction runs on the heap-and-dict accumulator of the ring module
 (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007): the largest pending term is popped,
 the first basis entry whose lead divides it contributes its shifted tail,
-and the lead itself is never formed.  An S-polynomial is never built as a
-term tuple: the two shifted tails of its pair seed the accumulator and
-are reduced in the same pass.  The loop yields the remainder's terms
-lazily, each once no basis lead divides it, in decreasing order:
-normal_form, the one full normal form, takes all of them, and
-normal_form_lead takes only the first, the remainder's lead term, which
-top reduction alone finds (Cox, Little & O'Shea, "Ideals, Varieties, and
-Algorithms", 2.3 and 2.6).
-So a polynomial outside the ideal is reduced only as far as its first
+and the lead itself is never formed.  The entry list (_Entries) keeps a
+memo from each exponent it has reduced to that first entry, so a run or
+a membership basis scans for an exponent's reducer once, not once per
+reduction: a run pops each of a few hundred exponents many times.  An
+S-polynomial is never built as a term tuple: the two shifted tails of
+its pair seed the accumulator and are reduced in the same pass.  The
+loop yields the remainder's terms lazily, each once no basis lead
+divides it, in decreasing order: normal_form, the one full normal form,
+takes all of them, and normal_form_lead takes only the first, the
+remainder's lead term, which top reduction alone finds (Cox, Little &
+O'Shea, "Ideals, Varieties, and Algorithms", 2.3 and 2.6).  So a
+polynomial outside the ideal is reduced only as far as its first
 irreducible term.
 
 Exponents are the ring's packed integers, so every monomial operation of
@@ -54,6 +62,7 @@ from .ring import (
     Polynomial,
     _accumulator,
     _add_shifted,
+    _drain,
     _lcm,
     _pop_lead,
 )
@@ -93,19 +102,45 @@ def _to_poly(ring, terms, order):
                       else _rekey(terms, grevlex.key))
 
 
+class _Entries(list):
+    """Reduction entries (lead_key, lead_exp, inv_lead_coeff, tail),
+    sorted by increasing lead_key, tail being the entry's terms after the
+    lead, with a memo from each exponent reduced against them to its
+    first dividing entry, False for none.
+
+    A divisor's key never exceeds the key of the term it divides, so the
+    scan that fills the memo stops early.  An entry whose tail is
+    rewritten keeps its place and its lead, so the memo stays true; one
+    that joins makes only the exponents its lead divides stale.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self, entries=()):
+        super().__init__(entries)
+        self.memo = {}
+
+    def admit(self, entry, guard):
+        insort(self, entry)
+        memo = self.memo
+        le = entry[1]
+        for e in [e for e in memo if not (e - le) & guard]:
+            del memo[e]
+
+
 def _remainder_terms(terms, basis, mod, guard, shifted=()):
     """The terms of the normal form of a term list against basis
     entries, yielded lazily in decreasing order.
 
-    basis entries are (lead_key, lead_exp, inv_lead_coeff, tail) sorted
-    by increasing lead_key, tail being the entry's terms after the lead;
-    a divisor's key never exceeds the key of the term it divides, so the
-    scan stops early.  shifted holds (tail, dkey, dexp, coeff) summands
+    basis is a sequence of entries as _Entries holds them; the memo of
+    an _Entries is read and filled, any other sequence is scanned afresh
+    for each term.  shifted holds (tail, dkey, dexp, coeff) summands
     added to terms before reduction, as _add_shifted takes them.  Each
     term is yielded once no basis lead divides it, before any smaller
     pending term is reduced: the first is the normal form's lead, found
     by top reduction alone.
     """
+    memo = basis.memo if isinstance(basis, _Entries) else {}
     acc, heap = _accumulator(terms)
     for part in shifted:
         _add_shifted(acc, heap, *part)
@@ -114,14 +149,19 @@ def _remainder_terms(terms, basis, mod, guard, shifted=()):
         if lead is None:
             return
         k, e, c = lead
-        for lk, le, linv, tail in basis:
-            if lk > k:
-                yield lead
-                break
-            if not (e - le) & guard:
-                _add_shifted(acc, heap, tail, k - lk, e - le,
-                             -(c * linv % mod))
-                break
+        hit = memo.get(e)
+        if hit is None:
+            hit = False
+            for entry in basis:
+                if entry[0] > k:
+                    break
+                if not (e - entry[1]) & guard:
+                    hit = entry
+                    break
+            memo[e] = hit
+        if hit:
+            lk, le, linv, tail = hit
+            _add_shifted(acc, heap, tail, k - lk, e - le, -(c * linv % mod))
         else:
             yield lead
 
@@ -212,8 +252,38 @@ def _max_degree(terms, degree_of):
 
 
 def _basis_entry(terms, mod):
+    """The reduction entry [lead_key, lead_exp, inv_lead_coeff, tail] of
+    a term tuple; a list, so that a run can rewrite its tail."""
     lk, le, lc = terms[0]
-    return (lk, le, pow(lc, mod - 2, mod), terms[1:])
+    return [lk, le, pow(lc, mod - 2, mod), terms[1:]]
+
+
+def _find(terms, key):
+    """The index of the term of key in the term tuple terms, decreasing
+    by key, found by bisection, or -1."""
+    lo, hi = 0, len(terms)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        k = terms[mid][0]
+        if k > key:
+            lo = mid + 1
+        elif k < key:
+            hi = mid
+        else:
+            return mid
+    return -1
+
+
+def _minus_multiple(terms, at, tail, mod, guard):
+    """terms less c times the monic element whose lead is the monomial
+    of terms[at] and whose tail is tail, c that term's coefficient.
+
+    The lead cancels and the terms above it stay; the terms below it
+    and c times tail, all smaller, merge in one accumulator with no
+    heap, drained by one sort."""
+    acc, _ = _accumulator(terms[at + 1:])
+    _add_shifted(acc, None, tail, 0, 0, -terms[at][2])
+    return terms[:at] + _drain(acc, mod, guard)
 
 
 # A bidegree (a, b) is packed as a << _SPLIT | b, so that the bidegree of
@@ -319,7 +389,7 @@ def _fields(ring):
             for slot in ring.x_slots + ring.t_slots]
 
 
-def hilbert_numerator(basis, order=None):
+def hilbert_numerator(basis, order=None, by_degree=False):
     """Numerator N(s, u) of the bigraded Hilbert series of R/(leads),
     R = k[x, T], for the lead monomials under order of a t-free basis;
     t in basis raises ValueError.
@@ -328,10 +398,15 @@ def hilbert_numerator(basis, order=None):
     this is the numerator of the series of R/I, the same under every
     order: sum dim (R/I)_(a,b) s^a u^b = N(s, u) / ((1-s)^n (1-u)^n),
     n = d + 1.  Returned as a map (a, b) -> nonzero integer coefficient.
+
+    by_degree gives the numerator N(z) of the series of R/(leads) in the
+    total degree instead, sum dim (R/(leads))_k z^k = N(z) / (1-z)^(2n),
+    as a map k -> nonzero coefficient: the same recursion, weighted by
+    degree, with no bigrading to read.
     """
     basis = [g for g in basis if not g.is_zero]
     if not basis:
-        return {(0, 0): 1}
+        return {0: 1} if by_degree else {(0, 0): 1}
     ring = basis[0].ring
     if any(g.involves(ring.aux_slot) for g in basis):
         raise ValueError("a Hilbert numerator needs a t-free basis")
@@ -341,6 +416,8 @@ def hilbert_numerator(basis, order=None):
     else:
         key = order.key
         leads = [max((e for _, e, _ in g.terms), key=key) for g in basis]
+    if by_degree:
+        return _numerator(leads, ring.degree_of, ring.guard, _fields(ring))
     num = _numerator(leads, _packed_bidegree(ring), ring.guard,
                      _fields(ring))
     return {(k >> _SPLIT, k & _LOW): c for k, c in num.items()}
@@ -415,6 +492,21 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
     reduced basis, so the run exceeds max_basis exactly when the reduced
     basis has more than max_basis elements.
 
+    Such a run interreduces as it admits.  An item of degree k is
+    reduced in full, so no lead divides a term of it; a lead of degree
+    k divides no term of lower degree, and of degree k only itself.  So
+    when a new element joins, the earlier elements of its degree whose
+    tail holds its lead subtract their multiple of it, and every tail
+    stays free of every lead: the run returns its basis as it stands.
+    The closing pass (_autoreduce), which drops the elements whose lead
+    is a multiple of another and tail-reduces the rest, runs only for
+    runs under elim_aux, runs on input that is not homogeneous in the
+    total degree, and interreduce.  Every reduction of a run reads the
+    memo of its entry list from each exponent to its reducing entry (the
+    first whose lead divides it, as the scan would pick); an admission
+    drops only the exponents its lead divides, and a rewritten tail
+    keeps its entry.
+
     within = (x_max, T_max) truncates the run at that bidegree box, for
     gens bihomogeneous in (x, T) (t has bidegree (0, 0)); a generator
     that is not raises ValueError.  Generators outside the box are
@@ -461,13 +553,16 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
         driver = _HilbertDriver(ring, hilbert)
     mod, guard = ring.p, ring.guard
     keyf = order.key
+    degree_of = ring.degree_of
     cap_size = max_basis if max_basis is not None else DEFAULT_MAX_BASIS
     cap_deg = max_degree if max_degree is not None else DEFAULT_MAX_DEGREE
+    graded = ring.is_graded(order) and all(
+        len({degree_of(e) for _, e, _ in g.terms}) == 1 for g in gens)
 
     # red holds the entries by increasing lead key, which no two share
     entries = []
     lead = []
-    red = []
+    red = _Entries()
     pairs = []
 
     def admit(terms):
@@ -475,14 +570,26 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
         if len(entries) >= cap_size:
             raise BudgetExceeded("basis size cap %d exceeded (%s)"
                                  % (cap_size, order.name))
-        if _max_degree(terms, ring.degree_of) > cap_deg:
+        if _max_degree(terms, degree_of) > cap_deg:
             raise BudgetExceeded("degree cap %d exceeded (%s)"
                                  % (cap_deg, order.name))
-        entries.append(_basis_entry(terms, mod))
+        entry = _basis_entry(terms, mod)
+        if graded:
+            # only an earlier element of the same degree can hold a
+            # multiple of the new lead, and then the lead itself
+            k, deg = entry[0], degree_of(entry[1])
+            for other in reversed(entries):
+                if degree_of(other[1]) < deg:
+                    break
+                at = _find(other[3], k) if other[0] > k else -1
+                if at >= 0:
+                    other[3] = _minus_multiple(other[3], at, entry[3], mod,
+                                               guard)
+        entries.append(entry)
         if driver is not None:
-            driver.admit(terms[0][1], lead)
-        lead.append(terms[0][1])
-        insort(red, entries[-1])
+            driver.admit(entry[1], lead)
+        lead.append(entry[1])
+        red.admit(entry, guard)
         return _update_pairs(pairs, lead, len(lead) - 1, keyf, guard, inside)
 
     # a stack of the inputs: the top has the least lead key, the earliest
@@ -504,9 +611,10 @@ def groebner_basis(gens, order=None, max_basis=None, max_degree=None,
 
     if driver is not None:
         driver.check(order)
-    basis = [((k, e, 1),) + tail for k, e, _, tail in entries]
-    return tuple(_to_poly(ring, terms, order)
-                 for terms in _autoreduce(basis, mod, guard))
+    basis = [((k, e, 1),) + tail for k, e, _, tail in red]
+    if not graded:
+        basis = _autoreduce(basis, mod, guard)
+    return tuple(_to_poly(ring, terms, order) for terms in basis)
 
 
 def interreduce(basis, order=None):
@@ -526,27 +634,28 @@ def interreduce(basis, order=None):
 
 
 def _autoreduce(basis_terms, mod, guard):
-    """Minimalize and tail-reduce a basis known to be a Groebner basis."""
+    """Minimalize and tail-reduce a basis known to be a Groebner basis.
+
+    A lead divides no smaller monomial, so no element's lead divides a
+    term of its own tail's reduction: every tail reduces against all
+    kept entries, its own among them, on one memo."""
     items = sorted(basis_terms, key=lambda t: t[0][0])
     kept = []
     for g in items:
         le = g[0][1]
         if not any(_divides(h[0][1], le, guard) for h in kept):
             kept.append(g)
-    entries = [_basis_entry(g, mod) for g in kept]
-    out = []
-    for idx, g in enumerate(kept):
-        others = entries[:idx] + entries[idx + 1:]
-        out.append(_monic_terms(_reduce_terms(g, others, mod, guard), mod))
-    return out
+    entries = _Entries(_basis_entry(g, mod) for g in kept)
+    return [_monic_terms(g[:1] + _reduce_terms(g[1:], entries, mod, guard),
+                         mod) for g in kept]
 
 
 def _entries(basis, order, mod):
     """Reduction entries of the nonzero elements of basis under order,
-    sorted by increasing lead key."""
-    return sorted((_basis_entry(_to_terms(g, order), mod)
-                   for g in basis if not g.is_zero),
-                  key=lambda ent: ent[0])
+    sorted by increasing lead key, with an empty memo."""
+    return _Entries(sorted((_basis_entry(_to_terms(g, order), mod)
+                            for g in basis if not g.is_zero),
+                           key=lambda ent: ent[0]))
 
 
 def normal_form(poly, basis, order=None):

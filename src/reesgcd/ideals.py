@@ -82,8 +82,8 @@ then costs at most one reduction to the end, that of h - c*g, and
 neither g nor h is reduced in full.
 
 Krull dimension comes from the Hilbert numerator of the grevlex leads
-(groebner.hilbert_numerator): the height is the order to which it
-vanishes at 1, read in the total degree.
+in the total degree (groebner.hilbert_numerator, by_degree): the height
+is the order to which it vanishes at 1.
 """
 
 from __future__ import annotations
@@ -505,23 +505,24 @@ def dimension(ideal, ambient):
 
     For R = k[x, T], dim R/I = dim R/in(I) under any term order (Cox,
     Little & O'Shea, "Ideals, Varieties, and Algorithms", ch. 9), and the
-    Hilbert series N(z, z) / (1 - z)^n of R/in(I), N the numerator
-    hilbert_numerator reads off the reduced grevlex basis and n the
-    number of variables of R, has a pole of order dim R/in(I) at z = 1.
-    So the height of I is the order to which N(z, z) vanishes there; the
-    variables outside ambient are free over I and leave it unchanged.
+    Hilbert series N(z) / (1 - z)^n of R/in(I), N the numerator in the
+    total degree that hilbert_numerator reads off the reduced grevlex
+    basis and n the number of variables of R, has a pole of order
+    dim R/in(I) at z = 1.  So the height of I is the order to which N(z)
+    vanishes there; the variables outside ambient are free over I and
+    leave it unchanged.
     """
     ambient = tuple(ambient)
     aset = set(ambient)
     for g in ideal.gens:
         if not g.support() <= aset:
             raise ValueError("generator leaves the ambient variable set")
-    num = hilbert_numerator(ideal.groebner())
+    num = hilbert_numerator(ideal.groebner(), by_degree=True)
     if not num:
         return -1
-    coeffs = [0] * (max(a + b for a, b in num) + 1)
-    for (a, b), c in num.items():
-        coeffs[a + b] += c
+    coeffs = [0] * (max(num) + 1)
+    for k, c in num.items():
+        coeffs[k] = c
     codim = 0
     # dividing by 1 - z takes prefix sums; the last one is N(1) = 0
     while not sum(coeffs):

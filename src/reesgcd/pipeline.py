@@ -297,7 +297,13 @@ _HYPOTHESIS_CLAIMS = (
 
 def check_hypotheses(inst):
     """The six feasibility checks, gated so later ones only run on
-    structurally meaningful input.  Failures are report entries."""
+    structurally meaningful input.  Failures are report entries.
+
+    A minor size whose minors span every form of their degree k, the
+    C(d+k, k) monomials, records height d with no Groebner run: their
+    ideal is (x)^k, and f, a form of positive degree, lies in (x), so
+    the height modulo f is d + 1 - 1.  The span itself stops at that
+    rank (PolyRing.span_basis)."""
     rep = VerificationReport()
     d = inst.d
     ring = inst.ring
@@ -351,8 +357,13 @@ def check_hypotheses(inst):
     for j in range(1, d):
         size = d + 1 - j
         mins = ring.span_basis(levels[size - 1])
-        ht = height_in_hypersurface(
-            Ideal(ring, mins), inst.equation, ring.x_slots)
+        if len(mins) == comb(d + size, size):
+            # every form of degree size: the ideal is (x)^size, whose
+            # height is d modulo f, a form in (x)
+            ht = d
+        else:
+            ht = height_in_hypersurface(
+                Ideal(ring, mins), inst.equation, ring.x_slots)
         heights["size-%d" % size] = ht
         if ht < j + 1 and minor_ok:
             minor_ok = False

@@ -63,6 +63,7 @@ import re
 import struct
 from collections import namedtuple
 from heapq import heappop, heappush
+from operator import mul
 
 DEFAULT_PRIME = 32003
 
@@ -603,21 +604,24 @@ class PolyRing:
             terms = b.terms
             for k, e, co in a.terms:
                 _add_shifted(acc, None, terms, k, e, c * co)
-        out = []
-        mod, guard = self.p, self.guard
-        for k, (c, e) in acc.items():
-            c = _surviving(c, e, mod, guard)
-            if c:
-                out.append((k, e, c))
-        out.sort(reverse=True)
-        return Polynomial(self, tuple(out))
+        return Polynomial(self, _drain(acc, self.p, self.guard))
 
     def span_basis(self, polys):
         """Row-reduce equal-degree forms to a basis of their linear span.
 
         The returned polynomials generate the same ideal with far fewer
         elements, which keeps the Groebner runs behind the height checks
-        small even for dense input.
+        small even for dense input.  Each one is a form of polys reduced
+        by the pivot rows before it, in turn, and made monic: its lead is
+        its pivot, and it vanishes at every earlier pivot.
+
+        The columns are the distinct monomials of polys, by decreasing
+        key.  A row is reduced at the pivot columns only: its multiple
+        of pivot row j is its entry at j's pivot less the multiples of
+        the earlier pivot rows there, the only rows that do not vanish
+        at that column.  The rest of the row, at the other columns, is
+        then formed once.  The span stops once its rank equals the
+        number of columns: every later form lies in it.
         """
         polys = [g for g in polys if not g.is_zero]
         # (key, exp) of every monomial, decreasing: the column order
@@ -626,23 +630,32 @@ class PolyRing:
         index = {e: i for i, (_, e) in enumerate(monomials)}
         p = self.p
         basis = []
-        pivots = {}
+        pivots = []
+        free = list(range(len(monomials)))
+        # at[q]: the pivot rows' entries at column q, up to q's own pivot
+        at = [[] for _ in monomials]
         for g in polys:
+            if not free:
+                break
             row = [0] * len(monomials)
             for _, e, c in g.terms:
                 row[index[e]] = c
-            for col, other in pivots.items():
-                c = row[col]
-                if c:
-                    row = [(a - c * b) % p for a, b in zip(row, other)]
-            lead = next((i for i, c in enumerate(row) if c), None)
+            mults = []
+            for q in pivots:
+                mults.append((row[q] - sum(map(mul, mults, at[q]))) % p)
+            rest = [(row[q] - sum(map(mul, mults, at[q]))) % p for q in free]
+            lead = next((i for i, c in enumerate(rest) if c), None)
             if lead is None:
                 continue
-            inv = pow(row[lead], p - 2, p)
-            row = [c * inv % p for c in row]
-            pivots[lead] = row
-            basis.append(Polynomial(self, tuple(
-                monomials[i] + (c,) for i, c in enumerate(row) if c)))
+            inv = pow(rest[lead], p - 2, p)
+            pivot = free.pop(lead)
+            del rest[lead]
+            rest = [c * inv % p for c in rest]
+            pivots.append(pivot)
+            for q, c in zip(free, rest):
+                at[q].append(c)
+            basis.append(Polynomial(self, (monomials[pivot] + (1,),) + tuple(
+                monomials[q] + (c,) for q, c in zip(free, rest) if c)))
         return basis
 
 
@@ -718,10 +731,22 @@ def _pop_lead(acc, heap, mod, guard):
     return None
 
 
+def _drain(acc, mod, guard):
+    """The surviving terms of an accumulator kept with no heap, as a
+    term tuple in decreasing order, by one sort."""
+    out = []
+    for k, (c, e) in acc.items():
+        c = _surviving(c, e, mod, guard)
+        if c:
+            out.append((k, e, c))
+    out.sort(reverse=True)
+    return tuple(out)
+
+
 def _surviving(c, e, mod, guard):
     """A pending coefficient c mod p, 0 if it vanishes.
 
-    Both drains of the accumulator (_pop_lead and PolyRing.dot) call it:
+    Both drains of the accumulator (_pop_lead and _drain) call it:
     a surviving term whose exponent set a guard bit raises
     ExponentOverflow, a vanishing one is dropped without a check.
     """

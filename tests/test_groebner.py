@@ -1,4 +1,5 @@
-"""Groebner engine: hand-checked bases, normal forms, budgets."""
+"""Groebner engine: hand-checked bases, normal forms, budgets, and
+graded runs that return their reduced basis with no closing pass."""
 
 import json
 import os
@@ -10,8 +11,10 @@ from reesgcd.ring import PolyRing
 from reesgcd.ideals import Ideal
 from reesgcd.matrices import PolyMatrix, submaximal_pfaffians
 from reesgcd.pipeline import builtin_example, gcd_iterations
+from reesgcd import groebner
 from reesgcd.groebner import (
     groebner_basis, normal_form, spolynomial, is_groebner, BudgetExceeded,
+    hilbert_numerator, interreduce,
 )
 
 from elimination_reference import reduce_basis
@@ -249,6 +252,77 @@ class TestTightAdmission:
             with pytest.raises(BudgetExceeded):
                 groebner_basis(gens, order, max_basis=len(gb) - 1,
                                within=within)
+
+
+def count_closing_passes(monkeypatch):
+    """Patch the closing interreduction of a run to count its calls."""
+    counted = {"passes": 0}
+    original = groebner._autoreduce
+
+    def counting(basis_terms, mod, guard):
+        counted["passes"] += 1
+        return original(basis_terms, mod, guard)
+
+    monkeypatch.setattr(groebner, "_autoreduce", counting)
+    return counted
+
+
+REDUCED_RINGS = (PolyRing.get(7, 1), PolyRing.get(32003, 1),
+                 PolyRing.get(7, 2))
+
+
+class TestReducedAsAdmitted:
+    """Homogeneous input under a graded order: an admitted lead rewrites
+    the earlier elements of its degree that hold it, so the run returns
+    its reduced basis with no closing pass; other input still takes
+    it."""
+
+    def test_homogeneous_runs_return_their_reduced_basis(self,
+                                                         monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        counted = count_closing_passes(monkeypatch)
+
+        def run(gens, order, **kwargs):
+            before = counted["passes"]
+            gb = groebner_basis(gens, order, **kwargs)
+            assert counted["passes"] == before
+            return gb
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.randoms(use_true_random=False))
+        def check(rng):
+            ring = rng.choice(REDUCED_RINGS)
+            gens = [random_bihomogeneous(
+                rng, ring, rng.choice([(1, 0), (0, 1), (1, 1), (2, 0),
+                                       (0, 2), (2, 1)]),
+                size=rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+            num = hilbert_numerator(run(gens, ring.grevlex))
+            box = (rng.randint(0, 3), rng.randint(0, 3))
+            for slot in [None] + list(range(ring.nvars)):
+                order = ring.grevlex if slot is None else \
+                    ring.revlex_last(slot)
+                plain = run(gens, order)
+                for gb in (plain, run(gens, order, hilbert=num)):
+                    assert gb == plain
+                    assert interreduce(gb, order) == gb
+                    assert is_groebner(gb, order)
+                truncated = run(gens, order, within=box)
+                assert interreduce(truncated, order) == truncated
+                assert truncated == tuple(
+                    g for g in plain if g.x_degree() <= box[0]
+                    and g.t_degree() <= box[1])
+        check()
+
+    def test_inhomogeneous_input_takes_the_closing_pass(self, monkeypatch):
+        counted = count_closing_passes(monkeypatch)
+        gens = [R.parse("x1^3 - x2*T1"), R.parse("x1*x2 - x3"),
+                R.parse("x2^2 - T1")]
+        gb = groebner_basis(gens)
+        assert counted["passes"] == 1
+        assert interreduce(gb) == gb
+        assert is_groebner(gb)
+        assert all(normal_form(g, gb).is_zero for g in gens)
 
 
 class TestReduceBasis:

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -335,6 +336,25 @@ class TestHeightsOfMinorIdeals:
     def test_rejects_zero_hypersurface(self):
         with pytest.raises(ValueError):
             height_in_hypersurface(ideal(R, "x1"), R.zero, R.x_slots)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_every_form_of_a_degree_has_height_d(self, d):
+        # the value check_hypotheses records, with no run, for a minor
+        # size whose minors span every form of their degree: (x)^k modulo
+        # f, a form in (x)
+        ring = PolyRing.get(32003, d)
+        for k in (1, 2, 3):
+            forms = []
+            for slots in combinations_with_replacement(ring.x_slots, k):
+                exp = [0] * ring.nvars
+                for slot in slots:
+                    exp[slot] += 1
+                forms.append(ring.monomial(exp))
+            for degree in (1, 2, 3):
+                f = ring.x(1) ** degree - ring.x(2) * ring.x(d + 1) ** (
+                    degree - 1)
+                assert height_in_hypersurface(
+                    Ideal(ring, forms), f, ring.x_slots) == d
 
 
 class TestMembership:

@@ -16,6 +16,7 @@ take the general code, which must give zero or empty results.
 
 import pytest
 
+from reesgcd import groebner
 from reesgcd.groebner import (
     _divides, groebner_basis, hilbert_numerator, normal_form, spolynomial,
 )
@@ -132,6 +133,23 @@ class TestAgainstMergeReference:
         f, basis, order = problem
         assert normal_form(f, basis, order) == ref.normal_form(
             f, basis, order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(division_problems(), st.lists(st.integers(0, 4), min_size=1,
+                                         max_size=12))
+    def test_normal_forms_on_one_memo(self, problem, picks):
+        # one entry list serves every reduction, its memo filled by the
+        # first ones: sums of the dividend's multiples revisit exponents
+        f, basis, order = problem
+        ring = f.ring
+        entries = groebner._entries(basis, order, ring.p)
+        polys = [f * ring.x(1) ** k + f for k in picks] + [f]
+        for g in polys + polys:
+            got = groebner._reduce_terms(groebner._to_terms(g, order),
+                                         entries, ring.p, ring.guard)
+            assert groebner._to_poly(ring, got, order) == ref.normal_form(
+                g, basis, order)
+        assert entries.memo or f.is_zero
 
     @settings(max_examples=150, deadline=None)
     @given(factor_pairs())

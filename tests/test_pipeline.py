@@ -189,6 +189,21 @@ class TestHypotheses:
         assert rep.find("minor-heights").data == {
             "size-4": 3, "size-3": 3, "size-2": 4}
 
+    def test_a_full_span_takes_no_height_run(self, golden, monkeypatch):
+        # golden's 2-minors span all 15 quadrics, so size 2 records d
+        runs = []
+        original = pipeline.height_in_hypersurface
+
+        def recording(ideal, f, ambient):
+            runs.append(len(ideal.gens))
+            return original(ideal, f, ambient)
+
+        monkeypatch.setattr(pipeline, "height_in_hypersurface", recording)
+        rep = check_hypotheses(golden)
+        assert rep.find("minor-heights").data["size-2"] == 4
+        # the pfaffians, then sizes 4 and 3
+        assert len(runs) == 3
+
     def test_golden_ranks(self, golden):
         rep = check_hypotheses(golden)
         assert rep.find("variable-span").data == {"span": 5}

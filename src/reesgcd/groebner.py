@@ -52,7 +52,7 @@ coprime exactly when their lcm is their sum.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from heapq import heapify, heappop
 from math import comb
 
@@ -132,15 +132,13 @@ def _remainder_terms(terms, basis, mod, guard, shifted=()):
     """The terms of the normal form of a term list against basis
     entries, yielded lazily in decreasing order.
 
-    basis is a sequence of entries as _Entries holds them; the memo of
-    an _Entries is read and filled, any other sequence is scanned afresh
-    for each term.  shifted holds (tail, dkey, dexp, coeff) summands
-    added to terms before reduction, as _add_shifted takes them.  Each
-    term is yielded once no basis lead divides it, before any smaller
-    pending term is reduced: the first is the normal form's lead, found
-    by top reduction alone.
+    basis is an _Entries, whose memo is read and filled.  shifted holds
+    (tail, dkey, dexp, coeff) summands added to terms before reduction,
+    as _add_shifted takes them.  Each term is yielded once no basis lead
+    divides it, before any smaller pending term is reduced: the first is
+    the normal form's lead, found by top reduction alone.
     """
-    memo = basis.memo if isinstance(basis, _Entries) else {}
+    memo = basis.memo
     acc, heap = _accumulator(terms)
     for part in shifted:
         _add_shifted(acc, heap, *part)
@@ -260,18 +258,9 @@ def _basis_entry(terms, mod):
 
 def _find(terms, key):
     """The index of the term of key in the term tuple terms, decreasing
-    by key, found by bisection, or -1."""
-    lo, hi = 0, len(terms)
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        k = terms[mid][0]
-        if k > key:
-            lo = mid + 1
-        elif k < key:
-            hi = mid
-        else:
-            return mid
-    return -1
+    by key, or -1: the negated keys increase, so they bisect."""
+    at = bisect_left(terms, -key, key=lambda term: -term[0])
+    return at if at < len(terms) and terms[at][0] == key else -1
 
 
 def _minus_multiple(terms, at, tail, mod, guard):
@@ -389,7 +378,7 @@ def _fields(ring):
             for slot in ring.x_slots + ring.t_slots]
 
 
-def hilbert_numerator(basis, order=None, by_degree=False):
+def hilbert_numerator(basis, order=None):
     """Numerator N(s, u) of the bigraded Hilbert series of R/(leads),
     R = k[x, T], for the lead monomials under order of a t-free basis;
     t in basis raises ValueError.
@@ -398,15 +387,10 @@ def hilbert_numerator(basis, order=None, by_degree=False):
     this is the numerator of the series of R/I, the same under every
     order: sum dim (R/I)_(a,b) s^a u^b = N(s, u) / ((1-s)^n (1-u)^n),
     n = d + 1.  Returned as a map (a, b) -> nonzero integer coefficient.
-
-    by_degree gives the numerator N(z) of the series of R/(leads) in the
-    total degree instead, sum dim (R/(leads))_k z^k = N(z) / (1-z)^(2n),
-    as a map k -> nonzero coefficient: the same recursion, weighted by
-    degree, with no bigrading to read.
     """
     basis = [g for g in basis if not g.is_zero]
     if not basis:
-        return {0: 1} if by_degree else {(0, 0): 1}
+        return {(0, 0): 1}
     ring = basis[0].ring
     if any(g.involves(ring.aux_slot) for g in basis):
         raise ValueError("a Hilbert numerator needs a t-free basis")
@@ -416,8 +400,6 @@ def hilbert_numerator(basis, order=None, by_degree=False):
     else:
         key = order.key
         leads = [max((e for _, e, _ in g.terms), key=key) for g in basis]
-    if by_degree:
-        return _numerator(leads, ring.degree_of, ring.guard, _fields(ring))
     num = _numerator(leads, _packed_bidegree(ring), ring.guard,
                      _fields(ring))
     return {(k >> _SPLIT, k & _LOW): c for k, c in num.items()}
@@ -705,8 +687,8 @@ def spolynomial(f, g, order=None):
     tails = _spair_tails(_basis_entry(_to_terms(f, order), mod),
                          _basis_entry(_to_terms(g, order), mod), order.key,
                          ring.guard)
-    return _to_poly(ring, _reduce_terms((), (), mod, ring.guard, tails),
-                    order)
+    terms = _reduce_terms((), _Entries(), mod, ring.guard, tails)
+    return _to_poly(ring, terms, order)
 
 
 def is_groebner(basis, order=None):

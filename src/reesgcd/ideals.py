@@ -70,20 +70,17 @@ full basis, so the grading never decides soundness.  Many polynomials
 are asked about at once, on one basis sized for all (Ideal.outside,
 Ideal.proportional).  Membership needs only the lead term of the normal
 form, which top reduction finds (groebner.normal_form_lead): a
-non-member is reduced only up to its first irreducible term.  The normal
-form modulo any basis that covers the polynomial's bidegree, truncated
-or full, is the unique one, so an Ideal keeps that lead term for every
-polynomial it reduces, and a polynomial asked about twice is reduced
-once.  Normal forms are also linear, so two polynomials g and h have
-normal forms that both vanish or are nonzero multiples of each other
-exactly when their kept lead terms both vanish, or share a monomial and
-h - c*g reduces to zero for c the ratio of their coefficients.  A pair
-then costs at most one reduction to the end, that of h - c*g, and
-neither g nor h is reduced in full.
+non-member is reduced only up to its first irreducible term.  Normal
+forms are linear, so two polynomials g and h have normal forms that
+both vanish or are nonzero multiples of each other exactly when their
+lead terms both vanish, or share a monomial and h - c*g reduces to zero
+for c the ratio of their coefficients.  A pair then costs at most one
+reduction to the end, that of h - c*g, and neither g nor h is reduced
+in full.
 
 Krull dimension comes from the Hilbert numerator of the grevlex leads
-in the total degree (groebner.hilbert_numerator, by_degree): the height
-is the order to which it vanishes at 1.
+(groebner.hilbert_numerator): the height is the order to which it
+vanishes at 1, read in the total degree.
 """
 
 from __future__ import annotations
@@ -120,14 +117,12 @@ class Ideal:
     and the elements that were divided, which contains_ideal tests in
     place of its generators.  And every Bayer list that landed on it, by
     order (_bayer), until groebner interreduces the one of the order it
-    is asked for.  And the lead term of the normal form of every
-    polynomial it has reduced, zero for a member (_leads), with the
-    reduction entries of the last membership basis, built once for all
-    of its reductions (_entries).
+    is asked for.  And the reduction entries of the last membership
+    basis, built once for all of its reductions (_entries).
     """
 
     __slots__ = ("ring", "gens", "_bases", "_quotients", "_truncated",
-                 "_hilbert", "_division", "_bayer", "_leads", "_entries")
+                 "_hilbert", "_division", "_bayer", "_entries")
 
     def __init__(self, ring, gens, gb=None):
         self.ring = ring
@@ -143,7 +138,6 @@ class Ideal:
         self._hilbert = None
         self._division = None
         self._bayer = {}
-        self._leads = {}
         self._entries = None
 
     def groebner(self, order=None):
@@ -217,21 +211,9 @@ class Ideal:
             self._entries = (basis, reduction_entries(basis, self.ring))
         return self._entries[1]
 
-    def _lead(self, poly):
-        """The lead term of the normal form of poly modulo self, zero for
-        a member, kept for the life of the ideal: modulo any basis that
-        covers poly's bidegree, truncated or full, it is the unique
-        one."""
-        if poly.is_zero:
-            return poly
-        lead = self._leads.get(poly)
-        if lead is None:
-            lead = normal_form_lead(poly, self._entries_for((poly,)))
-            self._leads[poly] = lead
-        return lead
-
     def contains(self, poly):
-        return self._lead(poly).is_zero
+        return poly.is_zero or normal_form_lead(
+            poly, self._entries_for((poly,))).is_zero
 
     def outside(self, polys):
         """The nonzero polys that contains rejects, lazily and in order,
@@ -246,12 +228,13 @@ class Ideal:
         forms of g and h modulo self both vanish or are nonzero multiples
         of each other, on a membership basis sized once for all pairs.
 
-        Their kept lead terms decide unless both are nonzero with the
-        same monomial.  Then, c the ratio of their coefficients, the
-        normal forms are multiples exactly when h - c*g reduces to zero,
-        since the normal form is linear.  That reduction runs on the
-        basis that serves g and h: each term of h - c*g has the bidegree
-        of a term of g or h, or the basis is the full one."""
+        The lead terms of their normal forms decide unless both are
+        nonzero with the same monomial.  Then, c the ratio of their
+        coefficients, the normal forms are multiples exactly when
+        h - c*g reduces to zero, since the normal form is linear.  All
+        three reductions run on the basis that serves g and h: each term
+        of h - c*g has the bidegree of a term of g or h, or the basis is
+        the full one."""
         pairs = tuple(pairs)
         nonzero = [f for pair in pairs for f in pair if not f.is_zero]
         if nonzero:
@@ -259,7 +242,8 @@ class Ideal:
         return (self._proportional(g, h) for g, h in pairs)
 
     def _proportional(self, g, h):
-        a, b = self._lead(g), self._lead(h)
+        entries = self._entries_for((g, h))
+        a, b = normal_form_lead(g, entries), normal_form_lead(h, entries)
         if a.is_zero or b.is_zero:
             return a.is_zero and b.is_zero
         (exp_a, coeff_a), = a.items()
@@ -268,8 +252,7 @@ class Ideal:
             return False
         p = self.ring.p
         c = coeff_b * pow(coeff_a, p - 2, p) % p
-        return normal_form_lead(h, self._entries_for((g, h)),
-                                minus=(c, g)).is_zero
+        return normal_form_lead(h, entries, minus=(c, g)).is_zero
 
     def contains_ideal(self, other):
         """Membership of every generator of other, on one basis sized
@@ -505,24 +488,23 @@ def dimension(ideal, ambient):
 
     For R = k[x, T], dim R/I = dim R/in(I) under any term order (Cox,
     Little & O'Shea, "Ideals, Varieties, and Algorithms", ch. 9), and the
-    Hilbert series N(z) / (1 - z)^n of R/in(I), N the numerator in the
-    total degree that hilbert_numerator reads off the reduced grevlex
-    basis and n the number of variables of R, has a pole of order
-    dim R/in(I) at z = 1.  So the height of I is the order to which N(z)
-    vanishes there; the variables outside ambient are free over I and
-    leave it unchanged.
+    Hilbert series N(z, z) / (1 - z)^n of R/in(I), N the numerator
+    hilbert_numerator reads off the reduced grevlex basis and n the
+    number of variables of R, has a pole of order dim R/in(I) at z = 1.
+    So the height of I is the order to which N(z, z) vanishes there; the
+    variables outside ambient are free over I and leave it unchanged.
     """
     ambient = tuple(ambient)
     aset = set(ambient)
     for g in ideal.gens:
         if not g.support() <= aset:
             raise ValueError("generator leaves the ambient variable set")
-    num = hilbert_numerator(ideal.groebner(), by_degree=True)
+    num = hilbert_numerator(ideal.groebner())
     if not num:
         return -1
-    coeffs = [0] * (max(num) + 1)
-    for k, c in num.items():
-        coeffs[k] = c
+    coeffs = [0] * (max(a + b for a, b in num) + 1)
+    for (a, b), c in num.items():
+        coeffs[a + b] += c
     codim = 0
     # dividing by 1 - z takes prefix sums; the last one is N(1) = 0
     while not sum(coeffs):

@@ -675,12 +675,10 @@ def verify_well_definedness(inst, trace):
     B_0.  The base ideal answers for the differing pairs in step order
     (Ideal.proportional), on one basis truncated at the box of their
     bidegrees: it top-reduces each gcd to the lead term of its normal
-    form, and keeps it, and reduces g' - c*g, c the ratio of the lead
-    coefficients, to zero.  So no gcd is reduced in full, each
-    differing step makes one full reduction, and the minimality check,
-    which asks the base ideal about the same gcds, reduces none of them
-    again.  Any other step falls back to comparing the two partial
-    ideals, each on a Groebner basis of its own.
+    form and reduces g' - c*g, c the ratio of the lead coefficients, to
+    zero.  So no gcd is reduced in full, and each differing step makes
+    one full reduction.  Any other step falls back to comparing the two
+    partial ideals, each on a Groebner basis of its own.
     """
     second = gcd_iterations(inst, rule="max", prior=trace)
     rep = VerificationReport()
@@ -724,9 +722,8 @@ def _trace_redundancies(trace):
     against the base ideal, whose every generator beyond them is again
     ruled out by bidegree.  The intermediate gcds go to the base ideal in
     one outside call, on a basis truncated at their bidegree box, which
-    top-reduces each only to the lead term of its normal form; after
-    verify_well_definedness the base ideal holds that basis and the lead
-    terms of the gcds it compared, so none is reduced twice.
+    top-reduces each only to the lead term of its normal form, so none
+    is reduced in full.
     """
     ring = trace.ring
     inst = trace.instance

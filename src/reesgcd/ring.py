@@ -47,14 +47,14 @@ a dict from key to pending coefficient and exponent.  PolyRing.dot forms
 of matrices.minors and matrices.det: it adds every shifted summand into
 the dict and drains it once, with one sort, since a sum never needs its
 largest pending term before the end, so no partial product or partial
-sum is built; a product by one term and a scaling are single passes
-instead.  Division (exact_div here, normal forms and S-pairs in
-groebner) also keeps a max-heap of the pending keys: it pops the largest
-key, reduces its coefficient mod p once and adds the reducer's shifted
-tail into the dict.  Every tail key is below the popped one, so a popped
-key never returns, and a division costs O(n log n) in the number of
-terms it touches instead of re-merging the whole remainder at every
-step.
+sum is built.  Every product is one such call, a product by one term
+among them; only a scaling (scale, negation) is a single pass instead.
+Division (exact_div here, normal forms and S-pairs in groebner) also
+keeps a max-heap of the pending keys: it pops the largest key, reduces
+its coefficient mod p once and adds the reducer's shifted tail into the
+dict.  Every tail key is below the popped one, so a popped key never
+returns, and a division costs O(n log n) in the number of terms it
+touches instead of re-merging the whole remainder at every step.
 """
 
 from __future__ import annotations
@@ -899,14 +899,6 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
-        ring = self.ring
-        if len(a) == 1:
-            k, e, c = a[0]
-            return Polynomial(ring, _shift(b, k, e, c, ring))
-        if len(b) == 1:
-            k, e, c = b[0]
-            return Polynomial(ring, _shift(a, k, e, c, ring))
         return self.ring.dot(((1, self, other),))
 
     __rmul__ = __mul__

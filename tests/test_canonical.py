@@ -275,8 +275,8 @@ class TestHeldQuotients:
                 assert (p is q) == (p.gens == q.gens)
 
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
-    def test_equal_series_without_containment_is_a_run(self, ring,
-                                                       monkeypatch):
+    def test_equal_series_without_containment_is_a_new_quotient(
+            self, ring, monkeypatch):
         x1, x2, t1, t2 = ring.x(1), ring.x(2), ring.T(1), ring.T(2)
         a = Ideal(ring, [x1 * t1, x2 * t2])
         first = colon(a, x1)
@@ -293,8 +293,8 @@ class TestHeldQuotients:
         assert second.gens == interreduce(second._division[1])
 
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
-    def test_containment_with_another_series_is_a_run(self, ring,
-                                                      monkeypatch):
+    def test_containment_with_another_series_is_a_new_quotient(
+            self, ring, monkeypatch):
         x1, x2 = ring.x(1), ring.x(2)
         a = Ideal(ring, [x1 ** 2, x1 * x2])
         first = colon(a, x1)

@@ -9,7 +9,8 @@ EXP_MAX too; sums and differences with one merge, and exact division by
 one term too, where any term that is not divisible must fail it.  The
 packed exponent operations (pack and unpack, mask divisibility, lcm,
 coprimality, order keys, overflow detection and the bidegree reader) are
-compared with their definitions on exponent tuples.  Zero operands, a zero
+compared with their definitions on exponent tuples, and the bisection
+that finds a key in a term tuple with a linear scan.  Zero operands, a zero
 column, empty span lists and truncated runs with nothing inside the box
 take the general code, which must give zero or empty results.
 """
@@ -51,7 +52,7 @@ def nonzero_polys(ring):
 
 
 def operands(ring):
-    # single-term factors take the shift fast path of Polynomial.__mul__
+    # single-term factors: a product by one term is one PolyRing.dot too
     return st.one_of(polys(ring), polys(ring, max_terms=1))
 
 
@@ -470,3 +471,27 @@ class TestZeroOnTheGeneralPath:
         num = hilbert_numerator(groebner_basis(gens))
         with pytest.raises(ValueError):
             groebner_basis(gens, within=(1, 1), hilbert=num)
+
+
+def linear_find(terms, key):
+    return next((i for i, term in enumerate(terms) if term[0] == key), -1)
+
+
+class TestFind:
+    """groebner._find, which places an admitted lead in an earlier tail,
+    against a linear scan over strictly decreasing keys."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(0, 60), max_size=12), st.integers(-1, 61))
+    def test_matches_a_linear_scan(self, keys, other):
+        terms = tuple((k, k, 1) for k in sorted(keys, reverse=True))
+        present = [k for k, _, _ in terms]
+        low, high = min(keys, default=0), max(keys, default=0)
+        # the first, a middle and the last place; absent above, between
+        # and below; with no keys (an empty tail) every probe is absent
+        probes = [present[:1], present[len(present) // 2:][:1],
+                  present[-1:], [high + 1],
+                  [k for k in range(low, high) if k not in keys][:1],
+                  [low - 1], [other]]
+        for key in sum(probes, []):
+            assert groebner._find(terms, key) == linear_find(terms, key)

@@ -15,8 +15,11 @@ output re-parses bit-exactly.
 Exit codes: 0 success, 1 usage or parse error (an instance file nested
 too deeply for the JSON reader included), or an instance too large
 (its last gcd, of bidegree (0, m(d-1)), could have more than
-pipeline.MAX_FIBER_TERMS = 10^5 terms, C(m(d-1)+d, d); refused before
-any matrix is built, for random -d as well), 2 hypothesis failure,
+pipeline.MAX_FIBER_TERMS = 10^5 terms, C(m(d-1)+d, d), or, at an even
+d, the minors its hypotheses form could have more than
+pipeline.MAX_MINOR_TERMS = 10^6 terms, which refuses d=8 and d=10;
+refused before any matrix is built, for random -d as well),
+2 hypothesis failure,
 3 verification failure, 4 Groebner budget exceeded (stderr names the
 report section whose run hit the cap), 5 an exponent past
 ring.EXP_MAX = 32767, in the input (one too long for int() included) or

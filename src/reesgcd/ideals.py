@@ -18,9 +18,11 @@ form.  The leads of Bayer's quotient list give the quotient's bigraded
 Hilbert series.  An ideal keeps the quotients it formed, in order, and
 one scan of them finds a quotient it already holds: one formed from the
 same quotient list, or, for a bigraded list, one with the same series
-that holds every element of the list, asked of it by lead terms as any
-membership is (a member still reduces to zero).  That is the quotient,
-and no run is made for it.  So a repeated colon or saturation is the
+that holds every divided element of the list, asked of it by lead terms
+as any membership is (a member still reduces to zero).  The undivided
+elements need no test: they are elements of the ideal's basis, and every
+quotient of an ideal contains it.  That is the quotient, and no run is
+made for it.  So a repeated colon or saturation is the
 held object, and bigraded quotients that are the same ideal (by
 different variables, or a colon and a saturation) are the same object,
 whose generators are its basis.  Any other quotient is formed by the
@@ -57,8 +59,10 @@ generators holds a full basis under any order (its first run, or the
 basis an intersection hands over), it reads the series' numerator off
 that basis once, and every later run under a graded order is driven by
 it (groebner.groebner_basis, hilbert): the S-pairs of the bidegrees
-where the run's lead ideal is complete are not reduced.  A quotient
-starts with the numerator its quotient list gave.
+where the run's lead ideal is complete are not reduced.  Its first run
+is under grevlex even when a revlex-last basis is asked for first, so
+that every Bayer run is driven.  A quotient starts with the numerator
+its quotient list gave.
 
 Membership is decided on a grevlex basis.  The ideals of the problem are
 bihomogeneous in (x, T), and for such an ideal and bihomogeneous queries
@@ -146,8 +150,11 @@ class Ideal:
         A quotient holding a Bayer list of that order interreduces it.
         Otherwise every run after the first full basis of a bigraded
         ideal, under a graded order, is driven by the Hilbert series of
-        that basis."""
-        order = order or self.ring.grevlex
+        that basis.  A bigraded ideal with no full basis, asked for one
+        under a graded order other than grevlex, makes its grevlex basis
+        first, so that its series drives the run asked for."""
+        ring = self.ring
+        order = order or ring.grevlex
         gb = self._bases.get(order)
         if gb is None:
             bayer = self._bayer.pop(order, None)
@@ -155,8 +162,12 @@ class Ideal:
                 gb = interreduce(bayer, order)
             else:
                 hilbert = None
-                if self._bases and self.ring.is_graded(order):
-                    hilbert = self._numerator()
+                if ring.is_graded(order):
+                    if (not self._bases and order is not ring.grevlex
+                            and _bigraded_box(self.gens) is not None):
+                        self.groebner()
+                    if self._bases:
+                        hilbert = self._numerator()
                 gb = groebner_basis(self.gens, order, hilbert=hilbert)
             self._bases[order] = gb
         return gb
@@ -375,7 +386,8 @@ def _divide_out(a, slot, whole_power):
     Groebner basis of the quotient ideal under that order, so their
     leads, each the element's lead less the removed power, give the
     ideal's bigraded Hilbert series.  A quotient a holds that is the
-    ideal of the list (_held_quotient) is returned with no run.
+    ideal of the list (_held_quotient, which tests only the divided
+    elements) is returned with no run.
     Otherwise the series drives the grevlex run that makes the canonical
     basis.  The quotient Ideal has that basis as its generators, the
     series as its numerator, and the record of this division: a's
@@ -404,38 +416,42 @@ def _divide_out(a, slot, whole_power):
         quots.append(g)
         leads.append(ring.monomial(lead))
     quots = tuple(quots)
+    divided = tuple(divided)
     hilbert = None
     if _bigraded_box(quots) is not None:
         hilbert = hilbert_numerator(leads)
-    found = _held_quotient(a, quots, hilbert)
+    found = _held_quotient(a, quots, divided, hilbert)
     if found is None:
         basis = groebner_basis(quots, ring.grevlex, hilbert=hilbert)
         found = Ideal(ring, basis, gb=basis)
         found._hilbert = hilbert
-        found._division = (a.gens, quots, tuple(divided))
+        found._division = (a.gens, quots, divided)
         a._quotients.append(found)
     if order not in found._bases:
         found._bayer.setdefault(order, quots)
     return found
 
 
-def _held_quotient(a, quots, hilbert):
+def _held_quotient(a, quots, divided, hilbert):
     """The quotient kept on a that is the ideal Q' of quots, or None.
 
     A kept quotient Q is Q' when it was formed from quots itself, or
     when quots is bigraded, the numerator hilbert of its leads equals
-    Q's, and Q holds every element of quots, asked of Q by lead terms
-    (Ideal.outside) on its reduced grevlex basis: a member still reduces
-    to zero, and a non-member ends the test at its first irreducible
-    term.  Each lead is the lead of an element of Q', so HF(R/Q') <=
-    HF(R/(leads)) = HF(R/Q); Q' in Q gives HF(R/Q) <= HF(R/Q'); so the
-    series agree, and with Q' in Q that makes Q' = Q.  Kept quotients
-    are tried in the order they were made.
+    Q's, and Q holds every divided element of quots, asked of Q by lead
+    terms (Ideal.outside) on its reduced grevlex basis: a member still
+    reduces to zero, and a non-member ends the test at its first
+    irreducible term.  Q is a : x or a : x^inf, so a is in Q, and the
+    undivided elements of quots, elements of a's basis, are in Q with
+    no test: Q' in Q exactly when the divided ones are.  Each lead is
+    the lead of an element of Q', so HF(R/Q') <= HF(R/(leads)) =
+    HF(R/Q); Q' in Q gives HF(R/Q) <= HF(R/Q'); so the series agree,
+    and with Q' in Q that makes Q' = Q.  Kept quotients are tried in
+    the order they were made.
     """
     for held in a._quotients:
         if held._division[1] == quots or (
                 hilbert is not None and held._hilbert == hilbert
-                and next(held.outside(quots), None) is None):
+                and next(held.outside(divided), None) is None):
             return held
     return None
 

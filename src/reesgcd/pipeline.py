@@ -154,10 +154,20 @@ def _status(ok):
 # only, and no larger d.
 MAX_FIBER_TERMS = 10 ** 5
 
+# Terms the minors of check_hypotheses may have, for an even d: it forms
+# the kept minors of sizes 1..d of the alternating presentation
+# (matrices.alternating_minors), C(N+1, 2) of size k for N = C(d+1, k),
+# each a form of degree k with at most C(d+k, k) terms.  The bound is
+# 3,875 at d=4, 324,478 at d=6 and 30,462,777 at d=8, so the limit
+# admits d=4 and d=6 and refuses the d=8 and d=10 instances that
+# MAX_FIBER_TERMS admits, whose minors would exhaust memory.
+MAX_MINOR_TERMS = 10 ** 6
+
 
 def _check_size(d, m):
-    """ValueError, naming d, m, the bound and the limit, when the last
-    gcd's term bound passes MAX_FIBER_TERMS.  Past d=64 the bound is not
+    """ValueError, naming d, the bound and the limit, when the last gcd's
+    term bound passes MAX_FIBER_TERMS or, for an even d, the minors'
+    term bound passes MAX_MINOR_TERMS.  Past d=64 the first bound is not
     formed: it is at least C(2d-1, d) >= 2^(d-1)."""
     if d < 1:
         return
@@ -171,6 +181,14 @@ def _check_size(d, m):
             "instance too large: at d=%d, m=%d the last gcd may have "
             "C(m(d-1)+d, d) = %s terms, past the limit of %d"
             % (d, m, bound, MAX_FIBER_TERMS))
+    if d % 2 == 0:
+        bound = sum(comb(comb(d + 1, k) + 1, 2) * comb(d + k, k)
+                    for k in range(1, d + 1))
+        if bound > MAX_MINOR_TERMS:
+            raise ValueError(
+                "instance too large: at d=%d the minors of the "
+                "hypotheses may have %d terms, past the limit of %d"
+                % (d, bound, MAX_MINOR_TERMS))
 
 
 class InstanceSpec:
@@ -602,9 +620,11 @@ def verify_main_theorem(inst, trace):
     quotients are one ideal under their reduced grevlex basis, and an
     ideal meets itself without a run, so where every quotient of a fold
     is the same ideal (on the random m = 1 instances of the tests, every
-    fold) the fold makes no elimination run.  A quotient the ideal
-    already holds is recognized by containment and an equal Hilbert
-    series, with no grevlex run (ideals._divide_out).  A fold of nested
+    fold) the fold makes no elimination run.  The base ideal's first run
+    is under grevlex, and its Hilbert series drives all d+1 Bayer runs.
+    A quotient the ideal already holds is recognized by an equal Hilbert
+    series and the membership of the divided elements of the new list,
+    with no grevlex run (ideals._divide_out).  A fold of nested
     ideals returns its smallest quotient, which remembers its division:
     the saturation is then a quotient of the base ideal, and the
     candidate, whose generators include the base ideal's, contains it

@@ -659,23 +659,14 @@ class PolyRing:
         return basis
 
 
-def _shift(terms, dkey, dexp, c, ring):
-    """terms multiplied by the monomial (dkey, dexp) and the scalar c; a
-    zero shift scales, which sets no guard bit, so it is not checked."""
-    mod = ring.p
+def _scale(terms, c, mod):
+    """terms multiplied by the scalar c modulo mod."""
     c %= mod
     if c == 0:
         return ()
-    if c == 1 and dkey == 0:
+    if c == 1:
         return terms
-    out = tuple((k + dkey, e + dexp, co * c % mod) for k, e, co in terms)
-    if dexp:
-        guard = ring.guard
-        for _, e, _ in out:
-            if e & guard:
-                raise ExponentOverflow("a product exponent exceeds %d"
-                                       % EXP_MAX)
-    return out
+    return tuple((k, e, co * c % mod) for k, e, co in terms)
 
 
 def _lcm(a, b, guard):
@@ -880,7 +871,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, _shift(self.terms, 0, 0, -1, self.ring))
+        return Polynomial(self.ring, _scale(self.terms, -1, self.ring.p))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -916,7 +907,7 @@ class Polynomial:
         return result
 
     def scale(self, c):
-        return Polynomial(self.ring, _shift(self.terms, 0, 0, c, self.ring))
+        return Polynomial(self.ring, _scale(self.terms, c, self.ring.p))
 
     def monic(self):
         """Scale so the grevlex lead coefficient is 1."""

@@ -369,6 +369,67 @@ class TestHeldQuotients:
                                   max_basis=len(reduced)) == reduced
 
 
+def divisions(monkeypatch):
+    """(quotient, Bayer list) for every _divide_out call from now on: the
+    quotient it returns and the list of its dividend's basis under the
+    order with the variable last, formed here from the definition."""
+    out = []
+    original = ideals._divide_out
+
+    def recording(a, slot, whole_power):
+        q = original(a, slot, whole_power)
+        x = a.ring.variable(slot)
+        quots = []
+        for g in a.groebner(a.ring.revlex_last(slot)):
+            v = min(e[slot] for e, _ in g.items())
+            quots.append(g.exact_div(x ** (v if whole_power else min(v, 1))))
+        out.append((q, quots))
+        return q
+
+    monkeypatch.setattr(ideals, "_divide_out", recording)
+    return out
+
+
+class TestHeldQuotientSoundness:
+    """A held quotient is taken for a Bayer list only when it holds the
+    list's divided elements; its series alone never decides."""
+
+    def test_a_series_match_lacking_a_divided_element_is_refused(self):
+        # golden base : x5 divides one element of the base's basis, which
+        # base : x1^inf lacks; given the series of base : x5, that held
+        # quotient must still not be taken for it
+        base = gcd_iterations(builtin_example()).base_ideal
+        ring = base.ring
+        x1, x5 = ring.x(1), ring.x(5)
+        want = colon(Ideal(ring, base.gens), x5)
+        _, quots, divided = want._division
+        a = Ideal(ring, base.gens)
+        held = saturate_poly(a, x1)
+        held._hilbert = want._hilbert
+        assert len(divided) == 1 and not held.contains(divided[0])
+        undivided = [g for g in quots if g not in divided]
+        assert next(held.outside(undivided), None) is None
+        assert ideals._held_quotient(a, quots, divided, want._hilbert) is None
+        got = colon(a, x5)
+        assert got is not held and got.gens == want.gens
+
+    @pytest.mark.parametrize("m, seed", [(0, 0)] + [
+        (m, seed) for m in (1, 2, 3) for seed in (0, 1, 2)],
+        ids=lambda v: str(v))
+    def test_every_quotient_is_the_ideal_of_its_list(self, m, seed,
+                                                     monkeypatch):
+        inst = (builtin_example() if m == 0
+                else random_instance(4, m, seed=seed))
+        trace = gcd_iterations(inst)
+        records = divisions(monkeypatch)
+        assert verify_main_theorem(inst, trace).ok
+        assert records
+        for q, quots in records:
+            assert next(q.outside(quots), None) is None
+            listed = Ideal(q.ring, quots)
+            assert next(listed.outside(q.gens), None) is None
+
+
 @st.composite
 def containers(draw):
     """A quotient q of an ideal a, from problems(), and an ideal J: some
@@ -460,19 +521,20 @@ def main_theorem_runs(inst, monkeypatch):
 
 class TestMainTheoremRuns:
     def test_golden(self, monkeypatch):
-        # 12 of 21 grevlex runs would rediscover a held quotient, and 4 of
-        # the 9 left run on lists that are grevlex bases already; 8 of 15
-        # revlex-last runs would recompute a kept Bayer list
-        assert main_theorem_runs(builtin_example(), monkeypatch) == (9, 7,
+        # the base ideal's grevlex run drives its revlex-last runs; 12 of
+        # 21 grevlex runs of quotients would rediscover a held quotient,
+        # and 4 of the 9 left run on lists that are grevlex bases already;
+        # 8 of 15 revlex-last runs would recompute a kept Bayer list
+        assert main_theorem_runs(builtin_example(), monkeypatch) == (10, 7,
                                                                      4)
 
     def test_random_m1(self, monkeypatch):
         # the d+1 quotients of the base ideal are one ideal
         inst = random_instance(4, 1, seed=0)
-        assert main_theorem_runs(inst, monkeypatch) == (2, 5, 0)
+        assert main_theorem_runs(inst, monkeypatch) == (3, 5, 0)
 
     def test_random_m2k2(self, monkeypatch):
         # the only random d=4 instance whose main theorem eliminates: its
         # intersections are of nested ideals
         inst = random_instance(4, 2, seed=2)
-        assert main_theorem_runs(inst, monkeypatch) == (7, 6, 3)
+        assert main_theorem_runs(inst, monkeypatch) == (8, 6, 3)

@@ -338,7 +338,9 @@ class TestVerify:
 
 class TestOversized:
     """An instance whose last gcd could pass pipeline.MAX_FIBER_TERMS
-    terms exits 1 before any work: the work itself would fail."""
+    terms, or whose hypotheses' minors could pass
+    pipeline.MAX_MINOR_TERMS, exits 1 before any work: the work itself
+    would fail."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -359,6 +361,30 @@ class TestOversized:
         assert err == ("error: instance too large: at d=4, m=1000 the last "
                        "gcd may have C(m(d-1)+d, d) = 3386263131251 terms, "
                        "past the limit of 100000\n")
+
+    @pytest.mark.parametrize("command", ["check", "run", "verify"])
+    def test_d8_file(self, tmp_path, capsys, command):
+        # a linear alternating 9x9 presentation: its last gcd is small,
+        # its minors of sizes 1..8 are not
+        psi = [["0" if i == j else "%sx%d" % ("-" if i > j else "",
+                                               (i + j) % 9 + 1)
+                for j in range(9)] for i in range(9)]
+        path = write_instance(tmp_path, {"prime": 32003, "d": 8,
+                                         "psi": psi, "f": "x9"})
+        start = time.perf_counter()
+        assert main([command, path]) == 1
+        assert time.perf_counter() - start < 0.25
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: instance too large: at d=8 the minors of "
+                       "the hypotheses may have 30462777 terms, past the "
+                       "limit of 1000000\n")
+
+    def test_random_d8(self, capsys):
+        assert main(["random", "-d", "8", "-m", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: instance too large: at d=8 the minors of the hypotheses "
+            "may have 30462777 terms, past the limit of 1000000\n")
 
     def test_random(self, capsys):
         start = time.perf_counter()

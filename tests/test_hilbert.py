@@ -213,14 +213,17 @@ class TestCriterionFires:
         driver.check(ring.grevlex)
 
     def test_ideal_drives_every_run_after_its_first(self, monkeypatch):
+        # asked for a revlex-last basis first, the base ideal makes its
+        # grevlex basis, whose series drives every revlex-last run
         base = base_ideal("golden")
         ring = base.ring
         calls = record_targets(monkeypatch)
         orders = [ring.revlex_last(slot) for slot in ring.x_slots]
         for order in orders:
             base.groebner(order)
-        target = hilbert_numerator(base.groebner(orders[0]), orders[0])
-        assert calls == [None] + [target] * 4
+        assert list(base._bases) == [ring.grevlex] + orders
+        target = hilbert_numerator(base.groebner())
+        assert calls == [None] + [target] * 5
 
     def test_intersection_basis_drives_the_first_revlex_run(
             self, monkeypatch):

@@ -152,6 +152,22 @@ class TestInstanceSpec:
                            r"least 2\^79 terms"):
             random_instance(80, 1)
 
+    def test_random_minor_size_checked_before_any_matrix(self,
+                                                        monkeypatch):
+        # d=8 and d=10 at m=1 pass the last gcd's bound, not the minors'
+        def refuse(*args):
+            raise AssertionError("a matrix entry was drawn")
+        monkeypatch.setattr(pipeline, "_random_linear", refuse)
+        with pytest.raises(ValueError, match=r"at d=8 .* 30462777 terms, "
+                           r"past the limit of 1000000$"):
+            random_instance(8, 1)
+        with pytest.raises(ValueError, match=r"at d=10 .* 3052222580 "):
+            random_instance(10, 1)
+
+    def test_minor_size_admits_every_rung(self):
+        for d, m in ((4, 12), (6, 3)):
+            pipeline._check_size(d, m)
+
     def test_dict_round_trip(self, golden):
         again = InstanceSpec.from_dict(golden.to_dict())
         assert again.to_dict() == golden.to_dict()

@@ -116,7 +116,7 @@ def ring_private_names():
 
 def test_ring_clients_use_only_its_public_api():
     private = ring_private_names()
-    assert {"_shift", "_add_shifted", "_half"} <= private
+    assert {"_scale", "_add_shifted", "_half"} <= private
     found = set()
     for name in RING_CLIENTS:
         module = importlib.import_module("reesgcd." + name)

@@ -138,7 +138,7 @@ def _full_verification(inst, hypotheses):
                 ("main", verify_main_theorem, (inst, trace)),
                 ("well_definedness", verify_well_definedness, (inst, trace)),
                 ("minimality", minimality_and_invariants, (trace,)),
-                ("structural", optional_structural_checks, (trace,))):
+                ("structural", optional_structural_checks, (inst,))):
             sections[key] = _in_section(key, check, *args)
     return trace, sections
 

@@ -65,6 +65,7 @@ from .ring import (
     _drain,
     _lcm,
     _pop_lead,
+    _scale,
 )
 
 DEFAULT_MAX_BASIS = 20000
@@ -171,11 +172,7 @@ def _reduce_terms(terms, basis, mod, guard, shifted=()):
 
 
 def _monic_terms(terms, mod):
-    lc = terms[0][2]
-    if lc == 1:
-        return terms
-    inv = pow(lc, mod - 2, mod)
-    return tuple((k, e, c * inv % mod) for k, e, c in terms)
+    return _scale(terms, pow(terms[0][2], mod - 2, mod), mod)
 
 
 def _spair_tails(f, g, keyf, guard):
@@ -378,15 +375,16 @@ def _fields(ring):
             for slot in ring.x_slots + ring.t_slots]
 
 
-def hilbert_numerator(basis, order=None):
+def hilbert_numerator(basis):
     """Numerator N(s, u) of the bigraded Hilbert series of R/(leads),
-    R = k[x, T], for the lead monomials under order of a t-free basis;
-    t in basis raises ValueError.
+    R = k[x, T], for the grevlex lead monomials of a t-free basis; t in
+    basis raises ValueError.
 
-    For a Groebner basis of a t-free bihomogeneous ideal I under order
-    this is the numerator of the series of R/I, the same under every
-    order: sum dim (R/I)_(a,b) s^a u^b = N(s, u) / ((1-s)^n (1-u)^n),
-    n = d + 1.  Returned as a map (a, b) -> nonzero integer coefficient.
+    For a grevlex Groebner basis of a t-free bihomogeneous ideal I this
+    is the numerator of the series of R/I, the same under every order:
+    sum dim (R/I)_(a,b) s^a u^b = N(s, u) / ((1-s)^n (1-u)^n), n = d + 1;
+    a basis under another order passes its lead monomials.  Returned as
+    a map (a, b) -> nonzero integer coefficient.
     """
     basis = [g for g in basis if not g.is_zero]
     if not basis:
@@ -394,12 +392,7 @@ def hilbert_numerator(basis, order=None):
     ring = basis[0].ring
     if any(g.involves(ring.aux_slot) for g in basis):
         raise ValueError("a Hilbert numerator needs a t-free basis")
-    order = order or ring.grevlex
-    if order is ring.grevlex:
-        leads = [g.terms[0][1] for g in basis]
-    else:
-        key = order.key
-        leads = [max((e for _, e, _ in g.terms), key=key) for g in basis]
+    leads = [g.terms[0][1] for g in basis]
     num = _numerator(leads, _packed_bidegree(ring), ring.guard,
                      _fields(ring))
     return {(k >> _SPLIT, k & _LOW): c for k, c in num.items()}

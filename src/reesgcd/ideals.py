@@ -54,15 +54,12 @@ elimination runs grow past 33 basis elements.  The quotients live on the
 Ideal objects of one verification, not in the module.
 
 The d+1 runs of Bayer's route on one ideal, one per variable, share its
-bigraded Hilbert series.  Once an ideal of t-free bihomogeneous
-generators holds a full basis under any order (its first run, or the
-basis an intersection hands over), it reads the series' numerator off
-that basis once, and every later run under a graded order is driven by
-it (groebner.groebner_basis, hilbert): the S-pairs of the bidegrees
-where the run's lead ideal is complete are not reduced.  Its first run
-is under grevlex even when a revlex-last basis is asked for first, so
-that every Bayer run is driven.  A quotient starts with the numerator
-its quotient list gave.
+bigraded Hilbert series.  An ideal of t-free bihomogeneous generators
+reads the series' numerator once, off its grevlex basis, made first if
+need be, and every run under another graded order is driven by it
+(groebner.groebner_basis, hilbert): the S-pairs of the bidegrees where
+the run's lead ideal is complete are not reduced.  So every Bayer run
+is driven.  A quotient keeps the numerator its quotient list gave.
 
 Membership is decided on a grevlex basis.  The ideals of the problem are
 bihomogeneous in (x, T), and for such an ideal and bihomogeneous queries
@@ -113,13 +110,13 @@ class Ideal:
     Beside them it keeps one grevlex basis truncated at a bidegree box,
     with the box (see basis_for): the membership basis of a bigraded
     ideal whose full basis nobody has asked for; and the numerator of
-    its bigraded Hilbert series, read off its first full basis, which
-    drives its later runs.  A quotient also keeps the record of the
-    division that formed it (_division): the generators of its dividend;
-    Bayer's quotient list, whose leads gave its numerator and which is
-    the (1-t) block of the intersections it enters as second argument;
-    and the elements that were divided, which contains_ideal tests in
-    place of its generators.  And every Bayer list that landed on it, by
+    its bigraded Hilbert series, read off its grevlex basis, which
+    drives its runs under the other graded orders.  A quotient also
+    keeps the record of the division that formed it (_division): the
+    generators of its dividend; Bayer's quotient list, whose leads gave
+    its numerator and which is the (1-t) block of the intersections it
+    enters as second argument; and the elements that were divided,
+    which contains_ideal tests in place of its generators.  And every Bayer list that landed on it, by
     order (_bayer), until groebner interreduces the one of the order it
     is asked for.  And the reduction entries of the last membership
     basis, built once for all of its reductions (_entries).
@@ -148,11 +145,10 @@ class Ideal:
         """Reduced basis under order (default: grevlex).
 
         A quotient holding a Bayer list of that order interreduces it.
-        Otherwise every run after the first full basis of a bigraded
-        ideal, under a graded order, is driven by the Hilbert series of
-        that basis.  A bigraded ideal with no full basis, asked for one
-        under a graded order other than grevlex, makes its grevlex basis
-        first, so that its series drives the run asked for."""
+        Otherwise a run of a bigraded ideal under a graded order other
+        than grevlex is driven by the Hilbert series of the grevlex
+        basis, made first if need be, whose numerator is read once; a
+        quotient keeps the one its Bayer leads gave."""
         ring = self.ring
         order = order or ring.grevlex
         gb = self._bases.get(order)
@@ -162,26 +158,14 @@ class Ideal:
                 gb = interreduce(bayer, order)
             else:
                 hilbert = None
-                if ring.is_graded(order):
-                    if (not self._bases and order is not ring.grevlex
-                            and _bigraded_box(self.gens) is not None):
-                        self.groebner()
-                    if self._bases:
-                        hilbert = self._numerator()
+                if (order is not ring.grevlex and ring.is_graded(order)
+                        and _bigraded_box(self.gens) is not None):
+                    if self._hilbert is None:
+                        self._hilbert = hilbert_numerator(self.groebner())
+                    hilbert = self._hilbert
                 gb = groebner_basis(self.gens, order, hilbert=hilbert)
             self._bases[order] = gb
         return gb
-
-    def _numerator(self):
-        """The bigraded Hilbert numerator read off the first full basis,
-        once, or None unless every generator is t-free and
-        bihomogeneous."""
-        if self._hilbert is None:
-            self._hilbert = False
-            if _bigraded_box(self.gens) is not None:
-                order, basis = next(iter(self._bases.items()))
-                self._hilbert = hilbert_numerator(basis, order)
-        return None if self._hilbert is False else self._hilbert
 
     @property
     def is_zero(self):

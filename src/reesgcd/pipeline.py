@@ -11,16 +11,17 @@ variable ideal and its m-th colon power, with strictness one step below.
 
 Every step matrix is the fixed Jacobian dual B plus one column C, so every
 maximal minor of a step is an expansion along C over the d x d minors of
-B.  Those factor once per run: adj(B) = [T]^t . lambda for one row lambda,
-and each step's gcd is then one sum of products, sum_k C_k lambda_k.  Every
-algebraic identity the algorithm relies on is re-verified at runtime.  One
-rank-one lemma (_rank_one_adjugate) gives adj(M) = u . w from M . u = 0 and
-row j0 of adj(M) equal to u_j0 w.  Once per run it takes M = B and u =
-[T]^t, and lambda is row 1 divided exactly by T1; det(B) = 0 (one Laplace
-pass) and lambda . B = 0 are guards.  At every step: the reassembly of the
-appended column and the bidegree law.  The hypothesis check spans the
-minors of the alternating presentation from one symmetric Laplace pass.
-The structural checks read the height of the minors of B and the reduced
+B.  Those factor once per instance: adj(B) = [T]^t . lambda for one row
+lambda, and each step's gcd is then one sum of products, sum_k C_k
+lambda_k.  Every algebraic identity the algorithm relies on is
+re-verified at runtime.  One rank-one lemma (_rank_one_adjugate) gives
+adj(M) = u . w from M . u = 0 and row j0 of adj(M) equal to u_j0 w.
+Once per instance it takes M = B and u = [T]^t, and lambda is row 1
+divided exactly by T1; det(B) = 0 (one Laplace pass) and lambda . B = 0
+are guards.  At every step: the reassembly of the appended column and
+the bidegree law.  The hypothesis check spans the minors of the
+alternating presentation from one symmetric Laplace pass.  The
+structural checks read the height of the minors of B and the reduced
 gcd off lambda, and the height of the size-d minors of the reduced
 presentation off the square law adj = p . p^t of its Pfaffians, the same
 lemma with u = p.  Product containment follows from the reduced-Cramer
@@ -200,10 +201,12 @@ class InstanceSpec:
     involve the x-variables, and the size bound of _check_size, before
     any matrix entry is parsed; the mathematical hypotheses are the
     business of check_hypotheses, which reports rather than raises.
+    The Jacobian dual, its column forms and the row lambda are facts of
+    the instance, formed and checked once, on first use (_fixed_part).
     """
 
     __slots__ = ("prime", "d", "matrix_src", "equation_src", "ring",
-                 "presentation", "equation", "degree")
+                 "presentation", "equation", "degree", "_fixed")
 
     def __init__(self, prime, d, matrix_src, equation_src):
         if type(prime) is not int or type(d) is not int:
@@ -249,6 +252,7 @@ class InstanceSpec:
         self.presentation = PolyMatrix.from_rows(self.ring, parsed)
         self.equation = eq
         self.degree = bd.x
+        self._fixed = None
 
     @classmethod
     def from_dict(cls, data):
@@ -409,24 +413,21 @@ class IterationTrace:
     partial_ideal(i) is the base ideal together with the first i gcds;
     index 0 is the base ideal itself and index m the candidate defining
     ideal.  Ideals are cached so repeated verification reuses Groebner
-    bases.  A trace made by gcd_iterations also carries the row lambda
-    with adj(dual) = [T]^t . lambda (fixed), checked by _adjugate_row, so
-    that a rerun under the other column rule can take it from it; a trace
-    rebuilt from saved output has none, and optional_structural_checks
-    then forms it by the same checked route.
+    bases.  The row lambda is not kept here: it is a fact of the
+    instance (_fixed_part), so a trace rebuilt from saved output and a
+    rerun under the other column rule read the same one.
     """
 
     __slots__ = ("instance", "ring", "dual", "bilinear", "steps",
-                 "_partials", "_fixed")
+                 "_partials")
 
-    def __init__(self, instance, dual, bilinear, steps, fixed=None):
+    def __init__(self, instance, dual, bilinear, steps):
         self.instance = instance
         self.ring = instance.ring
         self.dual = dual
         self.bilinear = tuple(bilinear)
         self.steps = tuple(steps)
         self._partials = {}
-        self._fixed = fixed
 
     @property
     def gcds(self):
@@ -535,15 +536,33 @@ def _adjugate_row(dual):
     return row
 
 
-def gcd_iterations(inst, rule="min", prior=None):
+def _checked_dual(mat):
+    """(B, its column forms [x] . B, lambda) for the Jacobian dual B of
+    the presentation mat, lambda checked by _adjugate_row."""
+    dual = jacobian_dual(mat)
+    return dual, _column_forms(dual), _adjugate_row(dual)
+
+
+def _fixed_part(inst):
+    """_checked_dual of the presentation of inst, formed on first use and
+    kept on the instance.  None of it depends on the column rule, so the
+    iterations under both rules and the structural checks at the given
+    coordinates read the one triple; another instance, such as
+    inst.with_prime(q), forms and checks its own."""
+    if inst._fixed is None:
+        inst._fixed = _checked_dual(inst.presentation)
+    return inst._fixed
+
+
+def gcd_iterations(inst, rule="min"):
     """Run the m gcd iterations and return the trace.
 
     Every step matrix is [B | C]: the fixed Jacobian dual B plus one
     column C.  Expanding along C, the minor without column j <= d+1 is
     sum_k (-1)^(k+d) C_k M[k][j-1] over the d x d minors M of B, and the
-    full-dual minor det(B) does not depend on the step.  Once per call
-    _adjugate_row factors M as adj(B) = [T]^t . lambda from the d+1
-    minors of B without column 1, and proves the factorization of all
+    full-dual minor det(B) does not depend on the step.  Once per
+    instance _adjugate_row factors M as adj(B) = [T]^t . lambda from the
+    d+1 minors of B without column 1, and proves the factorization of all
     (d+1)^2 entries from B . [T]^t = 0 and lambda . B = 0; it also checks
     that det(B) vanishes, a guard that B . [T]^t = 0 already implies, by
     one Laplace pass (matrices.det).  By linearity in C every step's
@@ -552,21 +571,14 @@ def gcd_iterations(inst, rule="min", prior=None):
     re-verifies the reassembly of its column and the bidegree (m-i,
     i(d-1)).  A vanishing sum means every maximal minor vanishes; the
     next step's column, split from the zero gcd, is then zero, so every
-    later sum and gcd vanishes too.  B, its
-    column forms and lambda do not depend on the rule; a prior trace of
-    the same instance made by this function lends them, so a rerun under
-    the other rule skips that work.
+    later sum and gcd vanishes too.  B, its column forms and lambda do
+    not depend on the rule: they are read off the instance
+    (_fixed_part), so a rerun under the other rule forms none of them.
     """
     ring = inst.ring
     d = inst.d
     m = inst.degree
-    if prior is not None and prior.instance is inst and \
-            prior._fixed is not None:
-        dual, bilinear, lam = prior.dual, prior.bilinear, prior._fixed
-    else:
-        dual = jacobian_dual(inst.presentation)
-        bilinear = _column_forms(dual)
-        lam = _adjugate_row(dual)
+    dual, bilinear, lam = _fixed_part(inst)
 
     steps = []
     carried = inst.equation
@@ -586,7 +598,7 @@ def gcd_iterations(inst, rule="min", prior=None):
                 raise IterationError(
                     "step %d: bidegree %s, expected %s" % (i, bideg, wanted))
         steps.append(IterationStep(current, carried, bideg))
-    return IterationTrace(inst, dual, bilinear, steps, lam)
+    return IterationTrace(inst, dual, bilinear, steps)
 
 
 # ---------------------------------------------------------------------
@@ -679,8 +691,9 @@ def verify_main_theorem(inst, trace):
 
 def verify_well_definedness(inst, trace):
     """Rerun trace, a run under the default column rule, with the
-    alternate rule, on the Jacobian dual and minors of trace; the
-    per-step ideals must agree even when the gcd representatives differ.
+    alternate rule, on the instance's Jacobian dual and lambda
+    (_fixed_part); the per-step ideals must agree even when the gcd
+    representatives differ.
 
     Let B_i and B'_i be the step-i ideals under the two rules, and take
     a step whose gcds g and g' differ after B_{i-1} = B'_{i-1} has been
@@ -700,7 +713,7 @@ def verify_well_definedness(inst, trace):
     one full reduction.  Any other step falls back to comparing the two
     partial ideals, each on a Groebner basis of its own.
     """
-    second = gcd_iterations(inst, rule="max", prior=trace)
+    second = gcd_iterations(inst, rule="max")
     rep = VerificationReport()
     base = trace.base_ideal
     # B_{i-1} = B'_{i-1} is proven; at i = 1 by equal generators
@@ -946,7 +959,7 @@ def _reduction_usable(mat, d):
 _COORDINATE_ATTEMPTS = 8
 
 
-def optional_structural_checks(trace):
+def optional_structural_checks(inst):
     """Supporting facts the main argument leans on.
 
     (a) the size-d minors of the Jacobian dual B cut out a locus of
@@ -961,28 +974,26 @@ def optional_structural_checks(trace):
     For (a), adj(B) = [T]^t . lambda makes the size-d minors of B the
     products +-T_j lambda_k, so their ideal is (T)(lambda), whose zero
     set is V(T) u V(lambda): its height is min(d+1, ht(lambda)), one
-    Groebner run on the d+1 entries of lambda.  The row comes from the
-    trace when gcd_iterations made it; a trace rebuilt from saved output
-    gets it by the same checked route (_adjugate_row).
+    Groebner run on the d+1 entries of lambda.  B, its column forms and
+    lambda are the instance's (_fixed_part), formed once for it.
 
     For (b), the reduced dual's minor without column 1 is M[d][0] =
-    T1 lambda_{d+1}, so the reduced gcd is monic(lambda_{d+1}); a dual
-    other than the trace's forms its own lambda.  (c) follows from (b):
-    the target (x_{d+1}) + (full forms) holds x_{d+1} and each reduced
-    form, its full form minus x_{d+1} B[d+1][j], so it holds x_i times
-    either, x_{d+1} g_red, and each x_i g_red (i <= d) that (b) accepts.
-    Only the products (b) rejects are asked of the target, none when (b)
-    passes; the first outside it is the first of all d+1 products.
+    T1 lambda_{d+1}, so the reduced gcd is monic(lambda_{d+1}); in the
+    given coordinates it is the instance's lambda, and only changed
+    coordinates form their own dual, forms and lambda (_checked_dual).
+    (c) follows from (b): the target (x_{d+1}) + (full forms) holds
+    x_{d+1} and each reduced form, its full form minus x_{d+1} B[d+1][j],
+    so it holds x_i times either, x_{d+1} g_red, and each x_i g_red
+    (i <= d) that (b) accepts.  Only the products (b) rejects are asked
+    of the target, none when (b) passes; the first outside it is the
+    first of all d+1 products.
     """
     rep = VerificationReport()
-    inst = trace.instance
     ring = inst.ring
     d = inst.d
-    lam = trace._fixed
-    if lam is None:
-        lam = _adjugate_row(trace.dual)
+    fixed = _fixed_part(inst)
 
-    dual_height = min(d + 1, height(Ideal(ring, lam), ring.t_slots))
+    dual_height = min(d + 1, height(Ideal(ring, fixed[2]), ring.t_slots))
     rep.add("dual-minor-height",
             "size-d minors of the dual have height at least 2",
             _status(dual_height >= 2),
@@ -1011,9 +1022,7 @@ def optional_structural_checks(trace):
         return rep
 
     mat, attempt = chosen
-    full_dual = jacobian_dual(mat)
-    if full_dual != trace.dual:
-        lam = _adjugate_row(full_dual)
+    dual, forms, lam = _checked_dual(mat) if attempt else fixed
     reduced_gcd = lam[d].monic()
     if reduced_gcd.is_zero:
         witness = "reduced gcd vanishes or is not divisible by T1"
@@ -1021,7 +1030,7 @@ def optional_structural_checks(trace):
         rep.add("product-containment", claim_c, "fail", witness)
         return rep
 
-    reduced_forms = _column_forms(delete_row(full_dual, d + 1))
+    reduced_forms = _column_forms(delete_row(dual, d + 1))
     retained = {ring.x(k) * reduced_gcd: k for k in range(1, d + 1)}
     rejected = list(Ideal(ring, reduced_forms).outside(retained))
     rep.add("reduced-cramer-containment", claim_b,
@@ -1029,7 +1038,7 @@ def optional_structural_checks(trace):
             "fails for x%d" % retained[rejected[0]] if rejected else "",
             {"attempt": attempt, "reduced_gcd": str(reduced_gcd)})
 
-    target = Ideal(ring, [ring.x(d + 1)] + list(_column_forms(full_dual)))
+    target = Ideal(ring, [ring.x(d + 1)] + list(forms))
     bad = next(target.outside(rejected), None)
     rep.add("product-containment", claim_c, _status(bad is None),
             "fails for x%d times %s" % (retained[bad], reduced_gcd)

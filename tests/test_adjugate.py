@@ -69,7 +69,7 @@ def test_lambda_spans_the_bareiss_adjugate(case):
     inst = instance(32003, case)
     ring = inst.ring
     trace = gcd_iterations(inst)
-    lam = trace._fixed
+    lam = pipeline._fixed_part(inst)[2]
     n = inst.d + 1
     for k in range(n):
         for j in range(n):
@@ -164,5 +164,5 @@ def test_rank_deficient_dual_gives_zero_lambda():
     assert lam == adjugate_row_by_all_minors(dual) == [inst.ring.zero] * 5
     trace = gcd_iterations(inst)
     assert trace.to_dict() == gcd_iterations_by_step_minors(inst).to_dict()
-    assert optional_structural_checks(trace).to_dict() == \
+    assert optional_structural_checks(inst).to_dict() == \
         structural_checks_by_minors(inst).to_dict()

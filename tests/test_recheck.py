@@ -37,6 +37,12 @@ def instance(case):
     return _INSTANCES[case]
 
 
+def fresh(inst):
+    """A new instance of the spec of inst, which has not formed its
+    Jacobian dual and lambda yet."""
+    return inst.with_prime(inst.prime)
+
+
 def outcomes(rep):
     return [(c.check_id, c.status, c.data) for c in rep.checks]
 
@@ -86,7 +92,7 @@ def test_perturbed_max_gcd_fails_like_reference(step, monkeypatch):
     second = gcd_iterations(inst, rule="max")
     perturbed = with_step_gcd(second, step, second.gcds[step - 1] + form)
 
-    def iterations(inst, rule="min", prior=None):
+    def iterations(inst, rule="min"):
         return perturbed if rule == "max" else gcd_iterations(inst, rule)
 
     monkeypatch.setattr(pipeline, "gcd_iterations", iterations)
@@ -263,7 +269,7 @@ def test_perturbed_pairs_match_reference(case, step, monkeypatch,
         right = with_step_gcd(second, step, h)
         monkeypatch.setattr(
             pipeline, "gcd_iterations",
-            lambda inst, rule="min", prior=None, right=right: right)
+            lambda inst, rule="min", right=right: right)
         del groebner_runs[:]
         rep = verify_well_definedness(inst, left)
         found = rep.find("column-rule-step-%d" % step)
@@ -294,23 +300,25 @@ def dual_work(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["golden", (3, 1)], ids=str)
-def test_rerun_takes_the_dual_minors_from_the_trace(case, dual_work):
-    inst = instance(case)
+def test_rerun_takes_the_dual_minors_from_the_instance(case, dual_work):
+    inst = fresh(instance(case))
     trace = gcd_iterations(inst)
     assert dual_work == ["minors", "det"]
-    rerun = gcd_iterations(inst, rule="max", prior=trace)
+    rerun = gcd_iterations(inst, rule="max")
     assert dual_work == ["minors", "det"]
-    assert rerun.gcds == gcd_iterations(inst, rule="max").gcds
+    assert rerun.gcds == gcd_iterations(fresh(inst), rule="max").gcds
     del dual_work[:]
     verify_well_definedness(inst, trace)
     assert dual_work == []
 
 
-def test_rebuilt_trace_recomputes_the_dual_minors(dual_work):
+def test_rebuilt_trace_of_a_fresh_instance_forms_the_dual_minors(
+        dual_work):
     inst = instance((3, 1))
     trace = gcd_iterations(inst)
-    rebuilt = IterationTrace(inst, trace.dual, trace.bilinear, trace.steps)
+    other = fresh(inst)
+    rebuilt = IterationTrace(other, trace.dual, trace.bilinear, trace.steps)
     del dual_work[:]
-    assert outcomes(verify_well_definedness(inst, rebuilt)) == \
+    assert outcomes(verify_well_definedness(other, rebuilt)) == \
         outcomes(verify_well_definedness(inst, trace))
     assert dual_work == ["minors", "det"]

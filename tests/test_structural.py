@@ -2,11 +2,11 @@
 reports as the minor-ideal route (structural_reference.py), the height of
 the minors of B against min(d+1, ht(lambda)), the Pfaffian square law
 against all minors, its guards on A . p and on its column of minors, and
-the matrices whose Pfaffians all vanish, the checked fallback of a trace
-rebuilt from saved output, the reduced gcd read off lambda, product
-containment asking the target only about the products the reduced-Cramer
-containment rejects, failing and passing, and the route through changed
-coordinates."""
+the matrices whose Pfaffians all vanish, one checked lambda per instance
+(its guards on a fresh instance, its second prime forming its own), the
+reduced gcd read off lambda, product containment asking the target only
+about the products the reduced-Cramer containment rejects, failing and
+passing, and the route through changed coordinates."""
 
 import random
 import re
@@ -15,20 +15,14 @@ import pytest
 
 from reesgcd import ideals, pipeline
 from reesgcd.ideals import Ideal, height
-from reesgcd.matrices import (
-    PolyMatrix,
-    iteration_matrix,
-    jacobian_dual,
-    submaximal_pfaffians,
-)
+from reesgcd.matrices import PolyMatrix, jacobian_dual, submaximal_pfaffians
 from reesgcd.pipeline import (
     IterationError,
-    IterationStep,
-    IterationTrace,
     builtin_example,
     gcd_iterations,
     optional_structural_checks,
     random_instance,
+    verify_well_definedness,
 )
 from reesgcd.ring import PolyRing
 
@@ -55,28 +49,22 @@ def instance(prime, case):
     return _INSTANCES[prime, case]
 
 
-def rebuilt(inst):
-    """The trace of inst rebuilt from its saved run output, without the
-    row lambda, as a recheck of a saved run builds it."""
-    ring = inst.ring
-    saved = gcd_iterations(inst).to_dict()
-    dual = jacobian_dual(inst.presentation)
-    bilinear = [ring.parse(s) for s in saved["generators"][:inst.d + 1]]
-    steps = []
-    carried = inst.equation
-    for src in saved["gcds"]:
-        gcd = ring.parse(src)
-        steps.append(IterationStep(iteration_matrix(dual, carried), gcd,
-                                   gcd.bidegree()))
-        carried = gcd
-    return IterationTrace(inst, dual, bilinear, steps)
+def fresh(inst):
+    """A new instance of the spec of inst, which has not formed its
+    Jacobian dual and lambda yet."""
+    return inst.with_prime(inst.prime)
+
+
+def lam(inst):
+    """The instance's checked row lambda."""
+    return pipeline._fixed_part(inst)[2]
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
 @pytest.mark.parametrize("prime", PRIMES)
 def test_matches_minor_reference(prime, case):
     inst = instance(prime, case)
-    report = optional_structural_checks(gcd_iterations(inst))
+    report = optional_structural_checks(inst)
     assert report.to_dict() == structural_checks_by_minors(inst).to_dict()
 
 
@@ -85,10 +73,9 @@ def test_dual_minor_height_is_min_of_lambda_height(case):
     # V((T)(lambda)) = V(T) u V(lambda)
     inst = instance(32003, case)
     ring = inst.ring
-    trace = gcd_iterations(inst)
-    lam_height = height(Ideal(ring, trace._fixed), ring.t_slots)
-    assert dual_minor_height_by_minors(trace.dual) == \
-        min(inst.d + 1, lam_height)
+    lam_height = height(Ideal(ring, lam(inst)), ring.t_slots)
+    assert dual_minor_height_by_minors(jacobian_dual(inst.presentation)) \
+        == min(inst.d + 1, lam_height)
 
 
 @pytest.mark.parametrize("case", ["golden", (1, 0), (2, 1)], ids=str)
@@ -226,10 +213,11 @@ def golden_reduced():
 
 @pytest.mark.parametrize("k,j", [(0, 0), (0, 1), (3, 2), (4, 4)])
 def test_perturbed_reduced_minor_trips_the_square_law(k, j, monkeypatch):
-    # the trace lends lambda, so only the reduced matrix's minors are
+    # the instance holds lambda, so only the reduced matrix's minors are
     # formed under the patch; the square law forms the column without
     # the first index j0 with p_j0 != 0, and x_{j+1}^4 moves its row k
-    trace = gcd_iterations(builtin_example())
+    inst = builtin_example()
+    gcd_iterations(inst)
     _, pfs = golden_reduced()
     j0 = next(i for i, p in enumerate(pfs) if not p.is_zero)
     perturbed_minors(monkeypatch, k, lambda ring: ring.x(j + 1) ** 4)
@@ -237,7 +225,7 @@ def test_perturbed_reduced_minor_trips_the_square_law(k, j, monkeypatch):
                        match="square law: adj = p . p\\^t fails at the "
                              "minor without row %d and column %d$"
                              % (k + 1, j0 + 1)):
-        optional_structural_checks(trace)
+        optional_structural_checks(inst)
 
 
 @pytest.mark.parametrize("k", [0, 2, 4])
@@ -289,55 +277,79 @@ def test_square_law_agrees_with_all_minors(case):
     square_law_by_all_minors(reduced, pfs)
 
 
+def counted_adjugate_rows(monkeypatch):
+    """pipeline._adjugate_row recording the ring of every dual it takes."""
+    rings = []
+    original = pipeline._adjugate_row
+
+    def counted(dual):
+        rings.append(dual.ring)
+        return original(dual)
+
+    monkeypatch.setattr(pipeline, "_adjugate_row", counted)
+    return rings
+
+
 @pytest.mark.parametrize("case", ["golden", (1, 2), (3, 0)], ids=str)
-def test_rebuilt_trace_gives_the_same_report(case):
-    inst = instance(32003, case)
-    trace = rebuilt(inst)
-    assert trace._fixed is None
-    assert optional_structural_checks(trace).to_dict() == \
-        optional_structural_checks(gcd_iterations(inst)).to_dict()
+def test_lambda_is_formed_once_per_instance(case, monkeypatch):
+    # the iteration, its rerun under the max rule and the structural
+    # checks at the given coordinates read one lambda; the report is the
+    # one a structural check that forms lambda itself gives
+    inst = fresh(instance(32003, case))
+    first = optional_structural_checks(fresh(inst)).to_dict()
+    rings = counted_adjugate_rows(monkeypatch)
+    trace = gcd_iterations(inst)
+    verify_well_definedness(inst, trace)
+    got = optional_structural_checks(inst)
+    assert got.find("reduced-cramer-containment").data["attempt"] == 0
+    assert got.to_dict() == first
+    assert rings == [inst.ring]
 
 
-def test_lent_lambda_skips_the_adjugate_route(monkeypatch):
-    trace = gcd_iterations(builtin_example())
-
-    def no_det(mat):
-        raise AssertionError("det(B) recomputed")
-
-    monkeypatch.setattr(pipeline, "det", no_det)
-    assert optional_structural_checks(trace).ok
+def test_second_prime_forms_and_checks_its_own_lambda(monkeypatch):
+    inst = builtin_example()
+    gcd_iterations(inst)
+    want = lam(builtin_example(65537))
+    other = inst.with_prime(65537)
+    rings = counted_adjugate_rows(monkeypatch)
+    assert lam(other) == want
+    assert rings == [other.ring]
+    assert [g.ring for g in lam(inst)] == [inst.ring] * 5
+    perturbed_minors(monkeypatch, 1, lambda ring: ring.x(1) ** 3)
+    with pytest.raises(IterationError,
+                       match="minor of B without row 2 and column 1 is "
+                             "not divisible by T1"):
+        gcd_iterations(inst.with_prime(65537))
 
 
 @pytest.mark.parametrize("k,j", [(0, 1), (2, 4)])
-def test_rebuilt_trace_checks_the_adjugate_law(k, j, monkeypatch):
+def test_fresh_instance_checks_the_adjugate_law(k, j, monkeypatch):
     # lambda_k moves by +-T_{j+1}^3, caught by the lambda . B recheck at
     # the first nonzero entry of row k of B
-    trace = rebuilt(builtin_example())
-    column = next(i for i in range(5)
-                  if not trace.dual.at(k, i).is_zero) + 1
+    inst = builtin_example()
+    dual = jacobian_dual(inst.presentation)
+    column = next(i for i in range(5) if not dual.at(k, i).is_zero) + 1
     perturbed_minors(monkeypatch, k,
                      lambda ring: ring.T(1) * ring.T(j + 1) ** 3)
     with pytest.raises(IterationError,
                        match="adjugate: lambda . B is nonzero at column "
                              "%d$" % column):
-        optional_structural_checks(trace)
+        optional_structural_checks(inst)
 
 
-def test_rebuilt_trace_checks_t1_divisibility(monkeypatch):
-    trace = rebuilt(builtin_example())
+def test_fresh_instance_checks_t1_divisibility(monkeypatch):
     perturbed_minors(monkeypatch, 1, lambda ring: ring.x(1) ** 3)
     with pytest.raises(IterationError,
                        match="minor of B without row 2 and column 1 is "
                              "not divisible by T1"):
-        optional_structural_checks(trace)
+        optional_structural_checks(builtin_example())
 
 
-def test_rebuilt_trace_checks_the_full_dual_minor(monkeypatch):
-    trace = rebuilt(builtin_example())
+def test_fresh_instance_checks_the_full_dual_minor(monkeypatch):
     monkeypatch.setattr(pipeline, "det", lambda mat: mat.ring.one)
     with pytest.raises(IterationError,
                        match="full-dual minor does not vanish"):
-        optional_structural_checks(trace)
+        optional_structural_checks(builtin_example())
 
 
 def asked_outside(monkeypatch):
@@ -404,7 +416,7 @@ def test_reduced_gcd_from_the_one_minor_without_column_1(case,
     monkeypatch.setattr(pipeline, "_check_square_law", counted)
     asked = asked_outside(monkeypatch)
     runs = groebner_runs(monkeypatch)
-    got = optional_structural_checks(trace)
+    got = optional_structural_checks(inst)
     monkeypatch.undo()
     assert got.to_dict() == structural_checks_by_minors(inst).to_dict()
     assert got.find("reduced-cramer-containment").status == "pass"
@@ -412,7 +424,7 @@ def test_reduced_gcd_from_the_one_minor_without_column_1(case,
     assert got.find("reduced-cramer-containment").data["attempt"] == 0
     d = inst.d
     assert formed == ["square law", (d + 1, d, d)]
-    gcd = trace._fixed[d].monic()
+    gcd = lam(inst)[d].monic()
     target = target_gens(inst, trace.dual)
     assert [polys for _, polys in asked[-2:]] == \
         [[inst.ring.x(i) * gcd for i in range(1, d + 1)], []]
@@ -425,8 +437,8 @@ def test_reduced_gcd_from_the_one_minor_without_column_1(case,
                                     ((1, 0), 2), ((2, 1), 5)], ids=str)
 def test_product_containment_names_the_first_product_outside(
         case, j, monkeypatch):
-    # the reduced gcd is moved by T_j^(d-1): in the trace's lambda for the
-    # check, in the maximal minor of the reduced dual without column 1
+    # the reduced gcd is moved by T_j^(d-1): in the instance's lambda for
+    # the check, in the maximal minor of the reduced dual without column 1
     # (T1 lambda_{d+1}) for the reference.  It fails the reduced-Cramer
     # containment, and the target is asked exactly about the products
     # that check rejected: every other x_i g_red lies in the ideal of
@@ -437,9 +449,10 @@ def test_product_containment_names_the_first_product_outside(
     ring = inst.ring
     d = inst.d
     delta = ring.T(j) ** (d - 1)
-    lam = list(trace._fixed)
-    lam[d] = lam[d] + delta
-    monkeypatch.setattr(trace, "_fixed", lam)
+    dual, forms, moved_lam = pipeline._fixed_part(inst)
+    moved_lam = list(moved_lam)
+    moved_lam[d] = moved_lam[d] + delta
+    monkeypatch.setattr(inst, "_fixed", (dual, forms, moved_lam))
     original = structural_reference.minors
 
     def moved(mat, size):
@@ -450,8 +463,8 @@ def test_product_containment_names_the_first_product_outside(
 
     monkeypatch.setattr(structural_reference, "minors", moved)
     asked = asked_outside(monkeypatch)
-    got = optional_structural_checks(trace)
-    gcd = lam[d].monic()
+    got = optional_structural_checks(inst)
+    gcd = moved_lam[d].monic()
     (reduced, retained), (target, products) = asked[-2:]
     assert retained == [ring.x(i) * gcd for i in range(1, d + 1)]
     assert target == target_gens(inst, trace.dual)
@@ -486,8 +499,8 @@ def test_product_containment_decides_by_its_own_membership(case,
 
     monkeypatch.setattr(pipeline, "delete_row", emptied)
     asked = asked_outside(monkeypatch)
-    got = optional_structural_checks(trace)
-    gcd = trace._fixed[d].monic()
+    got = optional_structural_checks(inst)
+    gcd = lam(inst)[d].monic()
     products = [ring.x(i) * gcd for i in range(1, d + 1)]
     assert asked[-1] == (target_gens(inst, trace.dual), products)
     assert [(got.find(check).status, got.find(check).witness)
@@ -501,7 +514,6 @@ def test_changed_coordinates_match_the_reference(case, monkeypatch):
     # refusing the given coordinates sends both routes to attempt 1; the
     # check then forms its own lambda from the dual there
     inst = instance(32003, case)
-    trace = gcd_iterations(inst)
 
     def refusing(usable):
         def patched(mat, d):
@@ -513,8 +525,8 @@ def test_changed_coordinates_match_the_reference(case, monkeypatch):
     monkeypatch.setattr(structural_reference, "reduction_usable_by_minors",
                         refusing(structural_reference
                                  .reduction_usable_by_minors))
-    got = optional_structural_checks(trace).to_dict()
+    got = optional_structural_checks(inst).to_dict()
     assert got == structural_checks_by_minors(inst).to_dict()
     data = got["checks"][1]["data"]
     assert data["attempt"] == 1
-    assert data["reduced_gcd"] != str(trace._fixed[inst.d].monic())
+    assert data["reduced_gcd"] != str(lam(inst)[inst.d].monic())
